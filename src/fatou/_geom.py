@@ -65,11 +65,15 @@ def point_polyline_distance(p: complex, vertices: Sequence[complex],
     return best
 
 
+_PAIR_BLOCK = 4096  # edge pairs per vectorized pass; bounds the temporaries
+
+
 def is_simple(vertices: Sequence[complex]) -> bool:
     """True when no two non-adjacent edges of the closed polyline intersect.
 
-    Vectorized orientation tests over all edge pairs; adjacency (shared
-    endpoints, including the wraparound pair) is masked out.
+    Vectorized orientation tests over blocks of edge pairs, so memory stays
+    bounded for long curves; adjacency (shared endpoints, including the
+    wraparound pair) is masked out.
     """
     n = len(vertices)
     if n < 3:
@@ -83,26 +87,28 @@ def is_simple(vertices: Sequence[complex]) -> bool:
     def orient(px, py, qx, qy, rx, ry):
         return (qx - px) * (ry - py) - (rx - px) * (qy - py)
 
-    # pair (i, j): edges i and j; mask |i - j| <= 1 mod n
-    i_idx, j_idx = np.triu_indices(n, k=2)
-    wrap = (i_idx == 0) & (j_idx == n - 1)
-    i_idx, j_idx = i_idx[~wrap], j_idx[~wrap]
-    if i_idx.size == 0:
-        return True
-    d1 = orient(ax[i_idx], ay[i_idx], bx[i_idx], by[i_idx], ax[j_idx], ay[j_idx])
-    d2 = orient(ax[i_idx], ay[i_idx], bx[i_idx], by[i_idx], bx[j_idx], by[j_idx])
-    d3 = orient(ax[j_idx], ay[j_idx], bx[j_idx], by[j_idx], ax[i_idx], ay[i_idx])
-    d4 = orient(ax[j_idx], ay[j_idx], bx[j_idx], by[j_idx], bx[i_idx], by[i_idx])
-    crossing = (d1 * d2 < 0) & (d3 * d4 < 0)
-    if bool(crossing.any()):
-        return False
-
     def on_segment(px, py, qx, qy, rx, ry, d):
         return (d == 0) & (rx <= np.maximum(px, qx)) & (rx >= np.minimum(px, qx)) \
             & (ry <= np.maximum(py, qy)) & (ry >= np.minimum(py, qy))
 
-    touch = on_segment(ax[i_idx], ay[i_idx], bx[i_idx], by[i_idx], ax[j_idx], ay[j_idx], d1) \
-        | on_segment(ax[i_idx], ay[i_idx], bx[i_idx], by[i_idx], bx[j_idx], by[j_idx], d2) \
-        | on_segment(ax[j_idx], ay[j_idx], bx[j_idx], by[j_idx], ax[i_idx], ay[i_idx], d3) \
-        | on_segment(ax[j_idx], ay[j_idx], bx[j_idx], by[j_idx], bx[i_idx], by[i_idx], d4)
-    return not bool(touch.any())
+    cols = np.arange(n)
+    rows = max(1, _PAIR_BLOCK // n)
+    for lo in range(0, n - 2, rows):
+        # pair (i, j): edges i < j; mask |i - j| <= 1 mod n
+        ii = np.arange(lo, min(lo + rows, n - 2))[:, None]
+        i_idx, j_idx = np.nonzero((cols >= ii + 2) & ~((ii == 0) & (cols == n - 1)))
+        i_idx += lo
+        d1 = orient(ax[i_idx], ay[i_idx], bx[i_idx], by[i_idx], ax[j_idx], ay[j_idx])
+        d2 = orient(ax[i_idx], ay[i_idx], bx[i_idx], by[i_idx], bx[j_idx], by[j_idx])
+        d3 = orient(ax[j_idx], ay[j_idx], bx[j_idx], by[j_idx], ax[i_idx], ay[i_idx])
+        d4 = orient(ax[j_idx], ay[j_idx], bx[j_idx], by[j_idx], bx[i_idx], by[i_idx])
+        crossing = (d1 * d2 < 0) & (d3 * d4 < 0)
+        if bool(crossing.any()):
+            return False
+        touch = on_segment(ax[i_idx], ay[i_idx], bx[i_idx], by[i_idx], ax[j_idx], ay[j_idx], d1) \
+            | on_segment(ax[i_idx], ay[i_idx], bx[i_idx], by[i_idx], bx[j_idx], by[j_idx], d2) \
+            | on_segment(ax[j_idx], ay[j_idx], bx[j_idx], by[j_idx], ax[i_idx], ay[i_idx], d3) \
+            | on_segment(ax[j_idx], ay[j_idx], bx[j_idx], by[j_idx], bx[i_idx], by[i_idx], d4)
+        if bool(touch.any()):
+            return False
+    return True

@@ -71,7 +71,8 @@ class BasinGrid:
         return row, col
 
 
-def _point_key(p: SpherePoint):
+def point_key(p: SpherePoint):
+    """Canonical order on the sphere: infinity first, then by (re, im)."""
     if p.is_infinity:
         return (0, 0.0, 0.0)
     z = p.to_complex()
@@ -86,7 +87,7 @@ def superattracting_cycles(portrait: CriticalPortrait) -> list[tuple]:
         if rep is None or rep.classification != "superattracting":
             continue
         cyc = list(rep.cycle)
-        keys = [_point_key(p) for p in cyc]
+        keys = [point_key(p) for p in cyc]
         start = keys.index(min(keys))
         cyc = tuple(cyc[(start + i) % len(cyc)] for i in range(len(cyc)))
         if not any(len(c) == len(cyc) and all(a.chordal(b) < 1e-7 for a, b in zip(c, cyc))
@@ -94,7 +95,7 @@ def superattracting_cycles(portrait: CriticalPortrait) -> list[tuple]:
             cycles.append(cyc)
     if not cycles:
         raise ValueError("portrait has no superattracting cycle")
-    cycles.sort(key=lambda c: _point_key(c[0]))
+    cycles.sort(key=lambda c: point_key(c[0]))
     return cycles
 
 

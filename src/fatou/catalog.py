@@ -139,13 +139,12 @@ def solve_pinch_params() -> PinchSolution:
 
 def paper_g() -> RationalMap:
     """(z + 2)(z - 1)^2 / (1.5 z - 1), the main degree-3 example."""
-    return normalize(Polynomial((2.0, -3.0, 0.0, 1.0)), Polynomial((-1.0, 1.5)))
+    return pseudo_basilica(3)
 
 
 def paper_degree4() -> RationalMap:
     """3 (z - 1)^3 (z + 3) / (3 - 8 z + 6 z^2), the degree-4 sibling."""
-    return normalize(Polynomial((-9.0, 24.0, -18.0, 0.0, 3.0)),
-                     Polynomial((3.0, -8.0, 6.0)))
+    return pseudo_basilica(4)
 
 
 CATALOG_NAMES = (

@@ -11,15 +11,15 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import _jsonio
 from . import basins as _basins
+from . import rays as _rays
 from .catalog import CATALOG_NAMES, by_name
 from .lifting import circle, lift_curve, sign_change_sequence
 from .orbits import critical_portrait, periodic_points
 from .ratmap import RationalMap, map_from_jsonable, map_to_jsonable
-from .rays import DEFAULT_DEPTH, DEFAULT_R0, RayAngle, trace_ray
+from .rays import DEFAULT_DEPTH, DEFAULT_R0, RayAngle
 from .sphere import SpherePoint, as_sphere
 from .verify import groups as verify_groups
 from .verify import run_checks
@@ -92,26 +92,8 @@ def _load_map(selector: str) -> RationalMap:
                       f"catalog: {', '.join(CATALOG_NAMES)}")
 
 
-def _thread_count(n_tasks: int) -> int:
-    env = os.environ.get("FATOU_THREADS", "").strip()
-    if env:
-        k = int(env)
-        if k < 1:
-            raise ValueError(f"FATOU_THREADS must be a positive integer, got {env!r}")
-    else:
-        k = min(4, n_tasks)
-    return max(1, min(k, n_tasks))
-
-
 def _emit(report: dict):
     sys.stdout.write(_jsonio.dumps(report) + "\n")
-
-
-def _point_order(p):
-    if p.is_infinity:
-        return (0, 0.0, 0.0)
-    z = p.to_complex()
-    return (1, z.real, z.imag)
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +104,7 @@ def cmd_portrait(args) -> int:
     f = _load_map(args.map)
     port = critical_portrait(f)
     order = sorted(range(len(port.critical_points)),
-                   key=lambda i: _point_order(port.critical_points[i].point))
+                   key=lambda i: _basins.point_key(port.critical_points[i].point))
     crit = []
     for i in order:
         c = port.critical_points[i]
@@ -146,10 +128,10 @@ def cmd_portrait(args) -> int:
         "degree": f.degree,
         "critical_points": crit,
         "postcritical": [_jsonio.sphere_jsonable(p)
-                         for p in sorted(port.postcritical, key=_point_order)],
+                         for p in sorted(port.postcritical, key=_basins.point_key)],
         "postcritical_in_critical_cycles": [
             _jsonio.sphere_jsonable(p)
-            for p in sorted(port.q_subset, key=_point_order)],
+            for p in sorted(port.q_subset, key=_basins.point_key)],
         "critically_finite": port.critically_finite,
         "hyperbolic": port.hyperbolic,
         "all_postcritical_periodic": port.all_postcritical_periodic,
@@ -161,7 +143,7 @@ def cmd_portrait(args) -> int:
 def cmd_periodic(args) -> int:
     f = _load_map(args.map)
     pts = periodic_points(f, args.period)
-    pts = sorted(pts, key=lambda q: _point_order(q.point))
+    pts = sorted(pts, key=lambda q: _basins.point_key(q.point))
     report = {
         "schema": SCHEMA,
         "map": args.map,
@@ -179,23 +161,11 @@ def cmd_periodic(args) -> int:
 
 def cmd_ray(args) -> int:
     f = _load_map(args.map)
-    angles = []
-    for t in args.angle:
-        if t not in angles:
-            angles.append(t)
-    workers = _thread_count(len(angles))
-
-    def run(t: RayAngle):
-        return trace_ray(f, args.basin, t, depth=args.depth, r0=args.r0)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(run, angles))
-    else:
-        traces = [run(t) for t in angles]
-
+    angles = list(dict.fromkeys(args.angle))
+    traces = _rays.trace_orbit(f, args.basin, angles, depth=args.depth, r0=args.r0)
     rays = []
-    for tr in traces:
+    for t in angles:
+        tr = traces[t]
         entry = {
             "angle": str(tr.angle),
             "landed": tr.landed,
@@ -376,10 +346,14 @@ def dispatch(argv=None) -> int:
         args = parser.parse_args(argv)
         if not hasattr(args, "func"):
             parser.error("a subcommand is required")
-        if getattr(args, "period", 1) < 1:
-            raise _UsageError("--period", "must be a positive integer")
-        if getattr(args, "depth", 1) < 1:
-            raise _UsageError("--depth", "must be a positive integer")
+        for flag in ("period", "depth", "max_iter"):
+            if getattr(args, flag, 1) < 1:
+                raise _UsageError("--" + flag.replace("_", "-"),
+                                  "must be a positive integer")
+        if getattr(args, "segments", 3) < 3:
+            raise _UsageError("--segments", "must be at least 3")
+        if getattr(args, "steps", 0) < 0:
+            raise _UsageError("--steps", "must be a non-negative integer")
         for flag in ("r0", "trap_radius", "eps", "radius"):
             val = getattr(args, flag, 1.0)
             if val <= 0:

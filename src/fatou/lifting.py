@@ -185,11 +185,16 @@ def lift_curve(f: RationalMap, curve: OrientedPolyCurve, omega: complex,
                eps: float = 1e-3) -> LiftSet:
     """All lifts of a closed curve, each with covering degree and sign.
 
-    Preconditions enforced: every vertex keeps chordal distance > eps from
-    every critical value, and omega stays off the base curve and off every
-    lift. Lifts inherit the parametrization that makes f orientation
-    preserving on them, which is automatic for the induced continuation.
+    Preconditions enforced: the curve is simple, every vertex keeps chordal
+    distance > eps from every critical value, and omega stays off the base
+    curve and off every lift. Lifts inherit the parametrization that makes f
+    orientation preserving on them, which is automatic for the induced
+    continuation.
     """
+    try:
+        curve.validate_simple()
+    except ValueError as exc:
+        raise LiftError(f"base curve: {exc}") from exc
     crit_values = [eval_sphere(f, c.point) for c in critical_points(f)]
     for v in curve.vertices:
         vp = as_sphere(v)

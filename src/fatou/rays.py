@@ -84,6 +84,10 @@ class _Ambiguous(Exception):
     pass
 
 
+def _as_angle(t) -> RayAngle:
+    return t if isinstance(t, RayAngle) else RayAngle.parse(str(t))
+
+
 def _local_degree_at(f: RationalMap, b: SpherePoint) -> int:
     for c in critical_points(f):
         if c.point.chordal(b) < 1e-8:
@@ -211,7 +215,7 @@ def trace_orbit(f: RationalMap, basin_fixed_point, angles, depth: int = DEFAULT_
     m = _check_superattracting_fixed(f, b)
     if r0 < 10.0:
         raise ValueError("starting potential too small for the linearized seed")
-    angles = [t if isinstance(t, RayAngle) else RayAngle.parse(str(t)) for t in angles]
+    angles = [_as_angle(t) for t in angles]
 
     if b.is_infinity:
         work, back = f, None
@@ -246,8 +250,21 @@ def trace_orbit(f: RationalMap, basin_fixed_point, angles, depth: int = DEFAULT_
 def trace_ray(f: RationalMap, basin_fixed_point, t, depth: int = DEFAULT_DEPTH,
               r0: float = DEFAULT_R0, landing_tol: float = LANDING_TOL) -> RayTrace:
     """Trace one ray; see trace_orbit for the mechanics."""
-    t = t if isinstance(t, RayAngle) else RayAngle.parse(str(t))
+    t = _as_angle(t)
     return trace_orbit(f, basin_fixed_point, [t], depth, r0, landing_tol)[t]
+
+
+def _landed_pair(f: RationalMap, basin_fixed_point, t1, t2, depth: int, r0: float,
+                 landing_tol: float) -> tuple[RayTrace, RayTrace]:
+    """Joint traces of two rays; raises RayLandingError if either fails to land."""
+    t1, t2 = _as_angle(t1), _as_angle(t2)
+    traces = trace_orbit(f, basin_fixed_point, [t1, t2], depth, r0, landing_tol)
+    tr1, tr2 = traces[t1], traces[t2]
+    for tr in (tr1, tr2):
+        if not tr.landed:
+            raise RayLandingError(
+                f"ray {tr.angle} did not land (residual {tr.residual:.3g})")
+    return tr1, tr2
 
 
 def coland(f: RationalMap, basin_fixed_point, t1, t2, tol: float = LANDING_TOL,
@@ -257,14 +274,7 @@ def coland(f: RationalMap, basin_fixed_point, t1, t2, tol: float = LANDING_TOL,
     Raises RayLandingError if either ray fails to land; an unlanded ray is
     never reported as not co-landing.
     """
-    t1 = t1 if isinstance(t1, RayAngle) else RayAngle.parse(str(t1))
-    t2 = t2 if isinstance(t2, RayAngle) else RayAngle.parse(str(t2))
-    traces = trace_orbit(f, basin_fixed_point, [t1, t2], depth, r0, tol)
-    tr1, tr2 = traces[t1], traces[t2]
-    for tr in (tr1, tr2):
-        if not tr.landed:
-            raise RayLandingError(
-                f"ray {tr.angle} did not land (residual {tr.residual:.3g})")
+    tr1, tr2 = _landed_pair(f, basin_fixed_point, t1, t2, depth, r0, tol)
     return abs(tr1.landing - tr2.landing) < tol
 
 
@@ -277,14 +287,8 @@ def separation_test(f: RationalMap, basin_fixed_point, t1, t2, a: complex,
     Preconditions: both rays land at a common point; neither a nor b sits on
     the curve (within a relative 1e-9).
     """
-    t1 = t1 if isinstance(t1, RayAngle) else RayAngle.parse(str(t1))
-    t2 = t2 if isinstance(t2, RayAngle) else RayAngle.parse(str(t2))
     a, b = complex(a), complex(b)
-    traces = trace_orbit(f, basin_fixed_point, [t1, t2], depth, r0, landing_tol)
-    tr1, tr2 = traces[t1], traces[t2]
-    for tr in (tr1, tr2):
-        if not tr.landed:
-            raise RayLandingError(f"ray {tr.angle} did not land")
+    tr1, tr2 = _landed_pair(f, basin_fixed_point, t1, t2, depth, r0, landing_tol)
     gap = abs(tr1.landing - tr2.landing)
     if gap > landing_tol:
         raise RayLandingError(f"rays do not co-land (gap {gap:.3g})")

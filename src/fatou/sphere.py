@@ -232,20 +232,6 @@ def hom_compose(outer: Polynomial, u: Polynomial, v: Polynomial, n: int) -> Poly
     return acc
 
 
-def poly_compose(outer: Polynomial, inner_num: Polynomial,
-                 inner_den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    """outer(inner_num/inner_den) as a numerator/denominator pair.
-
-    The denominator is inner_den raised to deg(outer).
-    """
-    n = outer.degree
-    if n < 0:
-        return Polynomial(()), Polynomial((1.0,))
-    num = hom_compose(outer, inner_num, inner_den, n)
-    den = inner_den.pow(n)
-    return num, den
-
-
 def _sylvester(p: Polynomial, q: Polynomial) -> np.ndarray:
     m, n = p.degree, q.degree
     s = np.zeros((m + n, m + n), dtype=complex)
@@ -256,18 +242,6 @@ def _sylvester(p: Polynomial, q: Polynomial) -> np.ndarray:
     for i in range(m):
         s[n + i, i:i + n + 1] = qc
     return s
-
-
-def resultant(p: Polynomial, q: Polynomial) -> complex:
-    """Resultant via the Sylvester matrix determinant."""
-    m, n = p.degree, q.degree
-    if m < 0 or n < 0:
-        return 0j
-    if m == 0:
-        return p.coeffs[0] ** n
-    if n == 0:
-        return q.coeffs[0] ** m
-    return complex(np.linalg.det(_sylvester(p, q)))
 
 
 def coprime(p: Polynomial, q: Polynomial, rel_tol: float = 1e-10) -> bool:

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+import fatou.rays
 from fatou.catalog import by_name, paper_g
 from fatou.cli import dispatch
 from fatou.ratmap import map_to_jsonable
@@ -78,13 +81,27 @@ def test_ray_samples_flag(capsys):
     assert abs(complex(x, y)) > 10.0
 
 
-def test_ray_thread_env_does_not_change_output(capsys, monkeypatch):
-    args = ["ray", "--map", "paper-g", "--angle", "1/6", "--angle", "5/6"]
-    monkeypatch.setenv("FATOU_THREADS", "1")
-    _, a, _ = _run(capsys, args)
-    monkeypatch.setenv("FATOU_THREADS", "3")
-    _, b, _ = _run(capsys, args)
-    assert a == b
+def test_ray_traces_the_request_in_one_orbit_call_in_request_order(capsys, monkeypatch):
+    calls = []
+    real = fatou.rays.trace_orbit
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fatou.rays, "trace_orbit", counted)
+    for angles, reported in ((["1/6", "5/6", "1/6"], ["1/6", "5/6"]),
+                             (["5/6", "1/6", "5/6"], ["5/6", "1/6"])):
+        calls.clear()
+        argv = ["ray", "--map", "paper-g"]
+        for t in angles:
+            argv += ["--angle", t]
+        code, out, _ = _run(capsys, argv)
+        assert code == 0
+        assert len(calls) == 1
+        rays = json.loads(out)["rays"]
+        assert [r["angle"] for r in rays] == reported
+        assert all(r["landed"] for r in rays)
 
 
 def test_lift_report(capsys):
@@ -169,6 +186,23 @@ def test_usage_errors_exit_two(capsys):
     for argv in cases:
         code, out, err = _run(capsys, argv)
         assert code == 2, f"argv {argv} gave {code}"
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--segments", ["lift", "--map", "paper-g", "--center=-2,0",
+                    "--radius", "0.1", "--segments", "2"]),
+    ("--steps", ["lift", "--map", "paper-g", "--center=-2,0",
+                 "--radius", "0.1", "--steps=-1"]),
+    ("--max-iter", ["render", "--map", "paper-g", "--max-iter=-5",
+                    "--out", "unused.ppm"]),
+])
+def test_out_of_range_counts_are_usage_errors(capsys, tmp_path, monkeypatch, flag, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"usage error: {flag}")
+    assert not (tmp_path / "unused.ppm").exists()
 
 
 def test_unknown_map_error_names_the_flag_and_catalog(capsys):

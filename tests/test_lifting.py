@@ -69,6 +69,15 @@ def test_curve_validation():
     circle(0.0, 1.0).validate_simple()
 
 
+def test_simplicity_check_reaches_the_last_edges_of_a_long_curve():
+    # 300 vertices span many blocks of edge pairs; swapping two vertices near
+    # the end makes edges 296 and 298 cross, and nothing else
+    pts = list(circle(0.0, 1.0, 300).vertices)
+    pts[297], pts[298] = pts[298], pts[297]
+    with pytest.raises(ValueError):
+        OrientedPolyCurve(tuple(pts)).validate_simple()
+
+
 def test_circle_helper():
     c = circle(2.0 + 1j, 0.5, n=48)
     assert len(c.vertices) == 48
@@ -148,6 +157,12 @@ def test_lift_rejects_curve_near_critical_value():
         lift_curve(f, circle(0.0, 1e-9), omega=1e9)
     with pytest.raises(LiftError):
         lift_curve(paper_g(), circle(-2.0, 1e-4), omega=1e6)
+
+
+def test_lift_rejects_self_intersecting_base_curve():
+    bowtie = OrientedPolyCurve((0j, 1 + 1j, 1 + 0j, 1j))
+    with pytest.raises(LiftError, match="self-intersecting"):
+        lift_curve(paper_g(), bowtie, omega=1e6)
 
 
 def test_outermost_filtering_is_relative_to_omega():
