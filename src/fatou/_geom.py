@@ -53,12 +53,11 @@ def point_segment_distance(p: complex, a: complex, b: complex) -> float:
     return abs(p - (a + t * ab))
 
 
-def point_polyline_distance(p: complex, vertices: Sequence[complex],
-                            closed: bool = True) -> float:
+def point_polyline_distance(p: complex, vertices: Sequence[complex]) -> float:
+    """Distance from p to the implicitly closed polyline."""
     n = len(vertices)
-    last = n if closed else n - 1
     best = math.inf
-    for i in range(last):
+    for i in range(n):
         a = vertices[i]
         b = vertices[(i + 1) % n]
         best = min(best, point_segment_distance(p, a, b))

@@ -33,6 +33,10 @@ class Bounds:
     def __post_init__(self):
         if not (self.xmin < self.xmax and self.ymin < self.ymax):
             raise ValueError("empty bounds")
+        values = (self.xmin, self.xmax, self.ymin, self.ymax,
+                  self.xmax - self.xmin, self.ymax - self.ymin)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("bounds and their spans must be finite")
 
 
 @dataclass

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from ._geom import (is_simple, point_polyline_distance, signed_area,
                     winding_number)
 from .sphere import SpherePoint, as_sphere
-from .ratmap import RationalMap, critical_points, eval_sphere, preimages
+from .ratmap import (RationalMap, _Ambiguous, critical_points, eval_sphere,
+                     preimages)
 
 MATCH_RATIO = 0.5
 MAX_SUBDIVISION = 10
@@ -117,10 +118,6 @@ class LiftSet:
     @property
     def total_degree(self) -> int:
         return sum(l.degree for l in self.lifts)
-
-
-class _Ambiguous(Exception):
-    pass
 
 
 def _fiber(f: RationalMap, v: complex) -> list[complex]:
@@ -254,35 +251,26 @@ def lift_curve(f: RationalMap, curve: OrientedPolyCurve, omega: complex,
     return LiftSet(curve, tuple(refined[:-1]), tuple(lifts), tuple(perm))
 
 
-def _probe_vertex(lift: Lift, other: Lift) -> complex:
-    """A vertex of `lift` suitable for winding queries against `other`."""
-    verts = lift.curve.vertices
-    best = max(verts, key=lambda v: other.curve.distance_to(v))
-    dist = other.curve.distance_to(best)
-    if dist < 1e-9 * (1.0 + abs(best)):
-        # nudge toward the centroid of the other curve's complement direction
-        centroid = sum(other.curve.vertices) / len(other.curve.vertices)
-        direction = (best - centroid) / abs(best - centroid)
-        best = best + 10e-9 * direction
-        if other.curve.distance_to(best) < 1e-9 * (1.0 + abs(best)):
-            raise LiftError("could not separate lifts for the outermost test")
-    return best
-
-
 def outermost_lifts(lift_set: LiftSet, omega) -> list[Lift]:
     """Lifts not separated from omega by any other lift.
 
     A lift l' separates l from omega when the winding of l' around l differs
-    from its winding around omega.
+    from its winding around omega. The lifts are pairwise disjoint closed
+    curves, so the winding of l' is constant along l and one vertex of l
+    decides it; the first is used, after checking that it lies off l'.
     """
+    lifts = lift_set.lifts
+    around_omega = [_omega_winding(l.curve, omega) for l in lifts]
     out = []
-    for l in lift_set.lifts:
+    for l in lifts:
+        probe = l.curve.vertices[0]
         separated = False
-        for lp in lift_set.lifts:
+        for lp, w_omega in zip(lifts, around_omega):
             if lp is l:
                 continue
-            probe = _probe_vertex(l, lp)
-            if lp.curve.winding(probe) != _omega_winding(lp.curve, omega):
+            if lp.curve.distance_to(probe) < 1e-9 * (1.0 + abs(probe)):
+                raise LiftError("could not separate lifts for the outermost test")
+            if lp.curve.winding(probe) != w_omega:
                 separated = True
                 break
         if not separated:
@@ -332,14 +320,12 @@ def _default_selector(lifts: Sequence[Lift], omega) -> Lift:
 
 
 def sign_change_sequence(f: RationalMap, curve: OrientedPolyCurve, omega,
-                         n: int = 8, eps: float = 1e-3,
-                         selector: Optional[Callable] = None) -> SignSequence:
+                         n: int = 8, eps: float = 1e-3) -> SignSequence:
     """Iterated lifting, recording the sign of a chosen outermost lift at each
     backward step and whether it changed from the previous one."""
     if n < 1:
         raise ValueError("need at least one step")
     omega = as_sphere(omega)
-    select = selector or _default_selector
     prev_sign = sign_of(curve, omega)
     base_sign = prev_sign
     steps = []
@@ -347,7 +333,7 @@ def sign_change_sequence(f: RationalMap, curve: OrientedPolyCurve, omega,
     for _ in range(n):
         ls = lift_curve(f, current, omega, eps)
         outs = outermost_lifts(ls, omega)
-        chosen = select(outs, omega)
+        chosen = _default_selector(outs, omega)
         step_sign = chosen.sign
         steps.append(SignStep(chosen.curve, step_sign, len(outs),
                               step_sign != prev_sign))

@@ -206,6 +206,10 @@ def critical_points(f: RationalMap) -> list[CriticalPoint]:
     return out
 
 
+class _Ambiguous(Exception):
+    """A fiber point has no clear continuation: pick a branch or refine."""
+
+
 def preimages(f: RationalMap, v) -> list[tuple[SpherePoint, int]]:
     """Solutions of f(x) = v with multiplicities summing to deg(f)."""
     target = as_sphere(v)

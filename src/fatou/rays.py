@@ -19,7 +19,8 @@ from typing import Optional
 
 from ._geom import point_polyline_distance, winding_number
 from .sphere import MoebiusTransform, SpherePoint, as_sphere
-from .ratmap import RationalMap, critical_points, eval_sphere, preimages
+from .ratmap import (RationalMap, _Ambiguous, critical_points, eval_sphere,
+                     preimages)
 
 DEFAULT_R0 = 100.0
 DEFAULT_DEPTH = 96
@@ -78,10 +79,6 @@ class RayTrace:
     landing: Optional[complex]
     residual: float
     sublevels: int  # potential steps inserted per doubling level
-
-
-class _Ambiguous(Exception):
-    pass
 
 
 def _as_angle(t) -> RayAngle:

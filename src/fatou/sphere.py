@@ -12,12 +12,9 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-
-# Chordal tolerance used for point equality throughout the package.
-CHORDAL_EQ_TOL = 1e-8
 
 # |w| below this (after max-modulus normalization) counts as the point at infinity.
 _INF_TOL = 1e-11
@@ -85,9 +82,6 @@ class SpherePoint:
         n1 = math.hypot(abs(self.z), abs(self.w))
         n2 = math.hypot(abs(other.z), abs(other.w))
         return num / (n1 * n2)
-
-    def isclose(self, other: "SpherePoint", tol: float = CHORDAL_EQ_TOL) -> bool:
-        return self.chordal(other) < tol
 
     def __repr__(self):
         if self.is_infinity:
@@ -522,9 +516,6 @@ class MoebiusTransform:
         pt = as_sphere(x)
         return SpherePoint(self.a * pt.z + self.b * pt.w,
                            self.c * pt.z + self.d * pt.w)
-
-    def as_rational(self) -> tuple[Polynomial, Polynomial]:
-        return Polynomial((self.b, self.a)), Polynomial((self.d, self.c))
 
 
 def moebius_conjugate(f_num: Polynomial, f_den: Polynomial,

@@ -205,6 +205,27 @@ def test_out_of_range_counts_are_usage_errors(capsys, tmp_path, monkeypatch, fla
     assert not (tmp_path / "unused.ppm").exists()
 
 
+@pytest.mark.parametrize("bounds, reason", [
+    ("-inf,inf,-1,1", "finite"),
+    ("-1,1,-1,inf", "finite"),
+    ("-1e308,1e308,-1,1", "finite"),  # the x span overflows
+    ("-1,1,-1e308,1e308", "finite"),
+    ("nan,1,-1,1", "empty"),
+    ("1,1,-1,1", "empty"),
+    ("-1,1,1,-1", "empty"),
+    ("-1,1,-1", "xmin,xmax,ymin,ymax"),
+    ("a,1,-1,1", "float"),
+])
+def test_unusable_bounds_are_usage_errors(capsys, tmp_path, monkeypatch, bounds, reason):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(capsys, ["render", "--map", "paper-g", "--resolution", "4x4",
+                                   "--out", "unused.ppm", "--bounds=" + bounds])
+    assert code == 2
+    assert out == ""
+    assert "argument --bounds" in err and reason in err
+    assert not (tmp_path / "unused.ppm").exists()
+
+
 def test_unknown_map_error_names_the_flag_and_catalog(capsys):
     code, _, err = _run(capsys, ["portrait", "--map", "no-such-map"])
     assert code == 2

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from fatou.catalog import paper_g
+import fatou.lifting
+from fatou.catalog import by_name, paper_g
 from fatou.lifting import (
     Lift,
     LiftError,
@@ -51,11 +52,8 @@ def test_point_polyline_distance():
     square = (0j, 1 + 0j, 1 + 1j, 1j)
     assert abs(point_polyline_distance(0.5 + 0.5j, square) - 0.5) < 1e-12
     assert abs(point_polyline_distance(2 + 0.5j, square) - 1.0) < 1e-12
-    # the open chain drops the closing edge along x = 0
-    p = -0.2 + 0.5j
-    assert abs(point_polyline_distance(p, square, closed=True) - 0.2) < 1e-12
-    open_d = point_polyline_distance(p, square, closed=False)
-    assert abs(open_d - math.hypot(0.2, 0.5)) < 1e-12
+    # the closing edge along x = 0 counts
+    assert abs(point_polyline_distance(-0.2 + 0.5j, square) - 0.2) < 1e-12
 
 
 def test_curve_validation():
@@ -174,6 +172,35 @@ def test_outermost_filtering_is_relative_to_omega():
     assert [l.strand for l in outermost_lifts(ls, 1e6)] == [0]
     assert [l.strand for l in outermost_lifts(ls, 0.0)] == [1]
     assert [l.strand for l in outermost_lifts(ls, SpherePoint.infinity())] == [0]
+
+
+def test_outermost_test_probes_one_vertex_per_lift_pair(monkeypatch):
+    # four unnested degree-1 lifts of a small circle away from the critical
+    # values of paper-degree4; with omega at infinity none separates another,
+    # so every ordered pair is tested
+    ls = lift_curve(by_name("paper-degree4"), circle(5.0, 0.1), omega=1e6)
+    n = len(ls.lifts)
+    assert n == 4
+    calls = []
+    real = fatou.lifting.point_polyline_distance
+
+    def counting(p, vertices):
+        calls.append(p)
+        return real(p, vertices)
+    monkeypatch.setattr(fatou.lifting, "point_polyline_distance", counting)
+    assert outermost_lifts(ls, SpherePoint.infinity()) == list(ls.lifts)
+    assert 0 < len(calls) <= n * (n - 1)
+
+
+def test_outermost_test_rejects_a_probe_on_another_lift():
+    # the inner diamond's first vertex lies on the outer square's right edge
+    outer = OrientedPolyCurve((-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j))
+    inner = OrientedPolyCurve((1 + 0j, 0.5j, -0.5 + 0j, -0.5j))
+    ls = LiftSet(base=circle(0.0, 4.0), base_refined=circle(0.0, 4.0),
+                 lifts=(Lift(outer, 1, 1, 0), Lift(inner, 1, 1, 1)),
+                 monodromy=(0, 1))
+    with pytest.raises(LiftError, match="could not separate lifts"):
+        outermost_lifts(ls, 1e6)
 
 
 def test_sign_sequence_omega_in_unbounded_basin():
