@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 computational failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import os
 import sys
 
@@ -19,7 +21,7 @@ from .catalog import CATALOG_NAMES, by_name
 from .lifting import circle, lift_curve, sign_change_sequence
 from .orbits import critical_portrait, periodic_points
 from .ratmap import RationalMap, map_from_jsonable, map_to_jsonable
-from .rays import DEFAULT_DEPTH, DEFAULT_R0, RayAngle
+from .rays import DEFAULT_DEPTH, DEFAULT_R0, MIN_R0, RayAngle
 from .sphere import SpherePoint, as_sphere
 from .verify import groups as verify_groups
 from .verify import run_checks
@@ -48,23 +50,28 @@ def _point_type(text: str):
     try:
         if "," in s:
             re_s, im_s = s.split(",", 1)
-            return complex(float(re_s), float(im_s))
-        return complex(float(s), 0.0)
+            z = complex(float(re_s), float(im_s))
+        else:
+            z = complex(float(s), 0.0)
     except ValueError:
+        z = None
+    if z is None or not cmath.isfinite(z):
         raise argparse.ArgumentTypeError(
-            f"expected a point 're,im' or 'inf', got {text!r}")
+            f"expected a finite point 're,im' or 'inf', got {text!r}")
+    return z
 
 
 def _bounds_type(text: str) -> _basins.Bounds:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(
-            f"--bounds expects 'xmin,xmax,ymin,ymax', got {text!r}")
+    # argparse prefixes these messages with "argument --bounds: "
     try:
-        xmin, xmax, ymin, ymax = (float(p) for p in parts)
+        xmin, xmax, ymin, ymax = (float(p) for p in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expects four numbers 'xmin,xmax,ymin,ymax', got {text!r}")
+    try:
         return _basins.Bounds(xmin, xmax, ymin, ymax)
     except ValueError as e:
-        raise argparse.ArgumentTypeError(f"--bounds: {e}")
+        raise argparse.ArgumentTypeError(str(e))
 
 
 def _resolution_type(text: str) -> tuple:
@@ -162,7 +169,10 @@ def cmd_periodic(args) -> int:
 def cmd_ray(args) -> int:
     f = _load_map(args.map)
     angles = list(dict.fromkeys(args.angle))
-    traces = _rays.trace_orbit(f, args.basin, angles, depth=args.depth, r0=args.r0)
+    try:
+        traces = _rays.trace_orbit(f, args.basin, angles, depth=args.depth, r0=args.r0)
+    except _rays.AngleOrbitError as e:
+        raise _UsageError("--angle", str(e))
     rays = []
     for t in angles:
         tr = traces[t]
@@ -356,8 +366,10 @@ def dispatch(argv=None) -> int:
             raise _UsageError("--steps", "must be a non-negative integer")
         for flag in ("r0", "trap_radius", "eps", "radius"):
             val = getattr(args, flag, 1.0)
-            if val <= 0:
-                raise _UsageError("--" + flag.replace("_", "-"), "must be > 0")
+            if not (math.isfinite(val) and val > 0):
+                raise _UsageError("--" + flag.replace("_", "-"), "must be a finite number > 0")
+        if getattr(args, "r0", MIN_R0) < MIN_R0:
+            raise _UsageError("--r0", f"must be at least {MIN_R0:g}")
         return args.func(args)
     except SystemExit as e:
         code = e.code

@@ -14,15 +14,20 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from ._geom import (is_simple, point_polyline_distance, signed_area,
                     winding_number)
 from .sphere import SpherePoint, as_sphere
 from .ratmap import (RationalMap, _Ambiguous, critical_points, eval_sphere,
-                     preimages)
+                     fibers, preimages)
 
 MATCH_RATIO = 0.5
 MAX_SUBDIVISION = 10
 HUGE_FIBER = 1e9
+# Compared floats closer than this, relative to their scale, tie, so that the
+# next key decides instead of roundoff (mirror lifts of a real map).
+TIE_REL = 1e-9
 
 
 class LiftError(RuntimeError):
@@ -133,6 +138,17 @@ def _fiber(f: RationalMap, v: complex) -> list[complex]:
     return out
 
 
+def _tied(x: float, scale: float) -> int:
+    """x on a grid of TIE_REL * scale: values apart by roundoff compare equal."""
+    return round(x / (TIE_REL * scale))
+
+
+def _strand_order(fiber: list[complex]) -> list[complex]:
+    """The fiber sorted by (re, im), with tied parts decided by the other."""
+    scale = 1.0 + max(abs(z) for z in fiber)
+    return sorted(fiber, key=lambda z: (_tied(z.real, scale), _tied(z.imag, scale)))
+
+
 def _match(strands: Sequence[complex], fiber: Sequence[complex]) -> list[complex]:
     """Assign each strand its continuation in the next fiber.
 
@@ -157,11 +173,19 @@ def _match(strands: Sequence[complex], fiber: Sequence[complex]) -> list[complex
     return chosen
 
 
+def _vertex_fibers(f: RationalMap, verts: Sequence[complex]) -> list:
+    """The fiber over each vertex from one batched solve, as _fiber returns
+    it; None where the batch cannot vouch for the row, to be solved by _fiber."""
+    roots, certified = fibers(f, verts)
+    certified &= np.abs(roots).max(axis=1) <= HUGE_FIBER
+    return [row if ok else None for row, ok in zip(roots.tolist(), certified.tolist())]
+
+
 def _continue_edge(f: RationalMap, strands: list[complex], va: complex, vb: complex,
-                   depth: int, refined: list[complex],
+                   fiber: list[complex], depth: int, refined: list[complex],
                    chains: list[list[complex]]):
-    """Continue all strands across the edge va -> vb, subdividing on ambiguity."""
-    fiber = _fiber(f, vb)
+    """Continue all strands across the edge va -> vb, whose end has the given
+    fiber, subdividing on ambiguity."""
     try:
         matched = _match(strands, fiber)
     except _Ambiguous:
@@ -170,8 +194,8 @@ def _continue_edge(f: RationalMap, strands: list[complex], va: complex, vb: comp
                 f"strand matching stayed ambiguous after {depth} subdivisions "
                 f"near {vb}") from None
         vm = 0.5 * (va + vb)
-        mid = _continue_edge(f, strands, va, vm, depth + 1, refined, chains)
-        return _continue_edge(f, mid, vm, vb, depth + 1, refined, chains)
+        mid = _continue_edge(f, strands, va, vm, _fiber(f, vm), depth + 1, refined, chains)
+        return _continue_edge(f, mid, vm, vb, fiber, depth + 1, refined, chains)
     refined.append(vb)
     for chain, m in zip(chains, matched):
         chain.append(m)
@@ -206,15 +230,16 @@ def lift_curve(f: RationalMap, curve: OrientedPolyCurve, omega: complex,
             raise LiftError("omega lies on the base curve")
 
     verts = list(curve.vertices)
-    start_fiber = _fiber(f, verts[0])
+    vert_fibers = _vertex_fibers(f, verts)
+    start_fiber = _strand_order(vert_fibers[0] or _fiber(f, verts[0]))
     d = f.degree
     refined = [verts[0]]
     chains = [[s] for s in start_fiber]
     strands = list(start_fiber)
     for i in range(len(verts)):
-        va = verts[i]
-        vb = verts[(i + 1) % len(verts)]
-        strands = _continue_edge(f, strands, va, vb, 0, refined, chains)
+        j = (i + 1) % len(verts)
+        fiber = start_fiber if j == 0 else vert_fibers[j] or _fiber(f, verts[j])
+        strands = _continue_edge(f, strands, verts[i], verts[j], fiber, 0, refined, chains)
     # closure: final strands must realign with the start fiber
     perm = []
     for s in strands:
@@ -302,8 +327,8 @@ class SignSequence:
 
 def _default_selector(lifts: Sequence[Lift], omega) -> Lift:
     """Deterministic choice: the outermost lift whose closest vertex to omega
-    is farthest away (chordally when omega is at infinity); ties break by
-    strand index."""
+    is farthest away (chordally when omega is at infinity); ties, up to
+    TIE_REL, break by strand index."""
     om = as_sphere(omega)
     if om.is_infinity:
         def dist(v):
@@ -314,9 +339,10 @@ def _default_selector(lifts: Sequence[Lift], omega) -> Lift:
         def dist(v):
             return abs(v - oz)
 
-    def key(l: Lift):
-        return (-min(dist(v) for v in l.curve.vertices), l.strand)
-    return min(lifts, key=key)
+    nearest = [min(dist(v) for v in l.curve.vertices) for l in lifts]
+    scale = 1.0 + max(nearest)
+    best = min(range(len(lifts)), key=lambda i: (-_tied(nearest[i], scale), lifts[i].strand))
+    return lifts[best]
 
 
 def sign_change_sequence(f: RationalMap, curve: OrientedPolyCurve, omega,

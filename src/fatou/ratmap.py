@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .sphere import (Polynomial, SpherePoint, MoebiusTransform, as_sphere,
                      coprime, hom_compose, moebius_conjugate, poly_roots)
 
@@ -230,6 +232,88 @@ def preimages(f: RationalMap, v) -> list[tuple[SpherePoint, int]]:
         out.append((SpherePoint.infinity(), inf_mult))
     assert sum(m for _, m in out) == d
     return out
+
+
+FIBER_MAX_ITER = 60
+# Roots closer than this (relative to 1 + modulus) are left to poly_roots,
+# whose cluster radius for a double root is 3e-5.
+FIBER_SEPARATION = 1e-3
+
+
+def _horner_rows(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row k of c (ascending coefficients) evaluated at every entry of row k of x."""
+    acc = c[:, -1:] * x + c[:, -2:-1]
+    for k in range(c.shape[1] - 3, -1, -1):
+        acc = acc * x + c[:, k:k + 1]
+    return acc
+
+
+def _cold_start(mono: np.ndarray) -> np.ndarray:
+    """Points on the circle whose radius is the geometric mean of the root
+    moduli of each monic row, at the fixed angular offset of poly_roots."""
+    d = mono.shape[1] - 1
+    r = np.abs(mono[:, 0]) ** (1.0 / d)
+    ang = 2.0 * np.pi * (np.arange(d) + 0.5) / d + 0.45
+    return r[:, None] * np.exp(1j * ang)[None, :]
+
+
+def fibers(f: RationalMap, targets, warm=None) -> tuple[np.ndarray, np.ndarray]:
+    """Finite fibers over many finite targets in one vectorized Aberth run.
+
+    Row k of the (K, d) root array solves num - targets[k] * den = 0 and is
+    sorted by (re, im) as poly_roots sorts its roots. certified[k] holds only
+    when the row is d simple roots that preimages would also return: the
+    leading and constant coefficients survive the trims of preimages and
+    poly_roots, every root converged, passes the backward-error test of
+    poly_roots after a Newton polish, and stays FIBER_SEPARATION clear of the
+    others. Other rows hold unspecified values; solve those with preimages.
+
+    warm, shape (K, d), seeds each row, e.g. with the fiber over a nearby
+    target; rows of warm with a non-finite entry start cold.
+    """
+    z = np.asarray(targets, dtype=complex).reshape(-1)
+    d = f.degree
+    a = np.zeros(d + 1, dtype=complex)
+    b = np.zeros(d + 1, dtype=complex)
+    a[:len(f.num.coeffs)] = f.num.coeffs
+    b[:len(f.den.coeffs)] = f.den.coeffs
+    phi = a[None, :] - z[:, None] * b[None, :]
+    mag = np.abs(phi)
+    size = mag.max(axis=1)
+    ok = np.isfinite(size) & (mag[:, d] > 1e-12 * size) & (mag[:, 0] > 1e-14 * size)
+    mono = np.where(ok[:, None], phi / np.where(ok, phi[:, d], 1.0)[:, None], 1.0)
+    mono_abs = np.abs(mono)
+    dmono = mono[:, 1:] * np.arange(1, d + 1)
+    if warm is None:
+        x = _cold_start(mono)
+    else:
+        x = np.array(warm, dtype=complex).reshape(len(z), d)
+        fresh = ~np.isfinite(x).all(axis=1)
+        if fresh.any():
+            x[fresh] = _cold_start(mono[fresh])
+    diag = np.arange(d)
+    with np.errstate(all="ignore"):
+        done = np.zeros(x.shape, dtype=bool)
+        for _ in range(FIBER_MAX_ITER):
+            pv = _horner_rows(mono, x)
+            # a non-finite iterate stops too; the residual test rejects it below
+            done |= (np.abs(pv) <= 1e-13 * _horner_rows(mono_abs, np.abs(x))) | ~np.isfinite(pv)
+            if done.all():
+                break
+            newton = pv / _horner_rows(dmono, x)
+            diff = x[:, :, None] - x[:, None, :]
+            diff[:, diag, diag] = np.inf
+            x = np.where(done, x, x - newton / (1.0 - newton * (1.0 / diff).sum(axis=2)))
+        x = x - _horner_rows(mono, x) / _horner_rows(dmono, x)
+        mod = np.abs(x)
+        residual = np.abs(_horner_rows(mono, x))
+        gap = np.abs(x[:, :, None] - x[:, None, :])
+        gap[:, diag, diag] = np.inf
+        ok &= (done.all(axis=1)
+               & (residual <= 1e-10 * _horner_rows(mono_abs, mod)).all(axis=1)
+               & (gap > FIBER_SEPARATION * (1.0 + np.maximum(mod[:, :, None], mod[:, None, :])))
+               .all(axis=(1, 2)))
+    return np.sort(x, axis=1), ok
 
 
 # --- serialization ----------------------------------------------------------

@@ -17,12 +17,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from ._geom import point_polyline_distance, winding_number
 from .sphere import MoebiusTransform, SpherePoint, as_sphere
 from .ratmap import (RationalMap, _Ambiguous, critical_points, eval_sphere,
-                     preimages)
+                     fibers, preimages)
 
 DEFAULT_R0 = 100.0
+MIN_R0 = 10.0  # smallest starting potential the linearized seed is trusted at
+MAX_ORBIT_ANGLES = 64
 DEFAULT_DEPTH = 96
 LANDING_TOL = 1e-6
 LANDING_WINDOW = 8  # potential shells inspected for contraction
@@ -36,6 +40,10 @@ class RayTraceError(RuntimeError):
 
 class RayLandingError(RayTraceError):
     pass
+
+
+class AngleOrbitError(ValueError):
+    """The requested angles have a forward orbit too long to trace."""
 
 
 @dataclass(frozen=True)
@@ -120,6 +128,8 @@ def _leading_data(f: RationalMap, m: int) -> tuple[complex, complex]:
 
 
 def _orbit_angles(angles, m: int) -> list[RayAngle]:
+    """The forward orbit of angles under t -> mt; raises AngleOrbitError
+    once it holds more than MAX_ORBIT_ANGLES angles."""
     seen: dict[tuple[int, int], RayAngle] = {}
     stack = list(angles)
     while stack:
@@ -127,15 +137,27 @@ def _orbit_angles(angles, m: int) -> list[RayAngle]:
         key = (t.numerator, t.denominator)
         if key in seen:
             continue
+        if len(seen) == MAX_ORBIT_ANGLES:
+            raise AngleOrbitError(
+                f"the orbit of the angles under multiplication by {m} has more "
+                f"than {MAX_ORBIT_ANGLES} angles")
         seen[key] = t
         stack.append(t.times(m))
     return list(seen.values())
 
 
-def _trace_at_infinity(f: RationalMap, m: int, angles, depth: int, r0: float,
-                       sublevels: int, landing_tol: float) -> dict:
+def _finite_fiber(f: RationalMap, target: complex) -> list[complex]:
+    """Finite preimages of target, repeated by multiplicity."""
+    cands = []
+    for p, mult in preimages(f, target):
+        if not p.is_infinity:
+            cands.extend([p.to_complex()] * mult)
+    return cands
+
+
+def _trace_at_infinity(f: RationalMap, m: int, orbit: list[RayAngle], depth: int,
+                       r0: float, sublevels: int, landing_tol: float) -> dict:
     a, shift = _leading_data(f, m)
-    orbit = _orbit_angles(angles, m)
     step = (1.0 / m) ** (1.0 / sublevels)
     n_levels = depth * sublevels
 
@@ -152,23 +174,24 @@ def _trace_at_infinity(f: RationalMap, m: int, angles, depth: int, r0: float,
         for q in range(sublevels):
             samples[key].append(lin_inverse(potential(q), t))
 
+    chains = [samples[(t.numerator, t.denominator)] for t in orbit]
+    images = [samples[(t.times(m).numerator, t.times(m).denominator)] for t in orbit]
+    warm = None
     for q in range(sublevels, n_levels + 1):
         rho = potential(q)
-        for t in orbit:
-            key = (t.numerator, t.denominator)
-            chain = samples[key]
-            target = samples[(t.times(m).numerator, t.times(m).denominator)][q - sublevels]
+        targets = [image[q - sublevels] for image in images]
+        # one solve for the whole level, seeded with the fibers of the level above
+        roots, certified = fibers(f, targets, warm)
+        warm = np.where(certified[:, None], roots, np.nan)
+        for t, chain, target, row, ok in zip(orbit, chains, targets, roots.tolist(),
+                                             certified.tolist()):
             if rho >= _LIN_GUIDE_MIN:
                 guide = lin_inverse(rho, t)
             elif len(chain) >= 2:
                 guide = 2.0 * chain[-1] - chain[-2]
             else:
                 guide = chain[-1]
-            cands = []
-            for p, mult in preimages(f, target):
-                if p.is_infinity:
-                    continue
-                cands.extend([p.to_complex()] * mult)
+            cands = row if ok else _finite_fiber(f, target)
             if not cands:
                 raise RayTraceError("empty finite fiber while tracing")
             cands.sort(key=lambda z: abs(z - guide))
@@ -204,15 +227,16 @@ def trace_orbit(f: RationalMap, basin_fixed_point, angles, depth: int = DEFAULT_
                 r0: float = DEFAULT_R0, landing_tol: float = LANDING_TOL) -> dict:
     """Traces of every ray in the forward angle orbit of the given angles.
 
-    Keys of the returned dict are RayAngle instances. Raises RayTraceError
-    when branch continuation stays ambiguous at the finest potential
-    subdivision.
+    Keys of the returned dict are RayAngle instances. Raises AngleOrbitError
+    (a ValueError) when the orbit holds more than MAX_ORBIT_ANGLES angles, and
+    RayTraceError when branch continuation stays ambiguous at the finest
+    potential subdivision.
     """
     b = as_sphere(basin_fixed_point)
     m = _check_superattracting_fixed(f, b)
-    if r0 < 10.0:
+    if not r0 >= MIN_R0:  # NaN fails too
         raise ValueError("starting potential too small for the linearized seed")
-    angles = [_as_angle(t) for t in angles]
+    orbit = _orbit_angles([_as_angle(t) for t in angles], m)
 
     if b.is_infinity:
         work, back = f, None
@@ -224,7 +248,7 @@ def trace_orbit(f: RationalMap, basin_fixed_point, angles, depth: int = DEFAULT_
     sub = 1
     while True:
         try:
-            traces = _trace_at_infinity(work, m, angles, depth, r0, sub, landing_tol)
+            traces = _trace_at_infinity(work, m, orbit, depth, r0, sub, landing_tol)
             break
         except _Ambiguous:
             sub *= 2

@@ -205,24 +205,58 @@ def test_out_of_range_counts_are_usage_errors(capsys, tmp_path, monkeypatch, fla
     assert not (tmp_path / "unused.ppm").exists()
 
 
-@pytest.mark.parametrize("bounds, reason", [
-    ("-inf,inf,-1,1", "finite"),
-    ("-1,1,-1,inf", "finite"),
-    ("-1e308,1e308,-1,1", "finite"),  # the x span overflows
-    ("-1,1,-1e308,1e308", "finite"),
-    ("nan,1,-1,1", "empty"),
-    ("1,1,-1,1", "empty"),
-    ("-1,1,1,-1", "empty"),
-    ("-1,1,-1", "xmin,xmax,ymin,ymax"),
-    ("a,1,-1,1", "float"),
+_FINITE = "bounds and their spans must be finite"
+_EXPECTS = "expects four numbers 'xmin,xmax,ymin,ymax', got "
+
+
+@pytest.mark.parametrize("bounds, message", [
+    pytest.param("-inf,inf,-1,1", _FINITE, id="-inf,inf,-1,1-finite"),
+    pytest.param("-1,1,-1,inf", _FINITE, id="-1,1,-1,inf-finite"),
+    # the x span overflows
+    pytest.param("-1e308,1e308,-1,1", _FINITE, id="-1e308,1e308,-1,1-finite"),
+    pytest.param("-1,1,-1e308,1e308", _FINITE, id="-1,1,-1e308,1e308-finite"),
+    pytest.param("nan,1,-1,1", "empty bounds", id="nan,1,-1,1-empty"),
+    pytest.param("1,1,-1,1", "empty bounds", id="1,1,-1,1-empty"),
+    pytest.param("-1,1,1,-1", "empty bounds", id="-1,1,1,-1-empty"),
+    pytest.param("-1,1,-1", _EXPECTS + "'-1,1,-1'", id="-1,1,-1-xmin,xmax,ymin,ymax"),
+    pytest.param("a,1,-1,1", _EXPECTS + "'a,1,-1,1'", id="a,1,-1,1-float"),
 ])
-def test_unusable_bounds_are_usage_errors(capsys, tmp_path, monkeypatch, bounds, reason):
+def test_unusable_bounds_are_usage_errors(capsys, tmp_path, monkeypatch, bounds, message):
     monkeypatch.chdir(tmp_path)
     code, out, err = _run(capsys, ["render", "--map", "paper-g", "--resolution", "4x4",
                                    "--out", "unused.ppm", "--bounds=" + bounds])
     assert code == 2
     assert out == ""
-    assert "argument --bounds" in err and reason in err
+    assert err.splitlines()[-1] == f"fatou render: error: argument --bounds: {message}"
+    assert not (tmp_path / "unused.ppm").exists()
+
+
+_LIFT = ["lift", "--map", "paper-g", "--center=-2,0", "--radius", "0.1"]
+_RAY = ["ray", "--map", "paper-g", "--angle", "1/3"]
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--trap-radius", ["render", "--map", "paper-g", "--out", "unused.ppm",
+                       "--trap-radius", "nan"]),
+    ("--eps", _LIFT + ["--eps", "nan"]),
+    ("--eps", _LIFT + ["--eps", "inf"]),
+    ("--r0", _RAY + ["--r0", "inf"]),
+    ("--r0", _RAY + ["--r0", "nan"]),
+    ("--r0", _RAY + ["--r0", "5"]),  # below the smallest trusted starting potential
+    ("--radius", ["lift", "--map", "paper-g", "--center=-2,0", "--radius", "nan"]),
+    ("--radius", ["lift", "--map", "paper-g", "--center=-2,0", "--radius", "inf"]),
+    ("--center", ["lift", "--map", "paper-g", "--center=nan,0", "--radius", "0.1"]),
+    ("--omega", _LIFT + ["--omega", "inf,0"]),
+    ("--basin", _RAY + ["--basin", "0,nan"]),
+    ("--angle", ["ray", "--map", "paper-g", "--angle", "1/1000003"]),  # orbit too long
+])
+def test_unusable_flag_values_are_usage_errors(capsys, tmp_path, monkeypatch, flag, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    last = err.splitlines()[-1]
+    assert last.startswith(f"usage error: {flag}: ") or f"argument {flag}: " in last
     assert not (tmp_path / "unused.ppm").exists()
 
 

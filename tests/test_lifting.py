@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import fatou.lifting
@@ -231,3 +232,49 @@ def test_lift_determinism():
     for la, lb in zip(a.lifts, b.lifts):
         assert la.curve.vertices == lb.curve.vertices
         assert (la.degree, la.sign, la.strand) == (lb.degree, lb.sign, lb.strand)
+
+
+def test_lift_solves_the_vertex_fibers_in_one_batch(monkeypatch):
+    calls = []
+    real = fatou.lifting.preimages
+
+    def counted(f, v):
+        calls.append(v)
+        return real(f, v)
+    monkeypatch.setattr(fatou.lifting, "preimages", counted)
+    base = circle(0.0, 0.5, 6)  # coarse enough that two edges subdivide
+    ls = lift_curve(paper_g(), base, omega=1e6)
+    midpoints = len(ls.base_refined) - len(base.vertices)
+    assert midpoints > 0
+    assert len(calls) <= midpoints
+
+
+def test_selector_breaks_roundoff_ties_by_strand():
+    # mirror lifts of a real map sit at the same distance from omega up to
+    # roundoff; the strand index decides, not the last bit
+    def diamond(r):
+        return OrientedPolyCurve((r + 0j, r * 1j, -r + 0j, -r * 1j))
+    a = Lift(diamond(2.0), 1, 1, 0)
+    b = Lift(diamond(math.nextafter(2.0, 3.0)), 1, 1, 1)  # one ulp farther from 0
+    assert fatou.lifting._default_selector([b, a], 0j) is a
+    assert fatou.lifting._default_selector([a, b], 0j) is a
+
+
+def test_tower_matches_the_preimages_path(monkeypatch):
+    # the paper-g tower around -2 has mirror-image lifts at every step; the
+    # chosen curves must not depend on which solver produced the fibers
+    g = paper_g()
+    base = circle(-2.0, 0.1)
+    inf = SpherePoint.infinity()
+    batched = sign_change_sequence(g, base, inf, n=4)
+    real = fatou.lifting.fibers
+
+    def certify_none(f, targets, warm=None):
+        roots, certified = real(f, targets, warm)
+        return roots, np.zeros_like(certified)
+    monkeypatch.setattr(fatou.lifting, "fibers", certify_none)
+    fallback = sign_change_sequence(g, base, inf, n=4)
+    for a, b in zip(batched.steps, fallback.steps):
+        assert (a.sign, a.outermost_count) == (b.sign, b.outermost_count)
+        assert len(a.curve.vertices) == len(b.curve.vertices)
+        assert max(abs(u - v) for u, v in zip(a.curve.vertices, b.curve.vertices)) < 1e-12

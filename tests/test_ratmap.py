@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from fatou.catalog import paper_g, pseudo_basilica
+from fatou.catalog import CATALOG_NAMES, by_name, paper_g, pseudo_basilica
 from fatou.ratmap import (RationalMap, compose_self, critical_points,
-                          eval_sphere, from_coeffs, iterate, map_from_jsonable,
-                          map_to_jsonable, normalize, preimages)
+                          eval_sphere, fibers, from_coeffs, iterate,
+                          map_from_jsonable, map_to_jsonable, normalize,
+                          preimages)
 from fatou.sphere import SpherePoint, as_sphere, poly
 
 
@@ -190,3 +191,50 @@ def test_conjugate_by_inversion_moves_infinity():
     summary = dict(_crit_summary(g))
     assert summary[0j] == 2
     assert sum(ld - 1 for ld in summary.values()) == 2 * g.degree - 2
+
+
+def _finite_fiber(f, v):
+    pts = [p.to_complex() for p, m in preimages(f, v) if not p.is_infinity for _ in range(m)]
+    return sorted(pts, key=lambda z: (z.real, z.imag))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_certified_fibers_equal_preimages(name):
+    f = by_name(name)
+    rng = np.random.default_rng(7)
+    targets = rng.normal(size=200) * 2.0 + 1j * rng.normal(size=200) * 2.0
+    roots, certified = fibers(f, targets)
+    assert roots.shape == (200, f.degree)
+    assert certified.sum() >= 190
+    for v, row, ok in zip(targets, roots, certified):
+        if ok:
+            want = _finite_fiber(f, v)
+            assert len(want) == f.degree
+            for got, z in zip(row, want):
+                assert abs(got - z) <= 1e-12 * (1.0 + abs(z))
+
+
+def test_fibers_leave_critical_values_and_roots_at_infinity_to_preimages():
+    g = paper_g()
+    v = eval_sphere(g, 1.0).to_complex()  # 1 is a critical point of local degree 2
+    _, certified = fibers(g, [v, 0.5 + 0.5j])
+    assert certified.tolist() == [False, True]
+    assert sorted(m for _, m in preimages(g, v)) == [1, 2]
+    # (z^2 + 1) / (2 z^2) sends infinity to 1/2, so the fiber over 1/2 has
+    # no finite points
+    h = from_coeffs([1.0, 0.0, 1.0], [0.0, 0.0, 2.0])
+    _, certified = fibers(h, [0.5, 0.3])
+    assert certified.tolist() == [False, True]
+    assert [p.is_infinity for p, _ in preimages(h, 0.5)] == [True]
+
+
+def test_warm_started_fibers_equal_the_cold_solve():
+    f = by_name("paper-degree4")
+    rng = np.random.default_rng(11)
+    targets = rng.normal(size=50) + 1j * rng.normal(size=50)
+    near, ok_near = fibers(f, targets + 1e-3)
+    warm = np.where(ok_near[:, None], near, np.nan)
+    cold, ok_cold = fibers(f, targets)
+    hot, ok_hot = fibers(f, targets, warm)
+    assert ok_cold.all() and ok_hot.all()
+    assert np.all(np.abs(hot - cold) <= 1e-12 * (1.0 + np.abs(cold)))

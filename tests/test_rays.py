@@ -3,12 +3,16 @@ import math
 
 import pytest
 
+import fatou.rays
 from fatou.catalog import paper_g
 from fatou.ratmap import Polynomial, eval_sphere, normalize
 from fatou.rays import (
+    MAX_ORBIT_ANGLES,
+    AngleOrbitError,
     RayAngle,
     RayLandingError,
     RayTraceError,
+    _orbit_angles,
     coland,
     separation_test,
     trace_orbit,
@@ -91,11 +95,11 @@ def test_paper_g_fixed_ray_and_coland():
     g = paper_g()
     tr = trace_ray(g, SpherePoint.infinity(), "0")
     assert tr.landed
-    assert abs(tr.landing - 2.0) < 1e-6
+    assert abs(tr.landing - 2.0) < 1e-10
     assert coland(g, SpherePoint.infinity(), "1/3", "2/3") is True
     assert coland(g, SpherePoint.infinity(), "1/6", "5/6") is False
     t13 = trace_ray(g, SpherePoint.infinity(), "1/3")
-    assert abs(t13.landing - BETA_LIKE) < 1e-6
+    assert abs(t13.landing - (-1.0 - math.sqrt(17.0)) / 4.0) < 1e-10
 
 
 def test_ray_images_follow_angle_multiplication():
@@ -179,3 +183,25 @@ def test_trace_determinism():
     assert a.samples == b.samples
     assert a.potentials == b.potentials
     assert a.landing == b.landing
+
+
+def test_ray_levels_are_solved_in_batches_without_preimages(monkeypatch):
+    calls = []
+    real = fatou.rays.preimages
+
+    def counted(f, v):
+        calls.append(v)
+        return real(f, v)
+    monkeypatch.setattr(fatou.rays, "preimages", counted)
+    traces = trace_orbit(paper_g(), SpherePoint.infinity(), ["1/3", "2/3"])
+    assert all(tr.landed for tr in traces.values())
+    assert calls == []
+
+
+def test_angle_orbit_is_bounded_before_tracing():
+    # 1/(2^k - 1) has period exactly k under doubling
+    assert len(_orbit_angles([RayAngle(1, 2 ** MAX_ORBIT_ANGLES - 1)], 2)) == MAX_ORBIT_ANGLES
+    with pytest.raises(AngleOrbitError):
+        _orbit_angles([RayAngle(1, 2 ** (MAX_ORBIT_ANGLES + 1) - 1)], 2)
+    with pytest.raises(ValueError, match=f"more than {MAX_ORBIT_ANGLES} angles"):
+        trace_orbit(paper_g(), SpherePoint.infinity(), ["1/1000003"])
