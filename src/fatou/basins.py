@@ -133,8 +133,10 @@ def classify_grid(f: RationalMap, portrait: CriticalPortrait, bounds: Bounds,
     Vectorized over the whole grid in homogeneous coordinates, renormalized
     every step so poles and the point at infinity need no special casing.
     """
-    if trap_radius <= 0:
-        raise ValueError("trap_radius must be positive")
+    if not (math.isfinite(trap_radius) and trap_radius > 0):
+        raise ValueError("trap_radius must be a finite number > 0")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     width, height = resolution
     if width < 1 or height < 1:
         raise ValueError("resolution must be positive")

@@ -14,7 +14,6 @@ collapsing, and carries the superattracting two-cycle 0 <-> (1 - d).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .sphere import Polynomial, hom_compose, poly_roots

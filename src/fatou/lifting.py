@@ -18,11 +18,10 @@ import numpy as np
 
 from ._geom import (is_simple, point_polyline_distance, signed_area,
                     winding_number)
-from .sphere import SpherePoint, as_sphere
+from .sphere import as_sphere
 from .ratmap import (RationalMap, _Ambiguous, critical_points, eval_sphere,
-                     fibers, preimages)
+                     fibers, nearest, preimages)
 
-MATCH_RATIO = 0.5
 MAX_SUBDIVISION = 10
 HUGE_FIBER = 1e9
 # Compared floats closer than this, relative to their scale, tie, so that the
@@ -73,8 +72,10 @@ class OrientedPolyCurve:
 def circle(center: complex, radius: float, n: int = 64,
            clockwise: bool = False) -> OrientedPolyCurve:
     """Regular polygon approximation of a circle, counterclockwise by default."""
-    if radius <= 0 or n < 3:
-        raise ValueError("need positive radius and at least three vertices")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError("radius must be a finite number > 0")
+    if n < 3:
+        raise ValueError("need at least three vertices")
     sgn = -1.0 if clockwise else 1.0
     pts = tuple(center + radius * complex(math.cos(sgn * 2 * math.pi * k / n),
                                           math.sin(sgn * 2 * math.pi * k / n))
@@ -150,22 +151,14 @@ def _strand_order(fiber: list[complex]) -> list[complex]:
 
 
 def _match(strands: Sequence[complex], fiber: Sequence[complex]) -> list[complex]:
-    """Assign each strand its continuation in the next fiber.
-
-    Nearest neighbor with a ratio test: the best candidate must be at most
-    MATCH_RATIO times the distance of the runner-up, and the assignment must
-    be a bijection. Anything else raises _Ambiguous.
+    """Assign each strand its continuation in the next fiber: its nearest
+    point by ratmap.nearest, with the assignment a bijection. Anything else
+    raises _Ambiguous.
     """
     chosen = []
     taken = set()
     for s in strands:
-        dists = sorted(range(len(fiber)), key=lambda i: abs(fiber[i] - s))
-        best = dists[0]
-        d_best = abs(fiber[best] - s)
-        if len(dists) > 1:
-            d_second = abs(fiber[dists[1]] - s)
-            if d_best > MATCH_RATIO * d_second:
-                raise _Ambiguous(f"ambiguous continuation near {s}")
+        best = nearest(fiber, s)
         if best in taken:
             raise _Ambiguous(f"two strands claim one preimage near {fiber[best]}")
         taken.add(best)
@@ -173,12 +166,13 @@ def _match(strands: Sequence[complex], fiber: Sequence[complex]) -> list[complex
     return chosen
 
 
-def _vertex_fibers(f: RationalMap, verts: Sequence[complex]) -> list:
-    """The fiber over each vertex from one batched solve, as _fiber returns
-    it; None where the batch cannot vouch for the row, to be solved by _fiber."""
+def _vertex_fibers(f: RationalMap, verts: Sequence[complex]) -> list[list[complex]]:
+    """The fiber over each vertex, as _fiber returns it: from one batched
+    solve, with _fiber solving the rows the batch cannot vouch for."""
     roots, certified = fibers(f, verts)
     certified &= np.abs(roots).max(axis=1) <= HUGE_FIBER
-    return [row if ok else None for row, ok in zip(roots.tolist(), certified.tolist())]
+    return [row if ok else _fiber(f, v)
+            for v, row, ok in zip(verts, roots.tolist(), certified.tolist())]
 
 
 def _continue_edge(f: RationalMap, strands: list[complex], va: complex, vb: complex,
@@ -212,6 +206,8 @@ def lift_curve(f: RationalMap, curve: OrientedPolyCurve, omega: complex,
     orientation preserving on them, which is automatic for the induced
     continuation.
     """
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError("eps must be a finite number > 0")
     try:
         curve.validate_simple()
     except ValueError as exc:
@@ -231,14 +227,14 @@ def lift_curve(f: RationalMap, curve: OrientedPolyCurve, omega: complex,
 
     verts = list(curve.vertices)
     vert_fibers = _vertex_fibers(f, verts)
-    start_fiber = _strand_order(vert_fibers[0] or _fiber(f, verts[0]))
+    start_fiber = _strand_order(vert_fibers[0])
     d = f.degree
     refined = [verts[0]]
     chains = [[s] for s in start_fiber]
     strands = list(start_fiber)
     for i in range(len(verts)):
         j = (i + 1) % len(verts)
-        fiber = start_fiber if j == 0 else vert_fibers[j] or _fiber(f, verts[j])
+        fiber = start_fiber if j == 0 else vert_fibers[j]
         strands = _continue_edge(f, strands, verts[i], verts[j], fiber, 0, refined, chains)
     # closure: final strands must realign with the start fiber
     perm = []

@@ -8,8 +8,7 @@ from typing import Optional
 
 from .sphere import (MoebiusTransform, Polynomial, SpherePoint, as_sphere,
                      poly_roots)
-from .ratmap import (RationalMap, CriticalPoint, compose_self, critical_points,
-                     eval_sphere)
+from .ratmap import RationalMap, compose_self, critical_points, eval_sphere
 
 SUPER_TOL = 1e-8
 INDIFFERENT_BAND = 1e-6

@@ -212,6 +212,28 @@ class _Ambiguous(Exception):
     """A fiber point has no clear continuation: pick a branch or refine."""
 
 
+MATCH_RATIO = 0.5
+
+
+def nearest(points, guide: complex) -> int:
+    """Index of the point nearest guide: the continuation of guide through a
+    fiber, shared by ray tracing and curve lifting.
+
+    Raises _Ambiguous unless that distance is at most MATCH_RATIO times the
+    runner-up's, or at most 1e-12. Among equal distances the first point wins.
+    """
+    best, d_best, d_second = 0, math.inf, math.inf
+    for i, z in enumerate(points):
+        d = abs(z - guide)
+        if d < d_best:
+            best, d_best, d_second = i, d, d_best
+        elif d < d_second:
+            d_second = d
+    if d_best > MATCH_RATIO * d_second and d_best > 1e-12:
+        raise _Ambiguous(f"ambiguous continuation near {guide}")
+    return best
+
+
 def preimages(f: RationalMap, v) -> list[tuple[SpherePoint, int]]:
     """Solutions of f(x) = v with multiplicities summing to deg(f)."""
     target = as_sphere(v)

@@ -22,7 +22,7 @@ import numpy as np
 from ._geom import point_polyline_distance, winding_number
 from .sphere import MoebiusTransform, SpherePoint, as_sphere
 from .ratmap import (RationalMap, _Ambiguous, critical_points, eval_sphere,
-                     fibers, preimages)
+                     fibers, nearest, preimages)
 
 DEFAULT_R0 = 100.0
 MIN_R0 = 10.0  # smallest starting potential the linearized seed is trusted at
@@ -130,20 +130,19 @@ def _leading_data(f: RationalMap, m: int) -> tuple[complex, complex]:
 def _orbit_angles(angles, m: int) -> list[RayAngle]:
     """The forward orbit of angles under t -> mt; raises AngleOrbitError
     once it holds more than MAX_ORBIT_ANGLES angles."""
-    seen: dict[tuple[int, int], RayAngle] = {}
+    seen: dict[RayAngle, None] = {}
     stack = list(angles)
     while stack:
         t = stack.pop()
-        key = (t.numerator, t.denominator)
-        if key in seen:
+        if t in seen:
             continue
         if len(seen) == MAX_ORBIT_ANGLES:
             raise AngleOrbitError(
                 f"the orbit of the angles under multiplication by {m} has more "
                 f"than {MAX_ORBIT_ANGLES} angles")
-        seen[key] = t
+        seen[t] = None
         stack.append(t.times(m))
-    return list(seen.values())
+    return list(seen)
 
 
 def _finite_fiber(f: RationalMap, target: complex) -> list[complex]:
@@ -155,30 +154,22 @@ def _finite_fiber(f: RationalMap, target: complex) -> list[complex]:
     return cands
 
 
-def _trace_at_infinity(f: RationalMap, m: int, orbit: list[RayAngle], depth: int,
-                       r0: float, sublevels: int, landing_tol: float) -> dict:
+def _trace_at_infinity(f: RationalMap, m: int, orbit: list[RayAngle], potentials: tuple,
+                       sublevels: int) -> dict:
+    """The sample chain of every angle of the orbit, one sample per potential,
+    keyed in orbit order; raises _Ambiguous where continuation is unclear."""
     a, shift = _leading_data(f, m)
-    step = (1.0 / m) ** (1.0 / sublevels)
-    n_levels = depth * sublevels
-
-    def potential(q: int) -> float:
-        return r0 ** (step ** q)
 
     def lin_inverse(rho: float, t: RayAngle) -> complex:
         psi = rho * cmath.exp(2j * math.pi * t.value())
         return psi / a - shift
 
-    samples = {(t.numerator, t.denominator): [] for t in orbit}
-    for t in orbit:
-        key = (t.numerator, t.denominator)
-        for q in range(sublevels):
-            samples[key].append(lin_inverse(potential(q), t))
-
-    chains = [samples[(t.numerator, t.denominator)] for t in orbit]
-    images = [samples[(t.times(m).numerator, t.times(m).denominator)] for t in orbit]
+    samples = {t: [lin_inverse(potentials[q], t) for q in range(sublevels)] for t in orbit}
+    chains = list(samples.values())
+    images = [samples[t.times(m)] for t in orbit]
     warm = None
-    for q in range(sublevels, n_levels + 1):
-        rho = potential(q)
+    for q in range(sublevels, len(potentials)):
+        rho = potentials[q]
         targets = [image[q - sublevels] for image in images]
         # one solve for the whole level, seeded with the fibers of the level above
         roots, certified = fibers(f, targets, warm)
@@ -194,33 +185,8 @@ def _trace_at_infinity(f: RationalMap, m: int, orbit: list[RayAngle], depth: int
             cands = row if ok else _finite_fiber(f, target)
             if not cands:
                 raise RayTraceError("empty finite fiber while tracing")
-            cands.sort(key=lambda z: abs(z - guide))
-            best = cands[0]
-            if len(cands) > 1:
-                d_best = abs(best - guide)
-                d_second = abs(cands[1] - guide)
-                if d_best > 0.5 * d_second and d_best > 1e-12:
-                    raise _Ambiguous
-            chain.append(best)
-
-    out = {}
-    window = LANDING_WINDOW * sublevels + 1
-    for t in orbit:
-        key = (t.numerator, t.denominator)
-        chain = samples[key]
-        tail = chain[-window:]
-        diam = max(abs(x - y) for x in tail for y in tail)
-        landed = diam < landing_tol
-        out[key] = RayTrace(
-            angle=t,
-            samples=tuple(chain),
-            potentials=tuple(potential(q) for q in range(len(chain))),
-            landed=landed,
-            landing=chain[-1] if landed else None,
-            residual=diam,
-            sublevels=sublevels,
-        )
-    return out
+            chain.append(cands[nearest(cands, guide)])
+    return samples
 
 
 def trace_orbit(f: RationalMap, basin_fixed_point, angles, depth: int = DEFAULT_DEPTH,
@@ -234,8 +200,10 @@ def trace_orbit(f: RationalMap, basin_fixed_point, angles, depth: int = DEFAULT_
     """
     b = as_sphere(basin_fixed_point)
     m = _check_superattracting_fixed(f, b)
-    if not r0 >= MIN_R0:  # NaN fails too
-        raise ValueError("starting potential too small for the linearized seed")
+    if not (math.isfinite(r0) and r0 >= MIN_R0):
+        raise ValueError(f"r0 must be a finite number >= {MIN_R0:g}")
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
     orbit = _orbit_angles([_as_angle(t) for t in angles], m)
 
     if b.is_infinity:
@@ -247,8 +215,10 @@ def trace_orbit(f: RationalMap, basin_fixed_point, angles, depth: int = DEFAULT_
 
     sub = 1
     while True:
+        step = (1.0 / m) ** (1.0 / sub)
+        potentials = tuple(r0 ** (step ** q) for q in range(depth * sub + 1))
         try:
-            traces = _trace_at_infinity(work, m, orbit, depth, r0, sub, landing_tol)
+            chains = _trace_at_infinity(work, m, orbit, potentials, sub)
             break
         except _Ambiguous:
             sub *= 2
@@ -256,16 +226,21 @@ def trace_orbit(f: RationalMap, basin_fixed_point, angles, depth: int = DEFAULT_
                 raise RayTraceError(
                     "branch continuation ambiguous at the finest subdivision")
 
-    if back is not None:
-        def pull(tr: RayTrace) -> RayTrace:
-            pts = tuple(back + 1.0 / u for u in tr.samples)
-            landing = back + 1.0 / tr.landing if tr.landed else None
-            tail = pts[-(LANDING_WINDOW * tr.sublevels + 1):]
-            diam = max(abs(x - y) for x in tail for y in tail)
-            return RayTrace(tr.angle, pts, tr.potentials, tr.landed, landing,
-                            diam, tr.sublevels)
-        traces = {k: pull(tr) for k, tr in traces.items()}
-    return {RayAngle(*k): tr for k, tr in traces.items()}
+    window = LANDING_WINDOW * sub + 1
+
+    def tail_diameter(chain) -> float:
+        tail = chain[-window:]
+        return max(abs(x - y) for x in tail for y in tail)
+
+    traces = {}
+    for t, chain in chains.items():
+        # landing is decided in the chart the rays were traced in
+        landed = tail_diameter(chain) < landing_tol
+        if back is not None:
+            chain = [back + 1.0 / u for u in chain]
+        traces[t] = RayTrace(t, tuple(chain), potentials, landed,
+                             chain[-1] if landed else None, tail_diameter(chain), sub)
+    return traces
 
 
 def trace_ray(f: RationalMap, basin_fixed_point, t, depth: int = DEFAULT_DEPTH,

@@ -7,18 +7,17 @@ runs the same registry. Checks are grouped so a single group can be run alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import basins as _basins
-from .catalog import (CATALOG_NAMES, by_name, paper_degree4, paper_g,
-                      pseudo_basilica, pseudo_rabbit_roots, solve_pinch_params)
+from .catalog import (CATALOG_NAMES, by_name, paper_g, pseudo_basilica,
+                      pseudo_rabbit_roots, solve_pinch_params)
 from .lifting import circle, lift_curve, sign_change_sequence
 from .orbits import critical_portrait, periodic_points
-from .ratmap import RationalMap, critical_points, eval_sphere, normalize, preimages
+from .ratmap import RationalMap, critical_points, eval_sphere, normalize
 from .rays import RayAngle, trace_orbit, separation_test
 from .sphere import SpherePoint, as_sphere, poly
 

@@ -66,6 +66,10 @@ def test_trap_disks_must_be_disjoint():
         classify_grid(g, port, Bounds(-1, 1, -1, 1), (8, 8), trap_radius=0.95)
     with pytest.raises(ValueError):
         classify_grid(g, port, Bounds(-1, 1, -1, 1), (8, 8), trap_radius=-1.0)
+    with pytest.raises(ValueError, match="trap_radius"):
+        classify_grid(g, port, Bounds(-1, 1, -1, 1), (8, 8), trap_radius=float("nan"))
+    with pytest.raises(ValueError, match="max_iter"):
+        classify_grid(g, port, Bounds(-1, 1, -1, 1), (8, 8), max_iter=-5)
 
 
 def test_grid_matches_pointwise_classification():

@@ -1,0 +1,109 @@
+"""Byte-for-byte stdout of a fixed set of `fatou` commands.
+
+The fixture tests/golden/stdout.json maps each command line to its stdout.
+Any change to it must be deliberate: regenerate it with
+
+    PYTHONPATH=src python3 tests/test_golden.py
+
+and say why in CHANGES.md. `periodic` is left out because its output is
+known to be wrong from d^p = 27.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+from fatou.catalog import CATALOG_NAMES, by_name, paper_g
+from fatou.cli import dispatch
+from fatou.ratmap import map_to_jsonable
+from fatou.sphere import MoebiusTransform
+
+FIXTURE = Path(__file__).resolve().parent / "golden" / "stdout.json"
+FINITE_BASIN_MAP = "paper-g-conjugated.json"  # relative: the report echoes --map
+
+RAYS = (
+    ("paper-g", ("1/3", "2/3"), True),
+    ("paper-g", ("0", "1/6", "5/6"), False),
+    ("paper-degree4", ("1/3", "2/3"), False),
+    ("pseudo-basilica:2", ("1/7", "2/7", "4/7"), False),
+    ("pseudo-basilica:3", ("1/3", "2/3"), False),
+    ("pseudo-basilica:4", ("1/3", "2/3"), False),
+    ("pseudo-rabbit:3:0", ("1/3", "2/3"), False),
+)
+TOWERS = (  # map, centre, omega, steps
+    ("paper-g", -2.0, "inf", 4),
+    ("paper-g", -2.0, "0.0,0.0", 3),
+    ("paper-degree4", 0.0, "inf", 4),
+    ("paper-degree4", 0.0, "0.0,0.0", 3),
+)
+
+
+def commands() -> list[list[str]]:
+    cmds = []
+    for name, angles, samples in RAYS:
+        argv = ["ray", "--map", name] + [a for t in angles for a in ("--angle", t)]
+        cmds.append(argv + ["--samples"] if samples else argv)
+    # paper-g with its basin of infinity moved to 0 by z -> 1/z
+    cmds.append(["ray", "--map", FINITE_BASIN_MAP, "--basin", "0,0", "--angle", "1/3",
+                  "--angle", "2/3", "--samples"])
+    for name in CATALOG_NAMES:
+        for c in (0.0, 1.0 - by_name(name).degree):
+            cmds.append(["lift", "--map", name, f"--center={c!r},0", "--radius", "0.1",
+                         "--segments", "64"])
+    for name, c, omega, steps in TOWERS:
+        cmds.append(["lift", "--map", name, f"--center={c!r},0", "--radius", "0.1",
+                     "--steps", str(steps), "--omega", omega])
+    cmds += [["portrait", "--map", name] for name in CATALOG_NAMES]
+    cmds.append(["catalog", "--coeffs"])
+    return cmds
+
+
+def write_finite_basin_map(directory: Path) -> None:
+    g0 = paper_g().conjugate_by(MoebiusTransform(0, 1, 1, 0))
+    (directory / FINITE_BASIN_MAP).write_text(json.dumps(map_to_jsonable(g0)))
+
+
+def run(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = dispatch(argv)
+    assert code == 0, f"{' '.join(argv)} exited {code}"
+    return out.getvalue()
+
+
+def test_stdout_matches_the_golden_fixture(tmp_path, monkeypatch):
+    golden = json.loads(FIXTURE.read_text())
+    write_finite_basin_map(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    cmds = commands()
+    assert sorted(" ".join(c) for c in cmds) == sorted(golden)
+    for argv in cmds:
+        label = " ".join(argv)
+        got, want = run(argv), golden[label]
+        if got != want:
+            at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                      min(len(got), len(want)))
+            raise AssertionError(f"stdout of `{label}` differs from the fixture at "
+                                 f"offset {at}: {got[at:at + 40]!r} vs {want[at:at + 40]!r}")
+
+
+def regenerate() -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        write_finite_basin_map(Path(tmp))
+        here = os.getcwd()
+        os.chdir(tmp)
+        try:
+            golden = {" ".join(argv): run(argv) for argv in commands()}
+        finally:
+            os.chdir(here)
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(json.dumps(golden, indent=0, sort_keys=True) + "\n")
+    print(f"wrote {len(golden)} commands to {FIXTURE}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    regenerate()

@@ -83,6 +83,9 @@ def test_circle_helper():
     assert all(abs(abs(v - (2 + 1j)) - 0.5) < 1e-12 for v in c.vertices)
     assert c.winding(2.0 + 1j) == 1
     assert circle(2.0 + 1j, 0.5, clockwise=True).winding(2.0 + 1j) == -1
+    for radius in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match="radius"):
+            circle(-2.0, radius)
 
 
 def test_sign_convention():
@@ -156,6 +159,10 @@ def test_lift_rejects_curve_near_critical_value():
         lift_curve(f, circle(0.0, 1e-9), omega=1e9)
     with pytest.raises(LiftError):
         lift_curve(paper_g(), circle(-2.0, 1e-4), omega=1e6)
+    # an unusable eps must not skip the critical-value guard
+    for eps in (math.nan, -1.0, 0.0):
+        with pytest.raises(ValueError, match="eps"):
+            lift_curve(paper_g(), circle(-1.9, 0.1), omega=1e6, eps=eps)
 
 
 def test_lift_rejects_self_intersecting_base_curve():

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from fatou.catalog import CATALOG_NAMES, by_name, paper_g, pseudo_basilica
-from fatou.ratmap import (RationalMap, compose_self, critical_points,
+from fatou.lifting import _match
+from fatou.ratmap import (RationalMap, _Ambiguous, compose_self, critical_points,
                           eval_sphere, fibers, from_coeffs, iterate,
-                          map_from_jsonable, map_to_jsonable, normalize,
+                          map_from_jsonable, map_to_jsonable, nearest, normalize,
                           preimages)
 from fatou.sphere import SpherePoint, as_sphere, poly
 
@@ -238,3 +239,23 @@ def test_warm_started_fibers_equal_the_cold_solve():
     hot, ok_hot = fibers(f, targets, warm)
     assert ok_cold.all() and ok_hot.all()
     assert np.all(np.abs(hot - cold) <= 1e-12 * (1.0 + np.abs(cold)))
+
+
+def test_nearest_needs_a_clear_winner():
+    # MATCH_RATIO: the best distance may be at most half the runner-up's
+    assert nearest([3.0 + 0j, 1.0 + 0j, 2.0 + 0j], 0j) == 1
+    with pytest.raises(_Ambiguous):
+        nearest([3.0 + 0j, complex(np.nextafter(1.0, 2.0)), 2.0 + 0j], 0j)
+    # a best distance within 1e-12 is never ambiguous
+    assert nearest([1.5e-12 + 0j, 1e-12 + 0j], 0j) == 1
+    with pytest.raises(_Ambiguous):
+        nearest([1.5e-12 + 0j, 1.1e-12 + 0j], 0j)
+    # ties go to the first point; a lone point is its own continuation
+    assert nearest([5.0 + 0j, 1e-13 + 0j, -1e-13 + 0j, 1e-13j], 0j) == 1
+    assert nearest([7.0 + 1j], -100.0 + 0j) == 0
+
+
+def test_strand_matching_is_a_bijection():
+    assert _match([0.0 + 0j, 4.9 + 0j], [5.0 + 0j, 0.1 + 0j]) == [0.1 + 0j, 5.0 + 0j]
+    with pytest.raises(_Ambiguous, match="two strands"):
+        _match([0.0 + 0j, 0.2 + 0j], [5.0 + 0j, 0.1 + 0j])

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 import fatou.rays
@@ -154,6 +155,11 @@ def test_trace_validation_errors():
         trace_ray(f, 0.5, "0")  # not a fixed point
     with pytest.raises(ValueError):
         trace_ray(paper_g(), 2.0, "0")  # fixed but repelling
+    for r0 in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="r0"):
+            trace_orbit(paper_g(), SpherePoint.infinity(), ["1/3"], r0=r0)
+    with pytest.raises(ValueError, match="depth"):
+        trace_orbit(paper_g(), SpherePoint.infinity(), ["1/3"], depth=0)
 
 
 def test_separation_parity():
@@ -196,6 +202,32 @@ def test_ray_levels_are_solved_in_batches_without_preimages(monkeypatch):
     traces = trace_orbit(paper_g(), SpherePoint.infinity(), ["1/3", "2/3"])
     assert all(tr.landed for tr in traces.values())
     assert calls == []
+
+
+def test_ray_trace_matches_the_preimages_path(monkeypatch):
+    # the per-sample fallback must continue the rays exactly as the batch does
+    g, inf = paper_g(), SpherePoint.infinity()
+    batched = trace_orbit(g, inf, ["1/3", "2/3"])
+    real_fibers, real_preimages = fatou.rays.fibers, fatou.rays.preimages
+    calls = []
+
+    def certify_none(f, targets, warm=None):
+        roots, certified = real_fibers(f, targets, warm)
+        return roots, np.zeros_like(certified)
+
+    def counted(f, v):
+        calls.append(v)
+        return real_preimages(f, v)
+    monkeypatch.setattr(fatou.rays, "fibers", certify_none)
+    monkeypatch.setattr(fatou.rays, "preimages", counted)
+    fallback = trace_orbit(g, inf, ["1/3", "2/3"])
+    assert calls
+    assert list(fallback) == list(batched)
+    for t, a in batched.items():
+        b = fallback[t]
+        assert (b.sublevels, b.landed) == (a.sublevels, a.landed) == (4, True)
+        assert len(b.samples) == len(a.samples)
+        assert max(abs(u - v) / (1.0 + abs(u)) for u, v in zip(a.samples, b.samples)) < 1e-12
 
 
 def test_angle_orbit_is_bounded_before_tracing():
