@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .sphere import SpherePoint, as_sphere
-from .ratmap import RationalMap, eval_sphere
+from .ratmap import RationalMap, eval_sphere, hom_eval
 from .orbits import CriticalPortrait
 
 DEFAULT_TRAP_RADIUS = 1e-6
@@ -155,11 +155,6 @@ def classify_grid(f: RationalMap, portrait: CriticalPortrait, bounds: Bounds,
     steps = np.full(n_cells, -1, dtype=np.int32)
     active = np.arange(n_cells)
 
-    d = f.degree
-    acoef = np.zeros(d + 1, dtype=complex)
-    bcoef = np.zeros(d + 1, dtype=complex)
-    acoef[:f.num.degree + 1] = f.num.coeffs
-    bcoef[:f.den.degree + 1] = f.den.coeffs
     flat_traps = [(ci, pi, p.z, p.w) for ci, cyc in enumerate(cycles)
                   for pi, p in enumerate(cyc)]
 
@@ -185,21 +180,8 @@ def classify_grid(f: RationalMap, portrait: CriticalPortrait, bounds: Bounds,
             za, wa = za[keep], wa[keep]
         if n == max_iter or active.size == 0:
             break
-        # homogeneous step: P = sum a_k z^k w^(d-k), same for Q; max-modulus
-        # normalization keeps every power bounded by one
-        zpow = [np.ones_like(za)]
-        wpow = [np.ones_like(wa)]
-        for _ in range(d):
-            zpow.append(zpow[-1] * za)
-            wpow.append(wpow[-1] * wa)
-        pv = np.zeros_like(za)
-        qv = np.zeros_like(za)
-        for k in range(d + 1):
-            term = zpow[k] * wpow[d - k]
-            if acoef[k] != 0:
-                pv += acoef[k] * term
-            if bcoef[k] != 0:
-                qv += bcoef[k] * term
+        # max-modulus normalization keeps every Horner partial sum bounded
+        pv, qv = hom_eval(f, za, wa)
         s = np.maximum(np.abs(pv), np.abs(qv))
         dead = s == 0
         if dead.any():

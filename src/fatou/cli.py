@@ -368,6 +368,8 @@ def dispatch(argv=None) -> int:
             val = getattr(args, flag, 1.0)
             if not (math.isfinite(val) and val > 0):
                 raise _UsageError("--" + flag.replace("_", "-"), "must be a finite number > 0")
+        if isinstance(getattr(args, "center", None), SpherePoint):
+            raise _UsageError("--center", "must be a finite point")
         if getattr(args, "r0", MIN_R0) < MIN_R0:
             raise _UsageError("--r0", f"must be at least {MIN_R0:g}")
         return args.func(args)

@@ -10,6 +10,7 @@ omega standing in for the distinguished invariant Fatou component.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -18,7 +19,7 @@ import numpy as np
 
 from ._geom import (is_simple, point_polyline_distance, signed_area,
                     winding_number)
-from .sphere import as_sphere
+from .sphere import SpherePoint, as_sphere
 from .ratmap import (RationalMap, _Ambiguous, critical_points, eval_sphere,
                      fibers, nearest, preimages)
 
@@ -72,6 +73,8 @@ class OrientedPolyCurve:
 def circle(center: complex, radius: float, n: int = 64,
            clockwise: bool = False) -> OrientedPolyCurve:
     """Regular polygon approximation of a circle, counterclockwise by default."""
+    if not cmath.isfinite(center):
+        raise ValueError("center must be a finite complex number")
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError("radius must be a finite number > 0")
     if n < 3:
@@ -208,6 +211,8 @@ def lift_curve(f: RationalMap, curve: OrientedPolyCurve, omega: complex,
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be a finite number > 0")
+    if not isinstance(omega, SpherePoint) and cmath.isnan(omega):
+        raise ValueError("omega must be a point of the sphere, not NaN")
     try:
         curve.validate_simple()
     except ValueError as exc:

@@ -6,9 +6,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .sphere import (MoebiusTransform, Polynomial, SpherePoint, as_sphere,
-                     poly_roots)
-from .ratmap import RationalMap, compose_self, critical_points, eval_sphere
+from .sphere import Polynomial, SpherePoint, as_sphere, poly_roots
+from .ratmap import (RationalMap, compose_self, critical_points, eval_sphere,
+                     hom_eval)
 
 SUPER_TOL = 1e-8
 INDIFFERENT_BAND = 1e-6
@@ -57,24 +57,20 @@ def _classify(multiplier: complex) -> str:
 
 
 def cycle_multiplier(f: RationalMap, cycle) -> complex:
-    """Chain-rule multiplier; conjugates the cycle into moderate coordinates
-    first so the plain-chart derivative formula applies."""
+    """Chain-rule multiplier, in no chart.
+
+    With F = (P, Q) on the stored representatives x_i and F(x_i) = c_i x_(i+1),
+    the multiplier is the product of det DF(x_i) / (d c_i^2): DF(x_i) sends x_i
+    to d c_i x_(i+1) (Euler's relation), so the chart factors cancel around the
+    cycle.
+    """
     pts = [as_sphere(p) for p in cycle]
-    needs_move = any(p.is_infinity or abs(p.to_complex()) > 1e6 for p in pts)
-    if needs_move:
-        finite = [p.to_complex() for p in pts if not p.is_infinity]
-        for a in (0.3178, -1.7071, 2.4142, -0.5774, 1.1447):
-            if all(abs(z - a) > 1e-3 for z in finite):
-                break
-        else:
-            raise ArithmeticError("could not find a pivot for the cycle chart")
-        m = MoebiusTransform(0.0, 1.0, 1.0, -a)  # z -> 1/(z - a)
-        g = f.conjugate_by(m)
-        moved = [m.apply(p) for p in pts]
-        return cycle_multiplier(g, moved)
+    d = f.degree
     lam = 1.0 + 0j
-    for p in pts:
-        lam *= f.derivative(p.to_complex())
+    for x, y in zip(pts, pts[1:] + pts[:1]):
+        p, q, pz, pw, qz, qw = hom_eval(f, x.z, x.w, partials=True)
+        c = p / y.z if abs(y.z) >= abs(y.w) else q / y.w
+        lam *= (pz * qw - pw * qz) / (d * c * c)
     return lam
 
 

@@ -39,13 +39,6 @@ class RationalMap:
     def wronskian(self) -> Polynomial:
         return self.num.deriv() * self.den - self.num * self.den.deriv()
 
-    def derivative(self, z: complex) -> complex:
-        """f'(z) in the finite chart; z must not be a pole."""
-        dv = self.den(z)
-        if abs(dv) == 0.0:
-            raise ZeroDivisionError("derivative at a pole")
-        return self.wronskian()(z) / (dv * dv)
-
     def conjugate_by(self, m: MoebiusTransform) -> "RationalMap":
         n, d = moebius_conjugate(self.num, self.den, m)
         return normalize(n, d)
@@ -142,6 +135,29 @@ def eval_sphere(f: RationalMap, x) -> SpherePoint:
     if pv == 0 and qv == 0:
         raise ArithmeticError("indeterminate evaluation; map not in lowest terms")
     return SpherePoint(pv, qv)
+
+
+def hom_eval(f: RationalMap, z, w, partials: bool = False):
+    """(P, Q) at (z, w) by homogeneous Horner, P and Q the homogenizations of
+    num and den to degree d; with partials, (P, Q, P_z, P_w, Q_z, Q_w).
+
+    z and w are complex scalars or numpy arrays of one shape; the same body
+    serves both. Unlike eval_sphere this neither normalizes nor picks a chart.
+    """
+    d = f.degree
+    a = f.num.coeffs + (0j,) * (d + 1 - len(f.num.coeffs))
+    b = f.den.coeffs + (0j,) * (d + 1 - len(f.den.coeffs))
+    p, q, wk = a[d], b[d], 1.0  # wk = w^(d-k) after step k
+    pz = pw = qz = qw = 0j
+    for k in range(d - 1, -1, -1):
+        if partials:
+            # d/dz and d/dw of acc*z + c*w^(d-k), with wk still w^(d-k-1)
+            pz, pw = pz * z + p, pw * z + (d - k) * a[k] * wk
+            qz, qw = qz * z + q, qw * z + (d - k) * b[k] * wk
+        wk = wk * w
+        p = p * z + a[k] * wk
+        q = q * z + b[k] * wk
+    return (p, q, pz, pw, qz, qw) if partials else (p, q)
 
 
 def iterate(f: RationalMap, x, n: int) -> SpherePoint:

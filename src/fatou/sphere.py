@@ -498,16 +498,8 @@ class MoebiusTransform:
             raise ValueError("Moebius transform is singular")
 
     @classmethod
-    def identity(cls) -> "MoebiusTransform":
-        return cls(1.0, 0.0, 0.0, 1.0)
-
-    @classmethod
     def inversion(cls) -> "MoebiusTransform":
         return cls(0.0, 1.0, 1.0, 0.0)
-
-    @property
-    def det(self) -> complex:
-        return self.a * self.d - self.b * self.c
 
     def inverse(self) -> "MoebiusTransform":
         return MoebiusTransform(self.d, -self.b, -self.c, self.a)

@@ -249,6 +249,7 @@ _RAY = ["ray", "--map", "paper-g", "--angle", "1/3"]
     ("--omega", _LIFT + ["--omega", "inf,0"]),
     ("--basin", _RAY + ["--basin", "0,nan"]),
     ("--angle", ["ray", "--map", "paper-g", "--angle", "1/1000003"]),  # orbit too long
+    ("--center", ["lift", "--map", "paper-g", "--center", "inf", "--radius", "0.1"]),
 ])
 def test_unusable_flag_values_are_usage_errors(capsys, tmp_path, monkeypatch, flag, argv):
     monkeypatch.chdir(tmp_path)

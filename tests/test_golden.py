@@ -5,11 +5,13 @@ Any change to it must be deliberate: regenerate it with
 
     PYTHONPATH=src python3 tests/test_golden.py
 
-and say why in CHANGES.md. `periodic` is left out because its output is
-known to be wrong from d^p = 27.
+and say why in CHANGES.md. A `render` entry is its stdout followed by a
+line with the sha256 of the PPM it wrote. `periodic` is left out because its
+output is known to be wrong from d^p = 27.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -40,6 +42,12 @@ TOWERS = (  # map, centre, omega, steps
     ("paper-degree4", 0.0, "inf", 4),
     ("paper-degree4", 0.0, "0.0,0.0", 3),
 )
+RENDERS = (  # map, bounds, resolution
+    ("paper-g", "-2.8,2.8,-2.1,2.1", "120x90"),
+    ("paper-g", "-1.2908,-1.2708,-0.01,0.01", "80x80"),  # around the landing of R_1/3
+    ("pseudo-rabbit:3:0", "-2.8,2.8,-2.1,2.1", "96x72"),
+)
+PPM = "render.ppm"  # relative, in the test's working directory
 
 
 def commands() -> list[list[str]]:
@@ -59,6 +67,9 @@ def commands() -> list[list[str]]:
                      "--steps", str(steps), "--omega", omega])
     cmds += [["portrait", "--map", name] for name in CATALOG_NAMES]
     cmds.append(["catalog", "--coeffs"])
+    for name, bounds, resolution in RENDERS:
+        cmds.append(["render", "--map", name, "--out", PPM, f"--bounds={bounds}",
+                     "--resolution", resolution])
     return cmds
 
 
@@ -72,6 +83,9 @@ def run(argv: list[str]) -> str:
     with contextlib.redirect_stdout(out):
         code = dispatch(argv)
     assert code == 0, f"{' '.join(argv)} exited {code}"
+    if argv[0] == "render":
+        digest = hashlib.sha256(Path(PPM).read_bytes()).hexdigest()
+        return out.getvalue() + f"sha256({PPM}) {digest}\n"
     return out.getvalue()
 
 

@@ -86,6 +86,9 @@ def test_circle_helper():
     for radius in (math.nan, math.inf, 0.0):
         with pytest.raises(ValueError, match="radius"):
             circle(-2.0, radius)
+    for center in (complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.inf, 0.0)):
+        with pytest.raises(ValueError, match="center"):
+            circle(center, 0.1)
 
 
 def test_sign_convention():
@@ -163,6 +166,13 @@ def test_lift_rejects_curve_near_critical_value():
     for eps in (math.nan, -1.0, 0.0):
         with pytest.raises(ValueError, match="eps"):
             lift_curve(paper_g(), circle(-1.9, 0.1), omega=1e6, eps=eps)
+    # NaN names omega; an infinite omega is the point at infinity
+    for omega in (complex(math.nan, 0.0), math.nan, complex(math.inf, math.nan)):
+        with pytest.raises(ValueError, match="omega"):
+            lift_curve(paper_g(), circle(-2.0, 0.1), omega=omega)
+    signs = [[l.sign for l in lift_curve(paper_g(), circle(-2.0, 0.1), omega=om).lifts]
+             for om in (complex(math.inf, 0.0), SpherePoint.infinity())]
+    assert signs[0] == signs[1]
 
 
 def test_lift_rejects_self_intersecting_base_curve():

@@ -200,10 +200,30 @@ def test_portrait_unresolved_orbit_gives_none_flags():
     assert port.hyperbolic is None
 
 
+def _reference_multiplier(f, cycle):
+    """Product of f' = W / den^2 over finite cycle points, in the plain chart."""
+    wr = f.wronskian()
+    return math.prod(wr(z) / f.den(z) ** 2 for z in cycle)
+
+
 def test_random_conjugation_preserves_multiplier():
     rng = np.random.default_rng(44)
     f = paper_g()
     base = detect_cycle(f, 1.0)
+    # a repelling 2-cycle, and the repelling fixed point 2 (f'(2) = 3)
+    z0 = min((q.point.to_complex() for q in periodic_points(f, 2)
+              if q.minimal_period == 2 and not q.point.is_infinity),
+             key=lambda z: abs(z - 0.4))
+    repelling = [[z0, f(z0).to_complex()], [2.0]]
+    refs = [_reference_multiplier(f, cyc) for cyc in repelling]
+    assert abs(refs[0]) > 4.0 and abs(refs[1] - 3.0) < 1e-12
+    for cyc, ref in zip(repelling, refs):
+        assert abs(cycle_multiplier(f, cyc) - ref) <= 1e-9 * abs(ref)
+    # z -> 1/(z - 2) moves the fixed point to infinity
+    to_inf = MoebiusTransform(0.0, 1.0, 1.0, -2.0)
+    assert to_inf.apply(2.0).is_infinity
+    lam = cycle_multiplier(f.conjugate_by(to_inf), [SpherePoint.infinity()])
+    assert abs(lam - refs[1]) <= 1e-9 * abs(refs[1])
     for _ in range(10):
         a, b, c, d = rng.normal(size=4) + 1j * rng.normal(size=4)
         if abs(a * d - b * c) < 1e-2:
@@ -214,3 +234,6 @@ def test_random_conjugation_preserves_multiplier():
         assert rep is not None
         assert rep.period == base.period
         assert abs(rep.multiplier - base.multiplier) < 1e-6
+        for cyc, ref in zip(repelling, refs):
+            lam = cycle_multiplier(h, [m.apply(z) for z in cyc])
+            assert abs(lam - ref) <= 1e-9 * abs(ref)

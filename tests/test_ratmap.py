@@ -6,7 +6,7 @@ import pytest
 from fatou.catalog import CATALOG_NAMES, by_name, paper_g, pseudo_basilica
 from fatou.lifting import _match
 from fatou.ratmap import (RationalMap, _Ambiguous, compose_self, critical_points,
-                          eval_sphere, fibers, from_coeffs, iterate,
+                          eval_sphere, fibers, from_coeffs, hom_eval, iterate,
                           map_from_jsonable, map_to_jsonable, nearest, normalize,
                           preimages)
 from fatou.sphere import SpherePoint, as_sphere, poly
@@ -65,6 +65,56 @@ def test_eval_chart_consistency():
         # same point entered through the far chart representation
         flipped = SpherePoint(1.0, 1.0 / z)
         assert direct.chordal(eval_sphere(g, flipped)) < 1e-9
+
+
+def _kernel_points(f, seed):
+    """Seeded points in both charts, infinity and a pole, max-modulus normalized."""
+    rng = np.random.default_rng(seed)
+    inner = rng.uniform(-1, 1, 40) + 1j * rng.uniform(-1, 1, 40)
+    outer = 1.0 / (rng.uniform(-1, 1, 40) + 1j * rng.uniform(-1, 1, 40))
+    poles = np.roots(np.array(f.den.coeffs[::-1]))
+    pts = [as_sphere(complex(z)) for z in np.concatenate([inner, outer, poles[:1]])]
+    return pts + [SpherePoint.infinity()]
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_hom_eval_matches_eval_sphere(name):
+    f = by_name(name)
+    pts = _kernel_points(f, 11)
+    if f.den.degree >= 1:  # a polynomial's only pole is infinity
+        assert any(abs(eval_sphere(f, x).w) < 1e-12 for x in pts[:-1])
+    z = np.array([x.z for x in pts])
+    w = np.array([x.w for x in pts])
+    arrays = hom_eval(f, z, w, partials=True)
+    for i, x in enumerate(pts):
+        scalars = hom_eval(f, x.z, x.w, partials=True)
+        assert isinstance(scalars[0], complex)
+        p, q = scalars[:2]
+        assert SpherePoint(p, q).chordal(eval_sphere(f, x)) <= 1e-14
+        for s, a in zip(scalars, arrays):
+            assert abs(s - a[i]) <= 1e-15 * (1.0 + abs(s))
+    assert all(np.array_equal(a, b) for a, b in zip(hom_eval(f, z, w), arrays[:2]))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_hom_eval_partials(name):
+    f = by_name(name)
+    d = f.degree
+    pts = _kernel_points(f, 12)
+    z = np.array([x.z for x in pts])
+    w = np.array([x.w for x in pts])
+    p, q, pz, pw, qz, qw = hom_eval(f, z, w, partials=True)
+    scale = sum(abs(c) for c in f.num.coeffs + f.den.coeffs) * d
+    # Euler's relation for forms of degree d
+    assert np.abs(z * pz + w * pw - d * p).max() <= 1e-14 * scale
+    assert np.abs(z * qz + w * qw - d * q).max() <= 1e-14 * scale
+    # in the finite chart the z-partials are the derivatives of num and den
+    t = np.array([complex(x.z / x.w) for x in pts if abs(x.w) == 1.0])
+    _, _, pz1, _, qz1, _ = hom_eval(f, t, np.ones_like(t), partials=True)
+    dnum, dden = f.num.deriv(), f.den.deriv()
+    for k, tk in enumerate(t):
+        assert abs(pz1[k] - dnum(tk)) <= 1e-14 * scale
+        assert abs(qz1[k] - dden(tk)) <= 1e-14 * scale
 
 
 def test_critical_points_square():
