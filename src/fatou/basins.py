@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import colorsys
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -21,6 +20,22 @@ from .ratmap import RationalMap, eval_sphere, hom_eval
 from .orbits import CriticalPortrait
 
 DEFAULT_TRAP_RADIUS = 1e-6
+# classify_grid iterates the grid in flat tiles of this many cells, so its
+# temporaries are a few MB whatever the resolution
+TILE_CELLS = 16384
+# Bytes per cell that render keeps at its peak, inside label_components: the
+# grid's cycle_id, phase and steps (8), the int32 cell numbers and union-find
+# parents (8), up to two equal-key edges per cell as int32 endpoint pairs
+# (16), and the masks and copies made while the edges are gathered and
+# compacted. tracemalloc measures 44 on a one-key 800x600 grid. classify_grid
+# adds fixed-size tiles to the grid's 8, and render_ppm about 21 to the grid
+# and the labels (12). Component records are one per component, not per
+# cell, and come on top.
+BYTES_PER_CELL = 64
+MAX_GRID_BYTES = 2 ** 31  # for the arrays of one grid
+# 33,554,432 cells; labels and union-find indices are int32, so this must
+# stay below 2**31 - 1
+MAX_CELLS = MAX_GRID_BYTES // BYTES_PER_CELL
 
 
 @dataclass(frozen=True)
@@ -60,10 +75,8 @@ class BasinGrid:
     max_iter: int
 
     def cell_center(self, row: int, col: int) -> complex:
-        dx = (self.bounds.xmax - self.bounds.xmin) / self.width
-        dy = (self.bounds.ymax - self.bounds.ymin) / self.height
-        return complex(self.bounds.xmin + (col + 0.5) * dx,
-                       self.bounds.ymax - (row + 0.5) * dy)
+        """The point classify_grid iterated for this cell, bit for bit."""
+        return complex(*_center_coords(self.bounds, self.width, self.height, row, col))
 
     def cell_of(self, point: complex) -> tuple[int, int]:
         dx = (self.bounds.xmax - self.bounds.xmin) / self.width
@@ -73,6 +86,13 @@ class BasinGrid:
         if not (0 <= row < self.height and 0 <= col < self.width):
             raise ValueError(f"point {point} outside grid bounds")
         return row, col
+
+
+def _center_coords(bounds: Bounds, width: int, height: int, row, col):
+    """(x, y) of cell centres; row and col are ints or index arrays."""
+    x = bounds.xmin + (col + 0.5) * (bounds.xmax - bounds.xmin) / width
+    y = bounds.ymax - (row + 0.5) * (bounds.ymax - bounds.ymin) / height
+    return x, y
 
 
 def point_key(p: SpherePoint):
@@ -130,8 +150,10 @@ def classify_grid(f: RationalMap, portrait: CriticalPortrait, bounds: Bounds,
                   max_iter: int = 200) -> BasinGrid:
     """Classify every cell center of the grid.
 
-    Vectorized over the whole grid in homogeneous coordinates, renormalized
-    every step so poles and the point at infinity need no special casing.
+    Vectorized over tiles of TILE_CELLS cells in homogeneous coordinates,
+    renormalized every step so poles and the point at infinity need no
+    special casing. A tile's iterates shrink to its unresolved cells as they
+    are trapped. More than MAX_CELLS cells is a ValueError.
     """
     if not (math.isfinite(trap_radius) and trap_radius > 0):
         raise ValueError("trap_radius must be a finite number > 0")
@@ -140,54 +162,46 @@ def classify_grid(f: RationalMap, portrait: CriticalPortrait, bounds: Bounds,
     width, height = resolution
     if width < 1 or height < 1:
         raise ValueError("resolution must be positive")
+    if width * height > MAX_CELLS:
+        raise ValueError(f"resolution {width}x{height} has {width * height} cells; "
+                         f"at most {MAX_CELLS} fit")
     cycles = superattracting_cycles(portrait)
     _check_trap_disjoint(cycles, trap_radius)
 
-    xs = bounds.xmin + (np.arange(width) + 0.5) * (bounds.xmax - bounds.xmin) / width
-    ys = bounds.ymax - (np.arange(height) + 0.5) * (bounds.ymax - bounds.ymin) / height
-    zz = (xs[None, :] + 1j * ys[:, None]).ravel()
-
-    n_cells = zz.size
-    z = zz.astype(complex)
-    w = np.ones(n_cells, dtype=complex)
+    n_cells = width * height
     cycle_id = np.full(n_cells, -1, dtype=np.int16)
     phase = np.full(n_cells, -1, dtype=np.int16)
     steps = np.full(n_cells, -1, dtype=np.int32)
-    active = np.arange(n_cells)
+    traps = [(ci, pi, p.z, p.w, math.hypot(abs(p.z), abs(p.w)))
+             for ci, cyc in enumerate(cycles) for pi, p in enumerate(cyc)]
 
-    flat_traps = [(ci, pi, p.z, p.w) for ci, cyc in enumerate(cycles)
-                  for pi, p in enumerate(cyc)]
-
-    for n in range(max_iter + 1):
-        if active.size == 0:
-            break
-        za, wa = z[active], w[active]
-        norm = np.hypot(np.abs(za), np.abs(wa))
-        hit = np.zeros(active.size, dtype=bool)
-        for ci, pi, cz, cw in flat_traps:
-            cn = math.hypot(abs(cz), abs(cw))
-            dist = 2.0 * np.abs(za * cw - wa * cz) / (norm * cn)
-            m = (~hit) & (dist <= trap_radius)
-            if m.any():
-                idx = active[m]
-                cycle_id[idx] = ci
-                phase[idx] = pi
-                steps[idx] = n
-                hit |= m
-        if hit.any():
-            keep = ~hit
-            active = active[keep]
-            za, wa = za[keep], wa[keep]
-        if n == max_iter or active.size == 0:
-            break
-        # max-modulus normalization keeps every Horner partial sum bounded
-        pv, qv = hom_eval(f, za, wa)
-        s = np.maximum(np.abs(pv), np.abs(qv))
-        dead = s == 0
-        if dead.any():
-            s[dead] = 1.0  # indeterminate cells stay unresolved forever
-        z[active] = pv / s
-        w[active] = qv / s
+    for start in range(0, n_cells, TILE_CELLS):
+        cells = np.arange(start, min(start + TILE_CELLS, n_cells))
+        x, y = _center_coords(bounds, width, height, *np.divmod(cells, width))
+        z = x + 1j * y
+        w = np.ones(cells.size, dtype=complex)
+        for n in range(max_iter + 1):
+            norm = np.hypot(np.abs(z), np.abs(w))
+            hit = np.zeros(cells.size, dtype=bool)
+            for ci, pi, cz, cw, cn in traps:
+                dist = 2.0 * np.abs(z * cw - w * cz) / (norm * cn)
+                m = (~hit) & (dist <= trap_radius)
+                if m.any():
+                    idx = cells[m]
+                    cycle_id[idx] = ci
+                    phase[idx] = pi
+                    steps[idx] = n
+                    hit |= m
+            if hit.any():
+                keep = ~hit
+                cells, z, w = cells[keep], z[keep], w[keep]
+            if n == max_iter or cells.size == 0:
+                break
+            # max-modulus normalization keeps every Horner partial sum bounded
+            pv, qv = hom_eval(f, z, w)
+            s = np.maximum(np.abs(pv), np.abs(qv))
+            s[s == 0] = 1.0  # indeterminate cells stay unresolved forever
+            z, w = pv / s, qv / s
 
     return BasinGrid(bounds, width, height, tuple(cycles),
                      cycle_id.reshape(height, width),
@@ -215,34 +229,49 @@ class ComponentLabeling:
 
 
 def label_components(grid: BasinGrid) -> ComponentLabeling:
-    """4-connected components of constant (cycle_id, phase); labels are issued
-    in row-major discovery order, so numbering is deterministic."""
+    """4-connected components of constant (cycle_id, phase), numbered in
+    row-major order of their first cell, so numbering is deterministic.
+
+    Union-find over the equal-key neighbour edges: every round hooks the
+    larger root of each edge to the smaller (np.minimum.at), then pointer
+    jumping flattens every tree, and edges inside one tree are dropped. A
+    root is the smallest cell of its tree, i.e. the component's first cell.
+    """
     h, w = grid.height, grid.width
-    labels = np.full((h, w), -1, dtype=np.int32)
-    comps = []
-    cid = grid.cycle_id
-    ph = grid.phase
-    next_label = 0
-    for r0 in range(h):
-        for c0 in range(w):
-            if cid[r0, c0] < 0 or labels[r0, c0] >= 0:
-                continue
-            key = (cid[r0, c0], ph[r0, c0])
-            count = 0
-            queue = deque([(r0, c0)])
-            labels[r0, c0] = next_label
-            while queue:
-                r, c = queue.popleft()
-                count += 1
-                for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                    if 0 <= rr < h and 0 <= cc < w and labels[rr, cc] < 0 \
-                            and cid[rr, cc] == key[0] and ph[rr, cc] == key[1]:
-                        labels[rr, cc] = next_label
-                        queue.append((rr, cc))
-            comps.append(Component(next_label, int(key[0]), int(key[1]),
-                                   grid.cell_center(r0, c0), count))
-            next_label += 1
-    return ComponentLabeling(grid, labels, tuple(comps))
+    cid, ph = grid.cycle_id, grid.phase
+    cells = np.arange(h * w, dtype=np.int32)
+    idx = cells.reshape(h, w)
+    right = (cid[:, :-1] >= 0) & (cid[:, :-1] == cid[:, 1:]) & (ph[:, :-1] == ph[:, 1:])
+    down = (cid[:-1] >= 0) & (cid[:-1] == cid[1:]) & (ph[:-1] == ph[1:])
+    a = np.concatenate([idx[:, :-1][right], idx[:-1][down]])
+    b = np.concatenate([idx[:, 1:][right], idx[1:][down]])
+    parent = cells.copy()
+    while a.size:  # a < b, both roots
+        np.minimum.at(parent, b, a)
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+        # one array at a time, so the edges are never held twice over
+        a = parent[a]
+        b = parent[b]
+        apart = a != b
+        a = a[apart]
+        b = b[apart]
+        a, b = np.minimum(a, b), np.maximum(a, b)
+
+    flat_cid, flat_ph = cid.ravel(), ph.ravel()
+    roots = np.flatnonzero((parent == cells) & (flat_cid >= 0))
+    rank = np.full(h * w, -1, dtype=np.int32)
+    rank[roots] = np.arange(roots.size, dtype=np.int32)
+    labels = rank[parent]  # unresolved cells are their own, unranked, roots
+    counts = np.bincount(labels[labels >= 0], minlength=roots.size)
+    xs, ys = _center_coords(grid.bounds, w, h, *np.divmod(roots, w))
+    comps = tuple(Component(k, ci, pi, complex(x, y), n) for k, (ci, pi, x, y, n) in
+                  enumerate(zip(flat_cid[roots].tolist(), flat_ph[roots].tolist(),
+                                xs.tolist(), ys.tolist(), counts.tolist())))
+    return ComponentLabeling(grid, labels.reshape(h, w), comps)
 
 
 def component_of(labeling: ComponentLabeling, point: complex) -> Component:

@@ -242,6 +242,15 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_render(args) -> int:
+    width, height = args.resolution
+    if width * height > _basins.MAX_CELLS:
+        raise _UsageError("--resolution", f"{width}x{height} is {width * height} cells; "
+                          f"at most {_basins.MAX_CELLS} fit")
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    if os.path.isdir(args.out):
+        raise _UsageError("--out", f"{args.out!r} is a directory")
+    if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
+        raise _UsageError("--out", f"directory {out_dir!r} does not exist or is not writable")
     f = _load_map(args.map)
     port = critical_portrait(f)
     grid = _basins.classify_grid(f, port, args.bounds, args.resolution,

@@ -1,8 +1,17 @@
+import tracemalloc
+import types
+from collections import deque
+
 import numpy as np
 import pytest
 
+import fatou.basins
 from fatou.basins import (
+    MAX_CELLS,
+    BasinGrid,
     Bounds,
+    Component,
+    ComponentLabeling,
     classify_grid,
     classify_point,
     component_of,
@@ -10,7 +19,7 @@ from fatou.basins import (
     render_ppm,
     superattracting_cycles,
 )
-from fatou.catalog import paper_g
+from fatou.catalog import CATALOG_NAMES, by_name, paper_g
 from fatou.orbits import critical_portrait
 from fatou.ratmap import Polynomial, eval_sphere, normalize
 from fatou.sphere import SpherePoint, as_sphere
@@ -203,3 +212,212 @@ def test_render_ppm_format():
     assert unresolved.any()
     assert (pixels[unresolved] == 0).all()
     assert (pixels[~unresolved].sum(axis=1) > 0).all()
+
+
+# --- cell centres and the resolution cap --------------------------------------
+
+
+def test_cell_center_is_the_point_the_grid_iterated(monkeypatch):
+    # record the starting points classify_grid hands to the map: with
+    # max_iter=1 every tile is evaluated once, in row-major order
+    seen = []
+    hom_eval = fatou.basins.hom_eval
+
+    def spy(f, z, w):
+        seen.append(z.copy())
+        return hom_eval(f, z, w)
+    monkeypatch.setattr(fatou.basins, "hom_eval", spy)
+    g = paper_g()
+    grid = classify_grid(g, critical_portrait(g), Bounds(-2.8, 2.8, -2.1, 2.1), (800, 600),
+                         max_iter=1)
+    assert (grid.steps != 0).all()  # no cell left before its first step
+    iterated = np.concatenate(seen).reshape(600, 800)
+    centers = np.array([[grid.cell_center(r, c) for c in range(800)] for r in range(600)])
+    assert np.array_equal(centers, iterated)
+    # cell_of inverts cell_center on every column and every row
+    assert [grid.cell_of(grid.cell_center(0, c)) for c in range(800)] == \
+        [(0, c) for c in range(800)]
+    assert [grid.cell_of(grid.cell_center(r, 0)) for r in range(600)] == \
+        [(r, 0) for r in range(600)]
+
+
+def test_resolution_cap():
+    # a portrait without superattracting cycles fails right after the
+    # resolution check, so neither call allocates a grid
+    no_cycles = types.SimpleNamespace(orbits=())
+    f, bounds = paper_g(), Bounds(-1, 1, -1, 1)
+    with pytest.raises(ValueError, match="no superattracting cycle"):
+        classify_grid(f, no_cycles, bounds, (MAX_CELLS, 1))
+    with pytest.raises(ValueError, match=f"at most {MAX_CELLS} fit"):
+        classify_grid(f, no_cycles, bounds, (MAX_CELLS + 1, 1))
+    with pytest.raises(ValueError, match=f"at most {MAX_CELLS} fit"):
+        classify_grid(f, no_cycles, bounds, (1, MAX_CELLS + 1))
+    assert MAX_CELLS * fatou.basins.BYTES_PER_CELL <= fatou.basins.MAX_GRID_BYTES
+    assert MAX_CELLS < 2 ** 31 - 1
+
+
+def test_labeling_memory_stays_within_bytes_per_cell():
+    # one key everywhere gives the most union-find edges: two per cell
+    h, w = 300, 400
+    grid = _grid(np.zeros((h, w)), np.zeros((h, w)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        label_components(grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    grid_bytes = grid.cycle_id.nbytes + grid.phase.nbytes + grid.steps.nbytes
+    assert grid_bytes + peak <= fatou.basins.BYTES_PER_CELL * h * w
+
+
+def test_tiling_does_not_change_the_grid(monkeypatch):
+    cases = [(paper_g(), Bounds(-2.8, 2.8, -2.1, 2.1), (40, 30), 200),
+             (_cube(), Bounds(-2, 2, -2, 2), (24, 18), 4)]  # with unresolved cells
+    for f, bounds, res, max_iter in cases:
+        port = critical_portrait(f)
+        want = classify_grid(f, port, bounds, res, max_iter=max_iter)
+        monkeypatch.setattr(fatou.basins, "TILE_CELLS", 7)
+        got = classify_grid(f, port, bounds, res, max_iter=max_iter)
+        monkeypatch.undo()
+        for name in ("cycle_id", "phase", "steps"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert render_ppm(got) == render_ppm(want)
+
+
+# --- component labeling against a BFS reference ------------------------------
+
+
+def _bfs_labeling(grid: BasinGrid) -> ComponentLabeling:
+    """Breadth-first flood fill from each unlabeled resolved cell in row-major
+    order: the reference numbering label_components must reproduce."""
+    h, w = grid.height, grid.width
+    labels = np.full((h, w), -1, dtype=np.int32)
+    comps = []
+    cid = grid.cycle_id
+    ph = grid.phase
+    next_label = 0
+    for r0 in range(h):
+        for c0 in range(w):
+            if cid[r0, c0] < 0 or labels[r0, c0] >= 0:
+                continue
+            key = (cid[r0, c0], ph[r0, c0])
+            count = 0
+            queue = deque([(r0, c0)])
+            labels[r0, c0] = next_label
+            while queue:
+                r, c = queue.popleft()
+                count += 1
+                for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                    if 0 <= rr < h and 0 <= cc < w and labels[rr, cc] < 0 \
+                            and cid[rr, cc] == key[0] and ph[rr, cc] == key[1]:
+                        labels[rr, cc] = next_label
+                        queue.append((rr, cc))
+            comps.append(Component(next_label, int(key[0]), int(key[1]),
+                                   grid.cell_center(r0, c0), count))
+            next_label += 1
+    return ComponentLabeling(grid, labels, tuple(comps))
+
+
+def _grid(cycle_id, phase) -> BasinGrid:
+    cycle_id = np.asarray(cycle_id, dtype=np.int16)
+    phase = np.where(cycle_id < 0, -1, np.asarray(phase)).astype(np.int16)
+    h, w = cycle_id.shape
+    return BasinGrid(Bounds(-1.0, 1.0, -0.75, 0.75), w, h, ((None,), (None, None)),
+                     cycle_id, phase, np.zeros((h, w), dtype=np.int32), 1e-6, 1)
+
+
+def _assert_labels_match_bfs(grid: BasinGrid):
+    got, want = label_components(grid), _bfs_labeling(grid)
+    assert got.labels.dtype == want.labels.dtype
+    assert np.array_equal(got.labels, want.labels)
+    assert got.components == want.components
+
+
+def _spiral(n: int) -> np.ndarray:
+    """A one-cell-wide square spiral of 1s in 0s, arms one cell apart."""
+    a = np.zeros((n, n), dtype=int)
+    r = c = 0
+    dr, dc = 0, 1
+    a[0, 0] = 1
+    turns = 0
+    while turns < 2:
+        nr, nc, r2, c2 = r + dr, c + dc, r + 2 * dr, c + 2 * dc
+        if 0 <= nr < n and 0 <= nc < n and not a[nr, nc] \
+                and not (0 <= r2 < n and 0 <= c2 < n and a[r2, c2]):
+            r, c, turns = nr, nc, 0
+            a[r, c] = 1
+        else:
+            dr, dc, turns = dc, -dr, turns + 1
+    return a
+
+
+def _comb(h: int, w: int) -> np.ndarray:
+    """Teeth on even columns pointing up from a spine along the bottom row,
+    so each tooth's top cell comes first but the teeth join last."""
+    a = np.zeros((h, w), dtype=int)
+    a[:, ::2] = 1
+    a[-1] = 1
+    return a
+
+
+_rows, _cols = np.indices((9, 12))
+_wall = np.zeros((9, 12), dtype=int)
+_wall[:, 5] = -1
+_wall[4, :] = -1
+_wall[1, 1] = -1
+HAND_BUILT = {
+    # (cycle_id, phase)
+    "spiral": (np.ones((31, 31)), _spiral(31)),
+    "spiral-by-cycle": (_spiral(30), np.zeros((30, 30))),
+    "comb": (np.ones((12, 17)), _comb(12, 17)),
+    "comb-upside-down": (np.ones((12, 17)), _comb(12, 17)[::-1]),
+    "checkerboard": (np.ones((9, 12)), (_rows + _cols) % 2),
+    "checkerboard-by-cycle": ((_rows + _cols) % 2, np.zeros((9, 12))),
+    "same-key-split-by-unresolved": (_wall, np.zeros((9, 12))),
+    "1xN": ([[0, 0, 1, 1, -1, 0, 0, 1, 0, 0, -1, -1, 1]],
+            [[0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 0, 0, 1]]),
+    "Nx1": ([[0], [0], [1], [1], [-1], [0], [0], [1], [0]],
+            [[0], [0], [0], [1], [0], [0], [0], [1], [1]]),
+    "1x1": ([[1]], [[1]]),
+    "1x1-unresolved": ([[-1]], [[0]]),
+    "all-unresolved": (-np.ones((4, 5)), np.zeros((4, 5))),
+}
+
+
+@pytest.mark.parametrize("name", list(HAND_BUILT))
+def test_labels_match_bfs_on_hand_built_grids(name):
+    grid = _grid(*HAND_BUILT[name])
+    _assert_labels_match_bfs(grid)
+
+
+def test_hand_built_component_counts():
+    counts = {name: len(label_components(_grid(*HAND_BUILT[name])).components)
+              for name in ("spiral", "comb", "comb-upside-down", "checkerboard",
+                           "same-key-split-by-unresolved", "1x1-unresolved")}
+    assert counts == {"spiral": 2, "comb": 1 + 8, "comb-upside-down": 1 + 8,
+                      "checkerboard": 9 * 12, "same-key-split-by-unresolved": 4,
+                      "1x1-unresolved": 0}
+
+
+def test_labels_match_bfs_on_random_grids():
+    rng = np.random.default_rng(11)
+    for shape in [(1, 40), (40, 1), (17, 23), (30, 30)]:
+        for _ in range(3):
+            cid = rng.integers(-1, 2, size=shape)
+            ph = rng.integers(0, 2, size=shape)
+            _assert_labels_match_bfs(_grid(cid, ph))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_labels_match_bfs_and_scipy_on_catalog_maps(name):
+    f = by_name(name)
+    grid = classify_grid(f, critical_portrait(f), Bounds(-2.8, 2.8, -2.1, 2.1), (200, 150))
+    _assert_labels_match_bfs(grid)
+    ndimage = pytest.importorskip("scipy.ndimage")
+    comps = label_components(grid).components
+    for ci, cyc in enumerate(grid.cycles):
+        for pi in range(len(cyc)):
+            mask = (grid.cycle_id == ci) & (grid.phase == pi)
+            want = ndimage.label(mask)[1]  # 4-connected by default
+            assert sum(c.cycle_id == ci and c.phase == pi for c in comps) == want

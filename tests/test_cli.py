@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import fatou.basins
 import fatou.rays
 from fatou.catalog import by_name, paper_g
 from fatou.cli import dispatch
@@ -168,6 +169,47 @@ def test_render_writes_ppm(capsys, tmp_path):
     code, _, _ = _run(capsys, args)
     assert code == 0
     assert out_path.read_bytes() == data
+
+
+def _no_classification(*args, **kwargs):
+    raise AssertionError("render classified a grid it should have refused")
+
+
+@pytest.mark.parametrize("out_arg", ["missing-dir/x.ppm", "."])
+def test_render_refuses_an_unwritable_out_before_classifying(
+        capsys, tmp_path, monkeypatch, out_arg):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(fatou.basins, "classify_grid", _no_classification)
+    code, out, err = _run(capsys, ["render", "--map", "paper-g", "--out", out_arg])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: --out: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_render_resolution_cap(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cap = fatou.basins.MAX_CELLS
+    monkeypatch.setattr(fatou.basins, "classify_grid", _no_classification)
+    code, out, err = _run(capsys, ["render", "--map", "paper-g", "--out", "x.ppm",
+                                   "--resolution", f"{cap + 1}x1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"usage error: --resolution: {cap + 1}x1 is {cap + 1} cells")
+
+    # at the cap the command goes on to classify (stubbed: nothing large is made)
+    seen = []
+
+    def stub(f, portrait, bounds, resolution, **kwargs):
+        seen.append(resolution)
+        raise ValueError("stub classifier")
+    monkeypatch.setattr(fatou.basins, "classify_grid", stub)
+    code, out, err = _run(capsys, ["render", "--map", "paper-g", "--out", "x.ppm",
+                                   "--resolution", f"{cap}x1"])
+    assert seen == [(cap, 1)]
+    assert code == 1
+    assert "stub classifier" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_usage_errors_exit_two(capsys):

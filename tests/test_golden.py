@@ -46,6 +46,7 @@ RENDERS = (  # map, bounds, resolution
     ("paper-g", "-2.8,2.8,-2.1,2.1", "120x90"),
     ("paper-g", "-1.2908,-1.2708,-0.01,0.01", "80x80"),  # around the landing of R_1/3
     ("pseudo-rabbit:3:0", "-2.8,2.8,-2.1,2.1", "96x72"),
+    ("paper-g", "-2.8,2.8,-2.1,2.1", "300x200"),  # 60,000 cells: crosses tile boundaries
 )
 PPM = "render.ppm"  # relative, in the test's working directory
 
