@@ -92,9 +92,11 @@ def _load_map(selector: str) -> RationalMap:
     except KeyError:
         pass
     if os.path.exists(selector):
-        with open(selector, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return map_from_jsonable(data)
+        try:
+            with open(selector, "r", encoding="utf-8") as fh:
+                return map_from_jsonable(json.load(fh))
+        except (OSError, ValueError, RecursionError) as exc:
+            raise _UsageError("--map", f"map file {selector!r}: {exc}") from None
     raise _UsageError("--map", f"unknown catalog name or missing file {selector!r}; "
                       f"catalog: {', '.join(CATALOG_NAMES)}")
 

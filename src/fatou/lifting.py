@@ -233,7 +233,6 @@ def lift_curve(f: RationalMap, curve: OrientedPolyCurve, omega: complex,
     verts = list(curve.vertices)
     vert_fibers = _vertex_fibers(f, verts)
     start_fiber = _strand_order(vert_fibers[0])
-    d = f.degree
     refined = [verts[0]]
     chains = [[s] for s in start_fiber]
     strands = list(start_fiber)
@@ -241,21 +240,14 @@ def lift_curve(f: RationalMap, curve: OrientedPolyCurve, omega: complex,
         j = (i + 1) % len(verts)
         fiber = start_fiber if j == 0 else vert_fibers[j]
         strands = _continue_edge(f, strands, verts[i], verts[j], fiber, 0, refined, chains)
-    # closure: final strands must realign with the start fiber
-    perm = []
-    for s in strands:
-        cands = sorted(range(d), key=lambda i: abs(start_fiber[i] - s))
-        if abs(start_fiber[cands[0]] - s) > 1e-6 * (1.0 + abs(s)):
-            raise LiftError("monodromy failed to close up")
-        perm.append(cands[0])
-    if sorted(perm) != list(range(d)):
-        raise LiftError("monodromy closure is not a permutation")
+    # the last edge matched the strands into start_fiber itself
+    perm = [start_fiber.index(s) for s in strands]
 
     # cycles of the permutation -> lifts
     k = len(refined) - 1  # chain length per loop, excluding the closing vertex
     lifts = []
     seen = set()
-    for s0 in range(d):
+    for s0 in range(len(perm)):
         if s0 in seen:
             continue
         cycle = [s0]
@@ -273,7 +265,6 @@ def lift_curve(f: RationalMap, curve: OrientedPolyCurve, omega: complex,
             if lift_curve_.distance_to(oz) < 1e-9 * (1.0 + abs(oz)):
                 raise LiftError("omega lies on a lift")
         lifts.append(Lift(lift_curve_, len(cycle), sign_of(lift_curve_, om), s0))
-    lifts.sort(key=lambda l: l.strand)
     return LiftSet(curve, tuple(refined[:-1]), tuple(lifts), tuple(perm))
 
 

@@ -74,24 +74,25 @@ def cycle_multiplier(f: RationalMap, cycle) -> complex:
     return lam
 
 
-def detect_cycle(f: RationalMap, start, tol: float = 1e-9,
-                 max_iter: int = 512) -> Optional[CycleReport]:
-    """Find the eventually periodic structure of an orbit, or None if the
-    orbit shows no revisit within max_iter (expected for Julia set starts)."""
+def _walk(f: RationalMap, start, tol: float, max_iter: int) -> tuple[list, int]:
+    """The orbit of start up to its first revisit, within tol of one of the
+    CYCLE_WINDOW points before it, and the revisit's period; period 0 when
+    max_iter steps bring none."""
     x = as_sphere(start)
     orbit = [x]
-    period = 0
     for _ in range(max_iter):
         x = eval_sphere(f, x)
         k = len(orbit)
-        lo = max(0, k - CYCLE_WINDOW)
-        for j in range(k - 1, lo - 1, -1):
-            if x.chordal(orbit[j]) < tol:
-                period = k - j
-                break
         orbit.append(x)
-        if period:
-            break
+        for j in range(k - 1, max(0, k - CYCLE_WINDOW) - 1, -1):
+            if x.chordal(orbit[j]) < tol:
+                return orbit, k - j
+    return orbit, 0
+
+
+def _report(f: RationalMap, orbit: list, period: int,
+            tol: float) -> Optional[CycleReport]:
+    """The cycle report of a walk, or None for a walk without a revisit."""
     if not period:
         return None
     preperiod = 0
@@ -102,63 +103,51 @@ def detect_cycle(f: RationalMap, start, tol: float = 1e-9,
     return CycleReport(orbit[0], preperiod, period, cycle, lam, _classify(lam))
 
 
-def _dedupe(points, tol: float = 1e-9):
-    out = []
-    for p in points:
-        if not any(p.chordal(q) < tol for q in out):
-            out.append(p)
-    return out
+def detect_cycle(f: RationalMap, start, tol: float = 1e-9,
+                 max_iter: int = 512) -> Optional[CycleReport]:
+    """Find the eventually periodic structure of an orbit, or None if the
+    orbit shows no revisit within max_iter (expected for Julia set starts)."""
+    return _report(f, *_walk(f, start, tol, max_iter), tol)
 
 
 def critical_portrait(f: RationalMap, tol: float = 1e-9,
                       max_iter: int = 512) -> CriticalPortrait:
-    """Orbit data for every critical point plus the derived finiteness flags.
+    """Orbit data for every critical point plus the derived finiteness flags,
+    all read off one walk per critical orbit.
+
+    The postcritical point f^i(c), i >= 1, has the cycle of c and preperiod
+    max(0, pre - i), so every postcritical point is periodic exactly when
+    every critical preperiod is at most 1.
 
     Flags are tri-state: None when some orbit stayed unresolved, so absence
     of evidence is reported as unknown rather than false.
     """
     crits = critical_points(f)
-    reports = [detect_cycle(f, c.point, tol, max_iter) for c in crits]
-    unresolved = any(r is None for r in reports)
+    walks = [_walk(f, c.point, tol, max_iter) for c in crits]
+    reports = [_report(f, orbit, period, tol) for orbit, period in walks]
+    crit_pts = [c.point for c in crits]
+    critical_cycle = [rep is not None and any(any(p.chordal(c) < tol for c in crit_pts)
+                                              for p in rep.cycle)
+                      for rep in reports]
 
     post: list[SpherePoint] = []
-    for c, rep in zip(crits, reports):
-        if rep is None:
-            # best effort: a bounded chunk of the orbit is still postcritical
-            x = c.point
-            for _ in range(CYCLE_WINDOW):
-                x = eval_sphere(f, x)
-                post.append(x)
-            continue
-        x = c.point
-        for _ in range(rep.preperiod + rep.period):
-            x = eval_sphere(f, x)
-            post.append(x)
-    post = _dedupe(post, tol)
+    feeds: list[bool] = []  # aligned with post: on a walk into a critical cycle
+    for (orbit, _), rep, in_q in zip(walks, reports, critical_cycle):
+        # an unresolved walk still gives a bounded chunk of postcritical points
+        stop = CYCLE_WINDOW if rep is None else rep.preperiod + rep.period
+        for p in orbit[1:stop + 1]:
+            if not any(p.chordal(q) < tol for q in post):
+                post.append(p)
+                feeds.append(in_q)
 
-    crit_pts = [c.point for c in crits]
-
-    def cycle_contains_critical(cycle) -> bool:
-        return any(any(p.chordal(c) < tol for c in crit_pts) for p in cycle)
-
-    q_subset: list[SpherePoint] = []
-    all_periodic: Optional[bool] = True
-    if unresolved:
-        critically_finite = None
-        hyperbolic = None
-        all_periodic = None
+    if any(rep is None for rep in reports):
+        critically_finite = hyperbolic = all_periodic = None
+        q_subset = []
     else:
         critically_finite = True
-        hyperbolic = all(cycle_contains_critical(r.cycle) for r in reports)
-        for p in post:
-            rep = detect_cycle(f, p, tol, max_iter)
-            if rep is None:
-                all_periodic = None
-                continue
-            if rep.preperiod > 0:
-                all_periodic = False
-            if cycle_contains_critical(rep.cycle):
-                q_subset.append(p)
+        hyperbolic = all(critical_cycle)
+        all_periodic = all(rep.preperiod <= 1 for rep in reports)
+        q_subset = [p for p, in_q in zip(post, feeds) if in_q]
 
     return CriticalPortrait(
         critical_points=tuple(crits),

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere import (Polynomial, SpherePoint, MoebiusTransform, as_sphere,
-                     coprime, hom_compose, moebius_conjugate, poly_roots)
+from .sphere import (Polynomial, SpherePoint, MoebiusTransform, _horner_rows,
+                     as_sphere, coprime, hom_compose, moebius_conjugate, poly_roots)
 
 COMPOSE_DEGREE_BOUND = 4096
 
@@ -92,7 +93,10 @@ def _cancel_common_roots(num: Polynomial, den: Polynomial) -> tuple[Polynomial, 
 
 
 def normalize(raw_num: Polynomial, raw_den: Polynomial) -> RationalMap:
-    """Reduce to lowest terms and validate; rejects maps of degree < 2."""
+    """Reduce to lowest terms and validate; rejects non-finite coefficients
+    and maps of degree < 2."""
+    if not all(cmath.isfinite(c) for c in raw_num.coeffs + raw_den.coeffs):
+        raise ValueError("coefficients must be finite")
     num = raw_num.trimmed(1e-14)
     den = raw_den.trimmed(1e-14)
     if num.is_zero or den.is_zero:
@@ -278,14 +282,6 @@ FIBER_MAX_ITER = 60
 FIBER_SEPARATION = 1e-3
 
 
-def _horner_rows(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row k of c (ascending coefficients) evaluated at every entry of row k of x."""
-    acc = c[:, -1:] * x + c[:, -2:-1]
-    for k in range(c.shape[1] - 3, -1, -1):
-        acc = acc * x + c[:, k:k + 1]
-    return acc
-
-
 def _cold_start(mono: np.ndarray) -> np.ndarray:
     """Points on the circle whose radius is the geometric mean of the root
     moduli of each monic row, at the fixed angular offset of poly_roots."""
@@ -368,6 +364,6 @@ def map_from_jsonable(obj: dict) -> RationalMap:
     try:
         num = Polynomial(tuple(complex(re, im) for re, im in obj["num"]))
         den = Polynomial(tuple(complex(re, im) for re, im in obj["den"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed map object: {exc}") from None
     return normalize(num, den)

@@ -294,6 +294,17 @@ def _initial_guesses(a: np.ndarray) -> np.ndarray:
     return z
 
 
+def _horner_rows(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row k of c (ascending coefficients) evaluated at every entry of row k
+    of x; a 1-D c is one row, for a 1-D x. Rows of one coefficient (the
+    derivative of a linear polynomial) come back as that constant, which
+    broadcasts against x."""
+    acc = c[..., -1:]
+    for k in range(c.shape[-1] - 2, -1, -1):
+        acc = acc * x + c[..., k:k + 1]
+    return acc
+
+
 def _aberth(coeffs: np.ndarray, tol_stop: float, max_iter: int) -> np.ndarray:
     """Simultaneous root iteration for a polynomial with nonzero constant term.
 
@@ -306,26 +317,19 @@ def _aberth(coeffs: np.ndarray, tol_stop: float, max_iter: int) -> np.ndarray:
     da = np.arange(1, n + 1) * a[1:]
     z = _initial_guesses(a)
     aa = np.abs(a)
-
-    def horner(c, x):
-        acc = np.zeros_like(x)
-        for ck in c[::-1]:
-            acc = acc * x + ck
-        return acc
-
     converged = np.zeros(n, dtype=bool)
     for _ in range(max_iter):
-        pv = horner(a, z)
+        pv = _horner_rows(a, z)
         bad = ~np.isfinite(pv)
         if bad.any():
             # evaluation overflowed: those iterates rocketed out, pull inward
             z = np.where(bad, 0.5 * z, z)
             continue
-        scale = horner(aa, np.abs(z)).real
+        scale = _horner_rows(aa, np.abs(z)).real
         converged = converged | (np.abs(pv) <= tol_stop * scale)
         if converged.all():
             return z
-        dv = horner(da, z)
+        dv = _horner_rows(da, z)
         dv = np.where(np.abs(dv) < 1e-300, 1e-300 + 0j, dv)
         newton = pv / dv
         diff = z[:, None] - z[None, :]
@@ -341,8 +345,8 @@ def _aberth(coeffs: np.ndarray, tol_stop: float, max_iter: int) -> np.ndarray:
         z = np.where(converged, z, z - step)
     # Accept a looser backward error before giving up; multiple roots stall
     # the per-point test even though the cluster centroid is fine.
-    pv = horner(a, z)
-    scale = horner(aa, np.abs(z)).real
+    pv = _horner_rows(a, z)
+    scale = _horner_rows(aa, np.abs(z)).real
     if np.all(np.abs(pv) <= 1e-8 * scale):
         return z
     raise RootFindingError("Aberth iteration did not converge", best=z)

@@ -8,18 +8,19 @@ runs the same registry. Checks are grouped so a single group can be run alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
 from . import basins as _basins
 from .catalog import (CATALOG_NAMES, by_name, paper_g, pseudo_basilica,
                       pseudo_rabbit_roots, solve_pinch_params)
-from .lifting import circle, lift_curve, sign_change_sequence
+from .lifting import LiftError, circle, lift_curve, sign_change_sequence
 from .orbits import critical_portrait, periodic_points
 from .ratmap import RationalMap, critical_points, eval_sphere, normalize
 from .rays import RayAngle, trace_orbit, separation_test
-from .sphere import SpherePoint, as_sphere, poly
+from .sphere import SpherePoint, as_sphere, chordal, poly
 
 
 @dataclass(frozen=True)
@@ -35,28 +36,19 @@ class Context:
     """Shared lazily-computed state so checks do not recompute the big rays
     and grids."""
 
-    def __init__(self):
-        self._cache: dict = {}
-
-    def _get(self, key: str, make: Callable):
-        if key not in self._cache:
-            self._cache[key] = make()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def g(self) -> RationalMap:
-        return self._get("g", paper_g)
+        return paper_g()
 
-    @property
+    @cached_property
     def portrait(self):
-        return self._get("portrait", lambda: critical_portrait(self.g))
+        return critical_portrait(self.g)
 
-    @property
+    @cached_property
     def traces(self) -> dict:
         # orbit closure of {0, 1/6, 5/6} covers 1/3 and 2/3 as well
-        return self._get("traces", lambda: trace_orbit(
-            self.g, SpherePoint.infinity(),
-            [RayAngle(0, 1), RayAngle(1, 6), RayAngle(5, 6)]))
+        return trace_orbit(self.g, SpherePoint.infinity(),
+                           [RayAngle(0, 1), RayAngle(1, 6), RayAngle(5, 6)])
 
     def landing(self, num: int, den: int) -> complex:
         tr = self.traces[RayAngle(num, den)]
@@ -64,16 +56,10 @@ class Context:
             raise RuntimeError(f"ray {tr.angle} did not land")
         return tr.landing
 
-    @property
+    @cached_property
     def grid(self) -> _basins.BasinGrid:
-        def make():
-            bounds = _basins.Bounds(-2.8, 2.8, -2.1, 2.1)
-            return _basins.classify_grid(self.g, self.portrait, bounds, (400, 400))
-        return self._get("grid", make)
-
-
-def _chordal(a, b) -> float:
-    return as_sphere(a).chordal(as_sphere(b))
+        bounds = _basins.Bounds(-2.8, 2.8, -2.1, 2.1)
+        return _basins.classify_grid(self.g, self.portrait, bounds, (400, 400))
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +76,9 @@ def check_portrait(ctx: Context):
                    if c.local_degree == ld)
         errs.append(best)
     # orbit 1 -> 0 -> -2 -> 0
-    chain = [_chordal(eval_sphere(g, SpherePoint.of(1.0)), 0.0),
-             _chordal(eval_sphere(g, SpherePoint.of(0.0)), -2.0),
-             _chordal(eval_sphere(g, SpherePoint.of(-2.0)), 0.0)]
+    chain = [chordal(eval_sphere(g, SpherePoint.of(1.0)), 0.0),
+             chordal(eval_sphere(g, SpherePoint.of(0.0)), -2.0),
+             chordal(eval_sphere(g, SpherePoint.of(-2.0)), 0.0)]
     pc_expected = [SpherePoint.infinity(), SpherePoint.of(0.0), SpherePoint.of(-2.0)]
     pc_ok = (len(port.postcritical) == 3 and
              all(min(q.chordal(p) for q in port.postcritical) < 1e-9
@@ -126,7 +112,7 @@ def check_rays(ctx: Context):
     e0 = abs(land0 - 2.0)
     p13, p23 = ctx.landing(1, 3), ctx.landing(2, 3)
     gap_co = abs(p13 - p23)
-    fixed_err = _chordal(eval_sphere(g, as_sphere(p13)), p13)
+    fixed_err = chordal(eval_sphere(g, as_sphere(p13)), p13)
     gap_16 = abs(ctx.landing(1, 6) - ctx.landing(5, 6))
     ok = e0 < 1e-6 and gap_co < 1e-6 and fixed_err < 1e-6 and gap_16 > 1e-2
     measured = (f"|R_0 - 2| {e0:.2e}, gap(1/3,2/3) {gap_co:.2e}, "
@@ -139,7 +125,7 @@ def check_preimages(ctx: Context):
     p = ctx.landing(1, 3)
     pre = [p, ctx.landing(1, 6), ctx.landing(5, 6)]
     min_sep = min(abs(a - b) for i, a in enumerate(pre) for b in pre[i + 1:])
-    img_err = max(_chordal(eval_sphere(g, as_sphere(z)), p) for z in pre)
+    img_err = max(chordal(eval_sphere(g, as_sphere(z)), p) for z in pre)
     ok = min_sep > 1e-3 and img_err < 1e-6
     measured = f"3 preimages, min separation {min_sep:.3g}, image err {img_err:.2e}"
     return ok, measured, "separation > 1e-3, images within 1e-6 of p"
@@ -274,7 +260,7 @@ def check_properties(ctx: Context):
         omega = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         try:
             ls = lift_curve(f, circle(center, radius, 48), omega)
-        except Exception:
+        except (LiftError, ArithmeticError):
             continue
         if sum(l.degree for l in ls.lifts) == f.degree:
             lift_ok += 1
@@ -290,7 +276,7 @@ def check_properties(ctx: Context):
         sub = tr.sublevels
         for q in range(sub, len(tr.samples)):
             w = eval_sphere(g, as_sphere(tr.samples[q]))
-            worst_fun = max(worst_fun, _chordal(w, img.samples[q - sub]))
+            worst_fun = max(worst_fun, chordal(w, img.samples[q - sub]))
     ok &= worst_fun < 1e-6
     parts.append(f"ray functoriality {worst_fun:.2e}")
 

@@ -153,6 +153,29 @@ def test_map_loading_from_json_file(capsys, tmp_path):
     assert doc["critically_finite"] is True
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "Is a directory"),
+    ("{not json", "Expecting property name"),
+    ("[" * 100000, "recursion depth"),
+    ('{"num": [[1, 0]]}', "malformed map object"),
+    ('{"num": [[1' + "0" * 400 + ', 0], [0, 0], [1, 0]], "den": [[1, 0]]}', "too large"),
+    ('{"num": [[NaN, 0], [0, 0], [1, 0]], "den": [[1, 0]]}', "coefficients must be finite"),
+    ('{"num": [[0, 0], [0, 0], [1, 0]], "den": [[Infinity, 0]]}', "coefficients must be finite"),
+    ('{"num": [[0, 0], [1, 0]], "den": [[1, 0]]}', "degree 1"),
+], ids=["unreadable", "not-json", "too-deep", "malformed", "huge", "nan", "infinity", "degree-1"])
+def test_bad_map_files_are_usage_errors(capsys, tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    if text is None:
+        path.mkdir()  # exists, but cannot be opened as a file
+    else:
+        path.write_text(text)
+    code, out, err = _run(capsys, ["portrait", "--map", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: --map: ")
+    assert message in err
+
+
 def test_render_writes_ppm(capsys, tmp_path):
     out_path = tmp_path / "basins.ppm"
     args = ["render", "--map", "paper-g", "--resolution", "80x60",

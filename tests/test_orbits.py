@@ -2,15 +2,17 @@ import cmath
 import math
 
 import numpy as np
+import pytest
 
-from fatou.catalog import paper_g, pseudo_basilica
+import fatou.orbits
+from fatou.catalog import by_name, paper_g, pseudo_basilica
 from fatou.orbits import (
     critical_portrait,
     cycle_multiplier,
     detect_cycle,
     periodic_points,
 )
-from fatou.ratmap import Polynomial, normalize
+from fatou.ratmap import Polynomial, critical_points, normalize
 from fatou.sphere import MoebiusTransform, SpherePoint
 
 
@@ -186,6 +188,45 @@ def test_paper_g_portrait_flags():
     for c, rep in zip(port.critical_points, port.orbits):
         assert rep is not None
         assert rep.start.chordal(c.point) < 1e-12
+
+
+@pytest.mark.parametrize("name, calls", [("paper-g", 6), ("pseudo-rabbit:3:0", 8)])
+def test_portrait_evaluates_the_map_only_along_the_critical_walks(monkeypatch, name, calls):
+    f = by_name(name)
+    crit = critical_points(f)
+    evaluate = fatou.orbits.eval_sphere
+    seen = []
+
+    def counted(g, x):
+        seen.append(x)
+        return evaluate(g, x)
+    monkeypatch.setattr(fatou.orbits, "eval_sphere", counted)
+    for c in crit:
+        detect_cycle(f, c.point)
+    walks = len(seen)
+    seen.clear()
+    critical_portrait(f)
+    assert len(seen) == walks == calls
+
+
+@pytest.mark.parametrize("c, flags, n_post, n_q", [
+    (1j, (True, False, False), 4, 1),  # 0 -> i -> -1+i <-> -i, repelling
+    (-2.0, (True, False, False), 3, 1),  # 0 -> -2 -> 2 -> 2, repelling
+    (-1.0, (True, True, True), 3, 3),  # 0 <-> -1, superattracting
+])
+def test_portrait_flags_survive_moebius_conjugation(c, flags, n_post, n_q):
+    f = normalize(Polynomial((c, 0.0, 1.0)), Polynomial((1.0,)))
+    rng = np.random.default_rng(8)
+    maps = [f]
+    while len(maps) < 11:
+        a, b, cc, d = rng.normal(size=4) + 1j * rng.normal(size=4)
+        if abs(a * d - b * cc) > 1e-2:
+            maps.append(f.conjugate_by(MoebiusTransform(a, b, cc, d)))
+    for h in maps:
+        port = critical_portrait(h)
+        assert (port.critically_finite, port.hyperbolic,
+                port.all_postcritical_periodic) == flags
+        assert (len(port.postcritical), len(port.q_subset)) == (n_post, n_q)
 
 
 def test_portrait_unresolved_orbit_gives_none_flags():

@@ -46,6 +46,14 @@ def test_normalize_rejects_zero_denominator():
         normalize(poly(1.0, 1.0, 1.0), poly(0.0))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("-inf"))])
+def test_normalize_rejects_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        normalize(poly(bad, 0.0, 1.0), poly(1.0))
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        normalize(poly(0.0, 0.0, 1.0), poly(1.0, bad))
+
+
 def test_eval_special_points():
     g = paper_g()
     assert eval_sphere(g, as_sphere(0.0)).to_complex() == pytest.approx(-2.0)
