@@ -300,16 +300,14 @@ def default_palette(grid: BasinGrid) -> dict:
     return palette
 
 
-def render_ppm(grid: BasinGrid, palette: Optional[dict] = None) -> bytes:
-    """Binary PPM (P6) image of the grid; unresolved cells are black.
-
-    Byte-for-byte deterministic for a given grid and palette.
+def render_ppm(grid: BasinGrid) -> bytes:
+    """Binary PPM (P6) image of the grid in default_palette; unresolved cells
+    are black. Byte-for-byte deterministic for a given grid.
     """
-    palette = default_palette(grid) if palette is None else palette
     n_cycles = len(grid.cycles)
     max_phase = max(len(c) for c in grid.cycles)
     lut = np.zeros((n_cycles + 1, max_phase, 3), dtype=np.uint8)
-    for (ci, pi), rgb in palette.items():
+    for (ci, pi), rgb in default_palette(grid).items():
         lut[ci + 1, pi] = rgb
     cid = np.clip(grid.cycle_id.astype(np.int32) + 1, 0, n_cycles)
     ph = np.clip(grid.phase.astype(np.int32), 0, max_phase - 1)

@@ -62,7 +62,7 @@ def pseudo_rabbit_condition(d: int = 3) -> Polynomial:
     return hom_compose(num, a, b, num.degree)
 
 
-def pseudo_rabbit_roots(d: int = 3, tol: float = 1e-10) -> list[complex]:
+def pseudo_rabbit_roots(d: int = 3) -> list[complex]:
     """Parameters r with g_r^3(0) = 0 and g_r(0) != 0, sorted by (re, im).
 
     Each candidate root of the cleared condition polynomial is validated
@@ -70,7 +70,7 @@ def pseudo_rabbit_roots(d: int = 3, tol: float = 1e-10) -> list[complex]:
     """
     cond = pseudo_rabbit_condition(d)
     roots = []
-    for r, _ in poly_roots(cond, tol):
+    for r, _ in poly_roots(cond):
         if abs(r) < 1e-6:
             continue  # g_r(0) = -r must be nonzero
         g = pseudo_rabbit_map(d, r)

@@ -66,9 +66,6 @@ class OrientedPolyCurve:
     def distance_to(self, p: complex) -> float:
         return point_polyline_distance(p, self.vertices)
 
-    def reversed(self) -> "OrientedPolyCurve":
-        return OrientedPolyCurve(tuple(reversed(self.vertices)))
-
 
 def circle(center: complex, radius: float, n: int = 64,
            clockwise: bool = False) -> OrientedPolyCurve:

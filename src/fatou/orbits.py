@@ -7,12 +7,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .sphere import Polynomial, SpherePoint, as_sphere, poly_roots
-from .ratmap import (RationalMap, compose_self, critical_points, eval_sphere,
-                     hom_eval)
+from .ratmap import (LEAD_TRIM, RationalMap, compose_self, critical_points,
+                     eval_sphere, hom_eval)
 
 SUPER_TOL = 1e-8
 INDIFFERENT_BAND = 1e-6
 CYCLE_WINDOW = 64
+CYCLE_TOL = 1e-9  # chordal distance at which an orbit point revisits another
 
 
 @dataclass(frozen=True)
@@ -74,10 +75,10 @@ def cycle_multiplier(f: RationalMap, cycle) -> complex:
     return lam
 
 
-def _walk(f: RationalMap, start, tol: float, max_iter: int) -> tuple[list, int]:
-    """The orbit of start up to its first revisit, within tol of one of the
-    CYCLE_WINDOW points before it, and the revisit's period; period 0 when
-    max_iter steps bring none."""
+def _walk(f: RationalMap, start, max_iter: int) -> tuple[list, int]:
+    """The orbit of start up to its first revisit, within CYCLE_TOL of one of
+    the CYCLE_WINDOW points before it, and the revisit's period; period 0
+    when max_iter steps bring none."""
     x = as_sphere(start)
     orbit = [x]
     for _ in range(max_iter):
@@ -85,33 +86,30 @@ def _walk(f: RationalMap, start, tol: float, max_iter: int) -> tuple[list, int]:
         k = len(orbit)
         orbit.append(x)
         for j in range(k - 1, max(0, k - CYCLE_WINDOW) - 1, -1):
-            if x.chordal(orbit[j]) < tol:
+            if x.chordal(orbit[j]) < CYCLE_TOL:
                 return orbit, k - j
     return orbit, 0
 
 
-def _report(f: RationalMap, orbit: list, period: int,
-            tol: float) -> Optional[CycleReport]:
+def _report(f: RationalMap, orbit: list, period: int) -> Optional[CycleReport]:
     """The cycle report of a walk, or None for a walk without a revisit."""
     if not period:
         return None
     preperiod = 0
-    while orbit[preperiod].chordal(orbit[preperiod + period]) >= tol:
+    while orbit[preperiod].chordal(orbit[preperiod + period]) >= CYCLE_TOL:
         preperiod += 1
     cycle = tuple(orbit[preperiod:preperiod + period])
     lam = cycle_multiplier(f, cycle)
     return CycleReport(orbit[0], preperiod, period, cycle, lam, _classify(lam))
 
 
-def detect_cycle(f: RationalMap, start, tol: float = 1e-9,
-                 max_iter: int = 512) -> Optional[CycleReport]:
+def detect_cycle(f: RationalMap, start, max_iter: int = 512) -> Optional[CycleReport]:
     """Find the eventually periodic structure of an orbit, or None if the
     orbit shows no revisit within max_iter (expected for Julia set starts)."""
-    return _report(f, *_walk(f, start, tol, max_iter), tol)
+    return _report(f, *_walk(f, start, max_iter))
 
 
-def critical_portrait(f: RationalMap, tol: float = 1e-9,
-                      max_iter: int = 512) -> CriticalPortrait:
+def critical_portrait(f: RationalMap, max_iter: int = 512) -> CriticalPortrait:
     """Orbit data for every critical point plus the derived finiteness flags,
     all read off one walk per critical orbit.
 
@@ -123,10 +121,10 @@ def critical_portrait(f: RationalMap, tol: float = 1e-9,
     of evidence is reported as unknown rather than false.
     """
     crits = critical_points(f)
-    walks = [_walk(f, c.point, tol, max_iter) for c in crits]
-    reports = [_report(f, orbit, period, tol) for orbit, period in walks]
+    walks = [_walk(f, c.point, max_iter) for c in crits]
+    reports = [_report(f, orbit, period) for orbit, period in walks]
     crit_pts = [c.point for c in crits]
-    critical_cycle = [rep is not None and any(any(p.chordal(c) < tol for c in crit_pts)
+    critical_cycle = [rep is not None and any(any(p.chordal(c) < CYCLE_TOL for c in crit_pts)
                                               for p in rep.cycle)
                       for rep in reports]
 
@@ -136,7 +134,7 @@ def critical_portrait(f: RationalMap, tol: float = 1e-9,
         # an unresolved walk still gives a bounded chunk of postcritical points
         stop = CYCLE_WINDOW if rep is None else rep.preperiod + rep.period
         for p in orbit[1:stop + 1]:
-            if not any(p.chordal(q) < tol for q in post):
+            if not any(p.chordal(q) < CYCLE_TOL for q in post):
                 post.append(p)
                 feeds.append(in_q)
 
@@ -160,8 +158,7 @@ def critical_portrait(f: RationalMap, tol: float = 1e-9,
     )
 
 
-def periodic_points(f: RationalMap, period: int,
-                    tol: float = 1e-9) -> list[PeriodicPoint]:
+def periodic_points(f: RationalMap, period: int) -> list[PeriodicPoint]:
     """All fixed points of f^period, counted with multiplicity.
 
     There are degree^period + 1 of them on the sphere. Points whose true
@@ -173,7 +170,7 @@ def periodic_points(f: RationalMap, period: int,
     fp = compose_self(f, period)
     num, den = fp.num, fp.den
     dp = f.degree ** period
-    phi = (num - Polynomial((0.0, 1.0)) * den).trimmed(1e-12)
+    phi = (num - Polynomial((0.0, 1.0)) * den).trimmed(LEAD_TRIM)
     out: list[PeriodicPoint] = []
     pts: list[tuple[SpherePoint, int]] = []
     if phi.degree >= 1:
@@ -189,7 +186,7 @@ def periodic_points(f: RationalMap, period: int,
         x = p
         for q in range(1, period):
             x = eval_sphere(f, x)
-            if period % q == 0 and x.chordal(p) < math.sqrt(tol):
+            if period % q == 0 and x.chordal(p) < math.sqrt(CYCLE_TOL):
                 minimal = q
                 break
         out.append(PeriodicPoint(p, m, minimal))

@@ -5,13 +5,16 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .sphere import (Polynomial, SpherePoint, MoebiusTransform, _horner_rows,
-                     as_sphere, coprime, hom_compose, moebius_conjugate, poly_roots)
+from .sphere import (ROOT_TOL, STOP_TOL, ZERO_TOL, Polynomial, SpherePoint,
+                     MoebiusTransform, _horner_rows, as_sphere, coprime, hom_compose,
+                     moebius_conjugate, poly_roots)
 
 COMPOSE_DEGREE_BOUND = 4096
+LEAD_TRIM = 1e-12  # top coefficients this small (relative) stand for roots at infinity
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,13 @@ class RationalMap:
     @property
     def degree(self) -> int:
         return max(self.num.degree, self.den.degree)
+
+    @cached_property
+    def pair(self) -> tuple[tuple, tuple]:
+        """num and den padded to d + 1 coefficients (a, b), ascending: the
+        homogeneous pair P = sum a_k z^k w^(d-k), Q = sum b_k z^k w^(d-k)."""
+        n = self.degree + 1
+        return tuple(p.coeffs + (0j,) * (n - len(p.coeffs)) for p in (self.num, self.den))
 
     def __call__(self, x) -> SpherePoint:
         return eval_sphere(self, x)
@@ -97,10 +107,15 @@ def normalize(raw_num: Polynomial, raw_den: Polynomial) -> RationalMap:
     and maps of degree < 2."""
     if not all(cmath.isfinite(c) for c in raw_num.coeffs + raw_den.coeffs):
         raise ValueError("coefficients must be finite")
-    num = raw_num.trimmed(1e-14)
-    den = raw_den.trimmed(1e-14)
+    num = raw_num.trimmed(ZERO_TOL)
+    den = raw_den.trimmed(ZERO_TOL)
     if num.is_zero or den.is_zero:
         raise ValueError("numerator and denominator must both be nonzero")
+    deg = max(num.degree, den.degree)
+    if deg < 2:
+        trim = ("" if deg == max(raw_num.degree, raw_den.degree) else
+                f" after dropping coefficients at most {ZERO_TOL:g} times the largest")
+        raise ValueError(f"map has degree {deg}{trim}; need >= 2")
     if not coprime(num, den):
         # rank test is suspicious; root matching settles it either way
         num, den = _cancel_common_roots(num, den)
@@ -122,20 +137,20 @@ def from_coeffs(num, den) -> RationalMap:
 def eval_sphere(f: RationalMap, x) -> SpherePoint:
     """Total evaluation: poles go to infinity, infinity through the other chart.
 
-    Works on the homogenizations P, Q of num, den to degree d, evaluated
-    stably in whichever affine chart the input lies in.
+    Horner on the pair (P, Q) in whichever affine chart the input lies in:
+    (P, Q)(t, 1) with t = z/w when |t| <= 1, else (P, Q)(1, t) with t = w/z.
     """
     pt = as_sphere(x)
-    d = f.degree
+    a, b = f.pair
     if abs(pt.w) >= abs(pt.z):
-        # P(z, w) = w^d num(z/w), Q(z, w) = w^d den(z/w); the w^d cancels.
-        t = pt.z / pt.w  # |t| <= 1
-        pv = f.num(t)
-        qv = f.den(t)
+        t, a, b = pt.z / pt.w, reversed(a), reversed(b)
     else:
-        s = pt.w / pt.z  # |s| < 1, reversal chart
-        pv = f.num.reversed_to(d)(s)
-        qv = f.den.reversed_to(d)(s)
+        t = pt.w / pt.z
+    pv = qv = 0j
+    for c in a:
+        pv = pv * t + c
+    for c in b:
+        qv = qv * t + c
     if pv == 0 and qv == 0:
         raise ArithmeticError("indeterminate evaluation; map not in lowest terms")
     return SpherePoint(pv, qv)
@@ -149,8 +164,7 @@ def hom_eval(f: RationalMap, z, w, partials: bool = False):
     serves both. Unlike eval_sphere this neither normalizes nor picks a chart.
     """
     d = f.degree
-    a = f.num.coeffs + (0j,) * (d + 1 - len(f.num.coeffs))
-    b = f.den.coeffs + (0j,) * (d + 1 - len(f.den.coeffs))
+    a, b = f.pair
     p, q, wk = a[d], b[d], 1.0  # wk = w^(d-k) after step k
     pz = pw = qz = qw = 0j
     for k in range(d - 1, -1, -1):
@@ -197,24 +211,23 @@ def critical_points(f: RationalMap) -> list[CriticalPoint]:
     """Critical points with local degrees; sum of (local_degree - 1) is 2d - 2.
 
     Finite critical points are the Wronskian roots (a pole of order k shows up
-    with multiplicity k - 1 there, which is its correct local degree). The
-    point at infinity is inspected after conjugating by 1/z.
+    with multiplicity k - 1 there, which is its correct local degree). In the
+    chart s = 1/z the Wronskian of 1/f(1/s) is s^(2d-2) W(1/s), so the order
+    of infinity is the number of top coefficients of W, padded to degree
+    2d - 2, at most 1e-9 times its largest.
     """
     d = f.degree
     out: list[CriticalPoint] = []
-    w = f.wronskian().trimmed(1e-12)
+    full = f.wronskian()
+    w = full.trimmed(LEAD_TRIM)
     if w.is_zero:
         raise ValueError("degenerate map: vanishing Wronskian")
     if w.degree >= 1:
         for r, m in poly_roots(w):
             out.append(CriticalPoint(SpherePoint.of(r), m + 1))
-    # behavior at infinity via the inversion chart
-    conj_num = f.den.reversed_to(d)
-    conj_den = f.num.reversed_to(d)
-    w_inf = (conj_num.deriv() * conj_den - conj_num * conj_den.deriv())
-    scale = w_inf.max_abs_coeff()
-    order = 0
-    for c in w_inf.coeffs:
+    scale = full.max_abs_coeff()
+    order = 2 * d - 2 - full.degree
+    for c in reversed(full.coeffs):
         if abs(c) <= 1e-9 * scale:
             order += 1
         else:
@@ -258,11 +271,8 @@ def preimages(f: RationalMap, v) -> list[tuple[SpherePoint, int]]:
     """Solutions of f(x) = v with multiplicities summing to deg(f)."""
     target = as_sphere(v)
     d = f.degree
-    pad = d + 1
-    a = list(f.num.coeffs) + [0j] * (pad - len(f.num.coeffs))
-    b = list(f.den.coeffs) + [0j] * (pad - len(f.den.coeffs))
-    phi = Polynomial(tuple(target.w * a[k] - target.z * b[k] for k in range(pad)))
-    phi = phi.trimmed(1e-12)
+    phi = Polynomial(tuple(target.w * ak - target.z * bk for ak, bk in zip(*f.pair)))
+    phi = phi.trimmed(LEAD_TRIM)
     if phi.is_zero:
         raise ArithmeticError("degenerate fiber; map not in lowest terms")
     out: list[tuple[SpherePoint, int]] = []
@@ -307,14 +317,11 @@ def fibers(f: RationalMap, targets, warm=None) -> tuple[np.ndarray, np.ndarray]:
     """
     z = np.asarray(targets, dtype=complex).reshape(-1)
     d = f.degree
-    a = np.zeros(d + 1, dtype=complex)
-    b = np.zeros(d + 1, dtype=complex)
-    a[:len(f.num.coeffs)] = f.num.coeffs
-    b[:len(f.den.coeffs)] = f.den.coeffs
+    a, b = np.array(f.pair)
     phi = a[None, :] - z[:, None] * b[None, :]
     mag = np.abs(phi)
     size = mag.max(axis=1)
-    ok = np.isfinite(size) & (mag[:, d] > 1e-12 * size) & (mag[:, 0] > 1e-14 * size)
+    ok = np.isfinite(size) & (mag[:, d] > LEAD_TRIM * size) & (mag[:, 0] > ZERO_TOL * size)
     mono = np.where(ok[:, None], phi / np.where(ok, phi[:, d], 1.0)[:, None], 1.0)
     mono_abs = np.abs(mono)
     dmono = mono[:, 1:] * np.arange(1, d + 1)
@@ -331,7 +338,7 @@ def fibers(f: RationalMap, targets, warm=None) -> tuple[np.ndarray, np.ndarray]:
         for _ in range(FIBER_MAX_ITER):
             pv = _horner_rows(mono, x)
             # a non-finite iterate stops too; the residual test rejects it below
-            done |= (np.abs(pv) <= 1e-13 * _horner_rows(mono_abs, np.abs(x))) | ~np.isfinite(pv)
+            done |= (np.abs(pv) <= STOP_TOL * _horner_rows(mono_abs, np.abs(x))) | ~np.isfinite(pv)
             if done.all():
                 break
             newton = pv / _horner_rows(dmono, x)
@@ -344,7 +351,7 @@ def fibers(f: RationalMap, targets, warm=None) -> tuple[np.ndarray, np.ndarray]:
         gap = np.abs(x[:, :, None] - x[:, None, :])
         gap[:, diag, diag] = np.inf
         ok &= (done.all(axis=1)
-               & (residual <= 1e-10 * _horner_rows(mono_abs, mod)).all(axis=1)
+               & (residual <= ROOT_TOL * _horner_rows(mono_abs, mod)).all(axis=1)
                & (gap > FIBER_SEPARATION * (1.0 + np.maximum(mod[:, :, None], mod[:, None, :])))
                .all(axis=(1, 2)))
     return np.sort(x, axis=1), ok
@@ -362,8 +369,10 @@ def map_to_jsonable(f: RationalMap) -> dict:
 
 def map_from_jsonable(obj: dict) -> RationalMap:
     try:
-        num = Polynomial(tuple(complex(re, im) for re, im in obj["num"]))
-        den = Polynomial(tuple(complex(re, im) for re, im in obj["den"]))
+        num, den = (Polynomial(tuple(complex(re, im) for re, im in obj[key]))
+                    for key in ("num", "den"))
+        if any(type(x) is bool for key in ("num", "den") for c in obj[key] for x in c):
+            raise TypeError("coefficients must be numbers, not booleans")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed map object: {exc}") from None
     return normalize(num, den)

@@ -190,7 +190,7 @@ def _trace_at_infinity(f: RationalMap, m: int, orbit: list[RayAngle], potentials
 
 
 def trace_orbit(f: RationalMap, basin_fixed_point, angles, depth: int = DEFAULT_DEPTH,
-                r0: float = DEFAULT_R0, landing_tol: float = LANDING_TOL) -> dict:
+                r0: float = DEFAULT_R0) -> dict:
     """Traces of every ray in the forward angle orbit of the given angles.
 
     Keys of the returned dict are RayAngle instances. Raises AngleOrbitError
@@ -235,7 +235,7 @@ def trace_orbit(f: RationalMap, basin_fixed_point, angles, depth: int = DEFAULT_
     traces = {}
     for t, chain in chains.items():
         # landing is decided in the chart the rays were traced in
-        landed = tail_diameter(chain) < landing_tol
+        landed = tail_diameter(chain) < LANDING_TOL
         if back is not None:
             chain = [back + 1.0 / u for u in chain]
         traces[t] = RayTrace(t, tuple(chain), potentials, landed,
@@ -244,17 +244,17 @@ def trace_orbit(f: RationalMap, basin_fixed_point, angles, depth: int = DEFAULT_
 
 
 def trace_ray(f: RationalMap, basin_fixed_point, t, depth: int = DEFAULT_DEPTH,
-              r0: float = DEFAULT_R0, landing_tol: float = LANDING_TOL) -> RayTrace:
+              r0: float = DEFAULT_R0) -> RayTrace:
     """Trace one ray; see trace_orbit for the mechanics."""
     t = _as_angle(t)
-    return trace_orbit(f, basin_fixed_point, [t], depth, r0, landing_tol)[t]
+    return trace_orbit(f, basin_fixed_point, [t], depth, r0)[t]
 
 
-def _landed_pair(f: RationalMap, basin_fixed_point, t1, t2, depth: int, r0: float,
-                 landing_tol: float) -> tuple[RayTrace, RayTrace]:
+def _landed_pair(f: RationalMap, basin_fixed_point, t1, t2, depth: int,
+                 r0: float) -> tuple[RayTrace, RayTrace]:
     """Joint traces of two rays; raises RayLandingError if either fails to land."""
     t1, t2 = _as_angle(t1), _as_angle(t2)
-    traces = trace_orbit(f, basin_fixed_point, [t1, t2], depth, r0, landing_tol)
+    traces = trace_orbit(f, basin_fixed_point, [t1, t2], depth, r0)
     tr1, tr2 = traces[t1], traces[t2]
     for tr in (tr1, tr2):
         if not tr.landed:
@@ -263,20 +263,20 @@ def _landed_pair(f: RationalMap, basin_fixed_point, t1, t2, depth: int, r0: floa
     return tr1, tr2
 
 
-def coland(f: RationalMap, basin_fixed_point, t1, t2, tol: float = LANDING_TOL,
-           depth: int = DEFAULT_DEPTH, r0: float = DEFAULT_R0) -> bool:
-    """Whether the two rays land at the same point (within tol).
+def coland(f: RationalMap, basin_fixed_point, t1, t2, depth: int = DEFAULT_DEPTH,
+           r0: float = DEFAULT_R0) -> bool:
+    """Whether the two rays land at the same point (within LANDING_TOL).
 
     Raises RayLandingError if either ray fails to land; an unlanded ray is
     never reported as not co-landing.
     """
-    tr1, tr2 = _landed_pair(f, basin_fixed_point, t1, t2, depth, r0, tol)
-    return abs(tr1.landing - tr2.landing) < tol
+    tr1, tr2 = _landed_pair(f, basin_fixed_point, t1, t2, depth, r0)
+    return abs(tr1.landing - tr2.landing) < LANDING_TOL
 
 
 def separation_test(f: RationalMap, basin_fixed_point, t1, t2, a: complex,
-                    b: complex, depth: int = DEFAULT_DEPTH, r0: float = DEFAULT_R0,
-                    landing_tol: float = LANDING_TOL) -> bool:
+                    b: complex, depth: int = DEFAULT_DEPTH,
+                    r0: float = DEFAULT_R0) -> bool:
     """Whether the closed curve R_t1 + landing + R_t2, closed up across the
     basin's fixed point, separates a from b. Decided by winding parity.
 
@@ -284,9 +284,9 @@ def separation_test(f: RationalMap, basin_fixed_point, t1, t2, a: complex,
     the curve (within a relative 1e-9).
     """
     a, b = complex(a), complex(b)
-    tr1, tr2 = _landed_pair(f, basin_fixed_point, t1, t2, depth, r0, landing_tol)
+    tr1, tr2 = _landed_pair(f, basin_fixed_point, t1, t2, depth, r0)
     gap = abs(tr1.landing - tr2.landing)
-    if gap > landing_tol:
+    if gap > LANDING_TOL:
         raise RayLandingError(f"rays do not co-land (gap {gap:.3g})")
     joint = 0.5 * (tr1.landing + tr2.landing)
 

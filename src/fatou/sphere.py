@@ -18,6 +18,14 @@ import numpy as np
 
 # |w| below this (after max-modulus normalization) counts as the point at infinity.
 _INF_TOL = 1e-11
+# Root finding: coefficients at most ZERO_TOL times the largest are trimmed at
+# the top and deflated as roots at the origin; an Aberth iterate stops at
+# backward error STOP_TOL within MAX_ITER sweeps; a root is kept at ROOT_TOL.
+ZERO_TOL = 1e-14
+STOP_TOL = 1e-13
+ROOT_TOL = 1e-10
+MAX_ITER = 600
+COPRIME_TOL = 1e-10  # least over largest Sylvester singular value of a coprime pair
 
 
 class RootFindingError(ArithmeticError):
@@ -191,13 +199,6 @@ class Polynomial:
             cs.pop()
         return Polynomial(tuple(cs))
 
-    def reversed_to(self, n: int) -> "Polynomial":
-        """Coefficient reversal z^n p(1/z); pads with zeros up to degree n."""
-        if n < self.degree:
-            raise ValueError("reversal degree below polynomial degree")
-        cs = list(self.coeffs) + [0j] * (n - self.degree)
-        return Polynomial(tuple(reversed(cs)))
-
     def __repr__(self):
         if self.is_zero:
             return "Polynomial(0)"
@@ -238,7 +239,7 @@ def _sylvester(p: Polynomial, q: Polynomial) -> np.ndarray:
     return s
 
 
-def coprime(p: Polynomial, q: Polynomial, rel_tol: float = 1e-10) -> bool:
+def coprime(p: Polynomial, q: Polynomial) -> bool:
     """Approximate coprimality by the numerical rank of the Sylvester matrix.
 
     A common factor makes the matrix rank-deficient, so the test compares the
@@ -252,7 +253,7 @@ def coprime(p: Polynomial, q: Polynomial, rel_tol: float = 1e-10) -> bool:
     sv = np.linalg.svd(_sylvester(p, q), compute_uv=False)
     if sv[0] == 0.0:
         return False
-    return sv[-1] > rel_tol * sv[0]
+    return sv[-1] > COPRIME_TOL * sv[0]
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +306,7 @@ def _horner_rows(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _aberth(coeffs: np.ndarray, tol_stop: float, max_iter: int) -> np.ndarray:
+def _aberth(coeffs: np.ndarray) -> np.ndarray:
     """Simultaneous root iteration for a polynomial with nonzero constant term.
 
     coeffs ascending, length n+1, monic not required. Deterministic: fixed
@@ -318,7 +319,7 @@ def _aberth(coeffs: np.ndarray, tol_stop: float, max_iter: int) -> np.ndarray:
     z = _initial_guesses(a)
     aa = np.abs(a)
     converged = np.zeros(n, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         pv = _horner_rows(a, z)
         bad = ~np.isfinite(pv)
         if bad.any():
@@ -326,7 +327,7 @@ def _aberth(coeffs: np.ndarray, tol_stop: float, max_iter: int) -> np.ndarray:
             z = np.where(bad, 0.5 * z, z)
             continue
         scale = _horner_rows(aa, np.abs(z)).real
-        converged = converged | (np.abs(pv) <= tol_stop * scale)
+        converged = converged | (np.abs(pv) <= STOP_TOL * scale)
         if converged.all():
             return z
         dv = _horner_rows(da, z)
@@ -377,16 +378,16 @@ def _mult_estimates(cs: Sequence[complex], points: Sequence[complex]) -> list[in
     return out
 
 
-def _cluster(points: Sequence[complex], tol: float,
+def _cluster(points: Sequence[complex],
              ests: Optional[Sequence[int]] = None) -> list[tuple[complex, int]]:
     """Agglomerate approximations into (centroid, multiplicity) clusters.
 
-    Two clusters merge while their centroids sit within 3 * tol^(1/m) of each
-    other; the stall radius of the iteration near an m-fold root scales like
-    tol^(1/m), the factor 3 is slack. m is the merged size, or the local
-    multiplicity estimate when both sides agree it is larger: the iterates of
-    an m-fold root stall on a circle whose radius already reflects m, so a
-    size-based radius alone never starts the merge.
+    Two clusters merge while their centroids sit within 3 * ROOT_TOL^(1/m) of
+    each other; the stall radius of the iteration near an m-fold root scales
+    like ROOT_TOL^(1/m), the factor 3 is slack. m is the merged size, or the
+    local multiplicity estimate when both sides agree it is larger: the
+    iterates of an m-fold root stall on a circle whose radius already reflects
+    m, so a size-based radius alone never starts the merge.
     """
     if ests is None:
         ests = [1] * len(points)
@@ -404,7 +405,7 @@ def _cluster(points: Sequence[complex], tol: float,
         m = clusters[i][1] + clusters[j][1]
         m_eff = max(m, min(clusters[i][2], clusters[j][2]))
         local = 1.0 + max(abs(clusters[i][0]), abs(clusters[j][0]))
-        if d <= 3.0 * (tol ** (1.0 / m_eff)) * local:
+        if d <= 3.0 * (ROOT_TOL ** (1.0 / m_eff)) * local:
             ci, mi, ei = clusters[i]
             cj, mj, ej = clusters[j]
             clusters[i] = [(ci * mi + cj * mj) / m, m, max(ei, ej)]
@@ -435,34 +436,30 @@ def _polish(p: Polynomial, root: complex, mult: int) -> complex:
     return z if abs(z - root) <= 1e-2 * (1.0 + abs(root)) else root
 
 
-def poly_roots(p: Polynomial, tol: float = 1e-10,
-               max_iter: int = 600) -> list[tuple[complex, int]]:
+def poly_roots(p: Polynomial) -> list[tuple[complex, int]]:
     """All roots of p with multiplicities; multiplicities sum to deg(p).
 
     Deterministic. Raises RootFindingError on non-convergence and ValueError
-    for degree < 1 or a non-positive tolerance.
+    for degree < 1.
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
-    work = p.trimmed(1e-14)
+    work = p.trimmed(ZERO_TOL)
     if work.degree < 1:
         raise ValueError("root extraction needs degree >= 1")
     scale = work.max_abs_coeff()
     cs = [c / scale for c in work.coeffs]
     # deflate roots at the origin exactly: leading ascending near-zeros
     k0 = 0
-    while k0 < len(cs) - 1 and abs(cs[k0]) <= 1e-14:
+    while k0 < len(cs) - 1 and abs(cs[k0]) <= ZERO_TOL:
         k0 += 1
     cs = cs[k0:]
     found: list[tuple[complex, int]] = []
     if len(cs) > 1:
-        tol_stop = max(tol * 1e-3, 5e-15)
-        approx = _aberth(np.asarray(cs, dtype=complex), tol_stop, max_iter)
+        approx = _aberth(np.asarray(cs, dtype=complex))
         ests = _mult_estimates(cs, list(approx))
-        found.extend(_cluster(list(approx), tol, ests))
+        found.extend(_cluster(list(approx), ests))
     if k0:
         found.append((0j, k0))
-        found = _cluster([r for r, m in found for _ in range(m)], tol)
+        found = _cluster([r for r, m in found for _ in range(m)])
     out = []
     for r, m in found:
         r = _polish(p, r, m)
@@ -471,7 +468,7 @@ def poly_roots(p: Polynomial, tol: float = 1e-10,
     # backward-error acceptance: |p(r)| small relative to sum |a_k| |r|^k
     for r, m in out:
         res = abs(p(r))
-        bound = tol * max(p.eval_abs(abs(r)), 1e-300)
+        bound = ROOT_TOL * max(p.eval_abs(abs(r)), 1e-300)
         if res > bound and m == 1:
             raise RootFindingError(
                 f"root residual {res:.3g} above {bound:.3g} at {r:.6g}",

@@ -162,7 +162,10 @@ def test_map_loading_from_json_file(capsys, tmp_path):
     ('{"num": [[NaN, 0], [0, 0], [1, 0]], "den": [[1, 0]]}', "coefficients must be finite"),
     ('{"num": [[0, 0], [0, 0], [1, 0]], "den": [[Infinity, 0]]}', "coefficients must be finite"),
     ('{"num": [[0, 0], [1, 0]], "den": [[1, 0]]}', "degree 1"),
-], ids=["unreadable", "not-json", "too-deep", "malformed", "huge", "nan", "infinity", "degree-1"])
+    ('{"num": [[1e300, 0], [0, 0], [1, 0]], "den": [[1, 0]]}', "after dropping coefficients"),
+    ('{"num": [[true, false], [0, 0], [1, 0]], "den": [[1, 0]]}', "malformed map object"),
+], ids=["unreadable", "not-json", "too-deep", "malformed", "huge", "nan", "infinity", "degree-1",
+        "coefficient-range", "booleans"])
 def test_bad_map_files_are_usage_errors(capsys, tmp_path, text, message):
     path = tmp_path / "bad.json"
     if text is None:

@@ -6,8 +6,9 @@ Any change to it must be deliberate: regenerate it with
     PYTHONPATH=src python3 tests/test_golden.py
 
 and say why in CHANGES.md. A `render` entry is its stdout followed by a
-line with the sha256 of the PPM it wrote. `periodic` is left out because its
-output is known to be wrong from d^p = 27.
+line with the sha256 of the PPM it wrote. `verify` is covered with its
+measured values, so a change in any check's figures shows here. `periodic` is
+left out because its output is known to be wrong from d^p = 27.
 """
 
 import contextlib
@@ -68,6 +69,7 @@ def commands() -> list[list[str]]:
                      "--steps", str(steps), "--omega", omega])
     cmds += [["portrait", "--map", name] for name in CATALOG_NAMES]
     cmds.append(["catalog", "--coeffs"])
+    cmds.append(["verify"])
     for name, bounds, resolution in RENDERS:
         cmds.append(["render", "--map", name, "--out", PPM, f"--bounds={bounds}",
                      "--resolution", resolution])

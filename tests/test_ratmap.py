@@ -9,7 +9,7 @@ from fatou.ratmap import (RationalMap, _Ambiguous, compose_self, critical_points
                           eval_sphere, fibers, from_coeffs, hom_eval, iterate,
                           map_from_jsonable, map_to_jsonable, nearest, normalize,
                           preimages)
-from fatou.sphere import SpherePoint, as_sphere, poly
+from fatou.sphere import Polynomial, SpherePoint, as_sphere, poly
 
 
 def _crit_summary(f):
@@ -23,7 +23,7 @@ def _crit_summary(f):
 
 def test_normalize_cancels_common_roots():
     # (z^2 - 1)/(z - 1) is the degree-1 map z + 1 and gets rejected
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degree 1 after cancellation; need >= 2"):
         normalize(poly(-1.0, 0.0, 1.0), poly(-1.0, 1.0))
 
 
@@ -52,6 +52,16 @@ def test_normalize_rejects_non_finite_coefficients(bad):
         normalize(poly(bad, 0.0, 1.0), poly(1.0))
     with pytest.raises(ValueError, match="coefficients must be finite"):
         normalize(poly(0.0, 0.0, 1.0), poly(1.0, bad))
+
+
+@pytest.mark.parametrize("num, den, message", [
+    ((1e300, 0.0, 1.0), (1.0,), "degree 0 after dropping coefficients at most 1e-14 times"),
+    ((0.0, 1.0), (1.0, 1.0), "degree 1; need >= 2"),
+], ids=["trim", "low-degree"])
+def test_normalize_says_why_the_degree_is_too_low(num, den, message):
+    # z^2 + 1e300 loses z^2 to the relative trim; nothing cancels
+    with pytest.raises(ValueError, match=message):
+        normalize(poly(*num), poly(*den))
 
 
 def test_eval_special_points():
@@ -123,6 +133,29 @@ def test_hom_eval_partials(name):
     for k, tk in enumerate(t):
         assert abs(pz1[k] - dnum(tk)) <= 1e-14 * scale
         assert abs(qz1[k] - dden(tk)) <= 1e-14 * scale
+
+
+def test_evaluation_reads_the_cached_pair(monkeypatch):
+    """eval_sphere in both charts, hom_eval and fibers build no Polynomial:
+    they read the one homogeneous pair the map caches."""
+    f = paper_g()
+    built = []
+    post_init = Polynomial.__post_init__
+
+    def counting(self):
+        built.append(self.coeffs)
+        post_init(self)
+
+    monkeypatch.setattr(Polynomial, "__post_init__", counting)
+    for x in (3.0 - 2.0j, SpherePoint.infinity(), 0.5j, 2.0 / 3.0):
+        eval_sphere(f, x)
+    hom_eval(f, 3.0 - 2.0j, 1.0, partials=True)
+    hom_eval(f, np.array([0.5, 1.0]), np.array([1.0, 0.25]))
+    fibers(f, [0.3, 2.0 + 1.0j])
+    assert built == []
+    a, b = f.pair
+    assert f.pair is f.pair
+    assert a == f.num.coeffs and b == f.den.coeffs + (0j,) * 2
 
 
 def test_critical_points_square():
