@@ -11,6 +11,7 @@ from __future__ import annotations
 import colorsys
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -27,10 +28,11 @@ TILE_CELLS = 16384
 # grid's cycle_id, phase and steps (8), the int32 cell numbers and union-find
 # parents (8), up to two equal-key edges per cell as int32 endpoint pairs
 # (16), and the masks and copies made while the edges are gathered and
-# compacted. tracemalloc measures 44 on a one-key 800x600 grid. classify_grid
+# compacted. With the grid, tracemalloc measures 46 on a one-key 800x600
+# grid and 50 on an 800x600 checkerboard (a component per cell). classify_grid
 # adds fixed-size tiles to the grid's 8, and render_ppm about 21 to the grid
-# and the labels (12). Component records are one per component, not per
-# cell, and come on top.
+# and the labels (12). The labeling keeps an int32 root and count per
+# component; Component records are built only when asked for.
 BYTES_PER_CELL = 64
 MAX_GRID_BYTES = 2 ** 31  # for the arrays of one grid
 # 33,554,432 cells; labels and union-find indices are int32, so this must
@@ -145,6 +147,51 @@ def classify_point(f: RationalMap, cycles, z0, trap_radius: float = DEFAULT_TRAP
     return None
 
 
+def _band(rho_c: float, trap_radius: float):
+    """The mask of rho^2 = |z|^2 / (|z|^2 + |w|^2) values that may lie within
+    trap_radius of a trap with |cz| / |(cz, cw)| = rho_c; outside it no cell
+    can trap there.
+
+    The chordal distance to 0 is 2 rho, so the triangle inequality gives
+    d(x, c) >= 2 |rho - rho_c|. The half-width in rho is widened by far more
+    than the rounding of rho, rho_c and the exact distance, so the band never
+    drops a cell that the exact test would trap. A NaN rho^2 is outside.
+    """
+    half = 0.5 * trap_radius * (1.0 + 1e-6) + 1e-12
+    lo = max(rho_c - half, 0.0) ** 2
+    hi = (rho_c + half) ** 2
+    if hi >= 1.0:  # rho^2 <= 1 always
+        return lambda rho2: rho2 >= lo
+    if lo == 0.0:
+        return lambda rho2: rho2 <= hi
+    return lambda rho2: (rho2 >= lo) & (rho2 <= hi)
+
+
+def _normalize(ap, aq, z=None, w=None):
+    """rho^2 of the points with moduli |z| = ap, |w| = aq; given z and w,
+    also scale both in place so that max(|z|, |w|) is 1.
+
+    Scaling by the reciprocal of the max modulus gives the bits of z / s
+    except for the sign of zeros, which no trap distance reads. Reuses ap
+    and aq. A cell with z = w = 0 is left at 0 and gets rho^2 = NaN, which
+    no band admits, so it stays unresolved.
+    """
+    s = np.maximum(ap, aq)
+    s[s == 0] = 1.0
+    np.divide(1.0, s, out=s)
+    if z is not None:
+        z *= s
+        w *= s
+    ap *= s
+    aq *= s
+    ap *= ap
+    aq *= aq
+    aq += ap
+    with np.errstate(invalid="ignore"):  # 0/0 on an indeterminate cell
+        ap /= aq
+    return ap
+
+
 def classify_grid(f: RationalMap, portrait: CriticalPortrait, bounds: Bounds,
                   resolution: tuple[int, int], trap_radius: float = DEFAULT_TRAP_RADIUS,
                   max_iter: int = 200) -> BasinGrid:
@@ -153,7 +200,9 @@ def classify_grid(f: RationalMap, portrait: CriticalPortrait, bounds: Bounds,
     Vectorized over tiles of TILE_CELLS cells in homogeneous coordinates,
     renormalized every step so poles and the point at infinity need no
     special casing. A tile's iterates shrink to its unresolved cells as they
-    are trapped. More than MAX_CELLS cells is a ValueError.
+    are trapped. Each step, the exact chordal distance to a trap is taken
+    only for the cells in its _band, which the normalization finds from the
+    moduli it takes anyway. More than MAX_CELLS cells is a ValueError.
     """
     if not (math.isfinite(trap_radius) and trap_radius > 0):
         raise ValueError("trap_radius must be a finite number > 0")
@@ -174,34 +223,42 @@ def classify_grid(f: RationalMap, portrait: CriticalPortrait, bounds: Bounds,
     steps = np.full(n_cells, -1, dtype=np.int32)
     traps = [(ci, pi, p.z, p.w, math.hypot(abs(p.z), abs(p.w)))
              for ci, cyc in enumerate(cycles) for pi, p in enumerate(cyc)]
+    bands = [_band(abs(cz) / cn, trap_radius) for _, _, cz, _, cn in traps]
 
     for start in range(0, n_cells, TILE_CELLS):
         cells = np.arange(start, min(start + TILE_CELLS, n_cells))
         x, y = _center_coords(bounds, width, height, *np.divmod(cells, width))
         z = x + 1j * y
         w = np.ones(cells.size, dtype=complex)
+        rho2 = _normalize(np.abs(z), np.abs(w))
         for n in range(max_iter + 1):
-            norm = np.hypot(np.abs(z), np.abs(w))
-            hit = np.zeros(cells.size, dtype=bool)
-            for ci, pi, cz, cw, cn in traps:
-                dist = 2.0 * np.abs(z * cw - w * cz) / (norm * cn)
-                m = (~hit) & (dist <= trap_radius)
-                if m.any():
-                    idx = cells[m]
+            hit = None
+            for (ci, pi, cz, cw, cn), band in zip(traps, bands):
+                near = band(rho2)
+                if hit is not None:
+                    near &= ~hit
+                k = np.flatnonzero(near)
+                if k.size == 0:
+                    continue
+                zk, wk = z[k], w[k]
+                norm = np.hypot(np.abs(zk), np.abs(wk))
+                k = k[2.0 * np.abs(zk * cw - wk * cz) / (norm * cn) <= trap_radius]
+                if k.size:
+                    idx = cells[k]
                     cycle_id[idx] = ci
                     phase[idx] = pi
                     steps[idx] = n
-                    hit |= m
-            if hit.any():
+                    if hit is None:
+                        hit = np.zeros(cells.size, dtype=bool)
+                    hit[k] = True
+            if hit is not None:
                 keep = ~hit
                 cells, z, w = cells[keep], z[keep], w[keep]
             if n == max_iter or cells.size == 0:
                 break
+            z, w = hom_eval(f, z, w)
             # max-modulus normalization keeps every Horner partial sum bounded
-            pv, qv = hom_eval(f, z, w)
-            s = np.maximum(np.abs(pv), np.abs(qv))
-            s[s == 0] = 1.0  # indeterminate cells stay unresolved forever
-            z, w = pv / s, qv / s
+            rho2 = _normalize(np.abs(z), np.abs(w), z, w)
 
     return BasinGrid(bounds, width, height, tuple(cycles),
                      cycle_id.reshape(height, width),
@@ -223,9 +280,26 @@ class Component:
 
 @dataclass
 class ComponentLabeling:
+    """labels numbers the components; roots[k] is the first row-major cell
+    (flat index) of component k and counts[k] its number of cells. Component
+    records are built when asked for, so a grid of many small components
+    costs arrays, not objects."""
+
     grid: BasinGrid
     labels: np.ndarray  # -1 for unresolved cells
-    components: tuple
+    roots: np.ndarray
+    counts: np.ndarray
+
+    def component(self, label: int) -> Component:
+        root = int(self.roots[label])
+        return Component(label, int(self.grid.cycle_id.flat[root]),
+                         int(self.grid.phase.flat[root]),
+                         self.grid.cell_center(*divmod(root, self.grid.width)),
+                         int(self.counts[label]))
+
+    @cached_property
+    def components(self) -> tuple:
+        return tuple(map(self.component, range(self.roots.size)))
 
 
 def label_components(grid: BasinGrid) -> ComponentLabeling:
@@ -261,17 +335,12 @@ def label_components(grid: BasinGrid) -> ComponentLabeling:
         b = b[apart]
         a, b = np.minimum(a, b), np.maximum(a, b)
 
-    flat_cid, flat_ph = cid.ravel(), ph.ravel()
-    roots = np.flatnonzero((parent == cells) & (flat_cid >= 0))
+    roots = np.flatnonzero((parent == cells) & (cid.ravel() >= 0)).astype(np.int32)
     rank = np.full(h * w, -1, dtype=np.int32)
     rank[roots] = np.arange(roots.size, dtype=np.int32)
     labels = rank[parent]  # unresolved cells are their own, unranked, roots
-    counts = np.bincount(labels[labels >= 0], minlength=roots.size)
-    xs, ys = _center_coords(grid.bounds, w, h, *np.divmod(roots, w))
-    comps = tuple(Component(k, ci, pi, complex(x, y), n) for k, (ci, pi, x, y, n) in
-                  enumerate(zip(flat_cid[roots].tolist(), flat_ph[roots].tolist(),
-                                xs.tolist(), ys.tolist(), counts.tolist())))
-    return ComponentLabeling(grid, labels.reshape(h, w), comps)
+    counts = np.bincount(labels[labels >= 0], minlength=roots.size).astype(np.int32)
+    return ComponentLabeling(grid, labels.reshape(h, w), roots, counts)
 
 
 def component_of(labeling: ComponentLabeling, point: complex) -> Component:
@@ -281,7 +350,7 @@ def component_of(labeling: ComponentLabeling, point: complex) -> Component:
     lab = int(labeling.labels[row, col])
     if lab < 0:
         raise ValueError(f"cell under {point} is unresolved")
-    return labeling.components[lab]
+    return labeling.component(lab)
 
 
 # --- rendering --------------------------------------------------------------

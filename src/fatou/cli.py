@@ -271,7 +271,7 @@ def cmd_render(args) -> int:
                    grid.bounds.ymin, grid.bounds.ymax],
         "cycles": [[_jsonio.sphere_jsonable(p) for p in cyc]
                    for cyc in grid.cycles],
-        "components": len(labeling.components),
+        "components": labeling.roots.size,
         "unresolved_cells": unresolved,
         "out": args.out,
     }

@@ -162,6 +162,9 @@ def hom_eval(f: RationalMap, z, w, partials: bool = False):
 
     z and w are complex scalars or numpy arrays of one shape; the same body
     serves both. Unlike eval_sphere this neither normalizes nor picks a chart.
+    The accumulators start as scalars, so their first augmented assignment
+    makes a fresh array and the later ones update it in place: z and w are
+    never written, and a step allocates only its coefficient terms.
     """
     d = f.degree
     a, b = f.pair
@@ -170,11 +173,19 @@ def hom_eval(f: RationalMap, z, w, partials: bool = False):
     for k in range(d - 1, -1, -1):
         if partials:
             # d/dz and d/dw of acc*z + c*w^(d-k), with wk still w^(d-k-1)
-            pz, pw = pz * z + p, pw * z + (d - k) * a[k] * wk
-            qz, qw = qz * z + q, qw * z + (d - k) * b[k] * wk
-        wk = wk * w
-        p = p * z + a[k] * wk
-        q = q * z + b[k] * wk
+            pz *= z
+            pz += p
+            pw *= z
+            pw += (d - k) * a[k] * wk
+            qz *= z
+            qz += q
+            qw *= z
+            qw += (d - k) * b[k] * wk
+        wk *= w
+        p *= z
+        p += a[k] * wk
+        q *= z
+        q += b[k] * wk
     return (p, q, pz, pw, qz, qw) if partials else (p, q)
 
 
@@ -213,25 +224,18 @@ def critical_points(f: RationalMap) -> list[CriticalPoint]:
     Finite critical points are the Wronskian roots (a pole of order k shows up
     with multiplicity k - 1 there, which is its correct local degree). In the
     chart s = 1/z the Wronskian of 1/f(1/s) is s^(2d-2) W(1/s), so the order
-    of infinity is the number of top coefficients of W, padded to degree
-    2d - 2, at most 1e-9 times its largest.
+    of infinity is 2d - 2 minus the degree of W after the LEAD_TRIM trim that
+    also decides which finite roots there are.
     """
     d = f.degree
     out: list[CriticalPoint] = []
-    full = f.wronskian()
-    w = full.trimmed(LEAD_TRIM)
+    w = f.wronskian().trimmed(LEAD_TRIM)
     if w.is_zero:
         raise ValueError("degenerate map: vanishing Wronskian")
     if w.degree >= 1:
         for r, m in poly_roots(w):
             out.append(CriticalPoint(SpherePoint.of(r), m + 1))
-    scale = full.max_abs_coeff()
-    order = 2 * d - 2 - full.degree
-    for c in reversed(full.coeffs):
-        if abs(c) <= 1e-9 * scale:
-            order += 1
-        else:
-            break
+    order = 2 * d - 2 - w.degree
     if order >= 1:
         out.append(CriticalPoint(SpherePoint.infinity(), order + 1))
     total = sum(cp.local_degree - 1 for cp in out)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import types
 from collections import deque
@@ -11,7 +12,6 @@ from fatou.basins import (
     BasinGrid,
     Bounds,
     Component,
-    ComponentLabeling,
     classify_grid,
     classify_point,
     component_of,
@@ -21,8 +21,8 @@ from fatou.basins import (
 )
 from fatou.catalog import CATALOG_NAMES, by_name, paper_g
 from fatou.orbits import critical_portrait
-from fatou.ratmap import Polynomial, eval_sphere, normalize
-from fatou.sphere import SpherePoint, as_sphere
+from fatou.ratmap import Polynomial, RationalMap, eval_sphere, normalize
+from fatou.sphere import MoebiusTransform, SpherePoint, as_sphere
 
 
 def _cube():
@@ -256,19 +256,37 @@ def test_resolution_cap():
     assert MAX_CELLS < 2 ** 31 - 1
 
 
+def _labeling_bytes_per_cell(grid: BasinGrid) -> float:
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        labeling = label_components(grid)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert "components" not in vars(labeling)  # no records built
+    grid_bytes = grid.cycle_id.nbytes + grid.phase.nbytes + grid.steps.nbytes
+    return (grid_bytes + peak) / (grid.height * grid.width)
+
+
 def test_labeling_memory_stays_within_bytes_per_cell():
     # one key everywhere gives the most union-find edges: two per cell
     h, w = 300, 400
     grid = _grid(np.zeros((h, w)), np.zeros((h, w)))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        label_components(grid)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    grid_bytes = grid.cycle_id.nbytes + grid.phase.nbytes + grid.steps.nbytes
-    assert grid_bytes + peak <= fatou.basins.BYTES_PER_CELL * h * w
+    assert _labeling_bytes_per_cell(grid) <= fatou.basins.BYTES_PER_CELL
+
+
+def test_checkerboard_labeling_stays_within_bytes_per_cell():
+    # a component per cell: 480,000 components, kept as arrays
+    h, w = 600, 800
+    rows, cols = np.indices((h, w))
+    grid = _grid(np.ones((h, w)), (rows + cols) % 2)
+    assert _labeling_bytes_per_cell(grid) <= fatou.basins.BYTES_PER_CELL
+    labeling = label_components(grid)
+    assert labeling.roots.size == h * w
+    assert (labeling.counts == 1).all()
+    assert component_of(labeling, grid.cell_center(599, 799)) == \
+        Component(h * w - 1, 1, 0, grid.cell_center(599, 799), 1)
 
 
 def test_tiling_does_not_change_the_grid(monkeypatch):
@@ -288,9 +306,10 @@ def test_tiling_does_not_change_the_grid(monkeypatch):
 # --- component labeling against a BFS reference ------------------------------
 
 
-def _bfs_labeling(grid: BasinGrid) -> ComponentLabeling:
+def _bfs_labeling(grid: BasinGrid) -> tuple[np.ndarray, tuple]:
     """Breadth-first flood fill from each unlabeled resolved cell in row-major
-    order: the reference numbering label_components must reproduce."""
+    order: the reference labels and components label_components must
+    reproduce."""
     h, w = grid.height, grid.width
     labels = np.full((h, w), -1, dtype=np.int32)
     comps = []
@@ -316,7 +335,7 @@ def _bfs_labeling(grid: BasinGrid) -> ComponentLabeling:
             comps.append(Component(next_label, int(key[0]), int(key[1]),
                                    grid.cell_center(r0, c0), count))
             next_label += 1
-    return ComponentLabeling(grid, labels, tuple(comps))
+    return labels, tuple(comps)
 
 
 def _grid(cycle_id, phase) -> BasinGrid:
@@ -328,10 +347,10 @@ def _grid(cycle_id, phase) -> BasinGrid:
 
 
 def _assert_labels_match_bfs(grid: BasinGrid):
-    got, want = label_components(grid), _bfs_labeling(grid)
-    assert got.labels.dtype == want.labels.dtype
-    assert np.array_equal(got.labels, want.labels)
-    assert got.components == want.components
+    got, (labels, comps) = label_components(grid), _bfs_labeling(grid)
+    assert got.labels.dtype == labels.dtype
+    assert np.array_equal(got.labels, labels)
+    assert got.components == comps
 
 
 def _spiral(n: int) -> np.ndarray:
@@ -421,3 +440,142 @@ def test_labels_match_bfs_and_scipy_on_catalog_maps(name):
             mask = (grid.cycle_id == ci) & (grid.phase == pi)
             want = ndimage.label(mask)[1]  # 4-connected by default
             assert sum(c.cycle_id == ci and c.phase == pi for c in comps) == want
+
+
+# --- the trap test against the exact loop it replaced ------------------------
+
+
+def _reference_grid(f, cycles, bounds: Bounds, resolution, trap_radius: float,
+                    max_iter: int = 200) -> np.ndarray:
+    """(cycle_id, phase, steps) of every cell, shape (3, h, w), by the exact
+    trap loop without a band: each step takes every live cell's chordal
+    distance to every trap, and evaluates the map out of place and divides
+    by the max modulus. The reference classify_grid must reproduce."""
+    width, height = resolution
+    cells = np.arange(width * height)
+    x, y = fatou.basins._center_coords(bounds, width, height, *np.divmod(cells, width))
+    z, w = x + 1j * y, np.ones(cells.size, dtype=complex)
+    out = np.full((3, cells.size), -1)
+    traps = [(ci, pi, p.z, p.w, math.hypot(abs(p.z), abs(p.w)))
+             for ci, cyc in enumerate(cycles) for pi, p in enumerate(cyc)]
+    d, (a, b) = f.degree, f.pair
+    for n in range(max_iter + 1):
+        norm = np.hypot(np.abs(z), np.abs(w))
+        hit = np.zeros(cells.size, dtype=bool)
+        for ci, pi, cz, cw, cn in traps:
+            m = (~hit) & (2.0 * np.abs(z * cw - w * cz) / (norm * cn) <= trap_radius)
+            out[:, cells[m]] = [[ci], [pi], [n]]
+            hit |= m
+        cells, z, w = cells[~hit], z[~hit], w[~hit]
+        if n == max_iter or cells.size == 0:
+            break
+        p, q, wk = a[d], b[d], 1.0
+        for k in range(d - 1, -1, -1):
+            wk = wk * w
+            p = p * z + a[k] * wk
+            q = q * z + b[k] * wk
+        s = np.maximum(np.abs(p), np.abs(q))
+        s[s == 0] = 1.0
+        z, w = p / s, q / s
+    return out.reshape(3, height, width)
+
+
+def _assert_grid_matches_reference(f, bounds, resolution, trap_radius, max_iter=200):
+    grid = classify_grid(f, critical_portrait(f), bounds, resolution,
+                         trap_radius=trap_radius, max_iter=max_iter)
+    want = _reference_grid(f, grid.cycles, bounds, resolution, trap_radius, max_iter)
+    for name, ref in zip(("cycle_id", "phase", "steps"), want):
+        assert np.array_equal(getattr(grid, name), ref), (name, trap_radius)
+    return grid
+
+
+WIDE = Bounds(-2.8, 2.8, -2.1, 2.1)
+ZOOM = Bounds(-1.2908, -1.2708, -0.01, 0.01)  # at the landing point of R_1/3 on paper-g
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("trap_radius", [1e-6, 1e-3, 0.2])
+def test_band_prefilter_keeps_every_trapping_decision(name, trap_radius):
+    _assert_grid_matches_reference(by_name(name), WIDE, (61, 47), trap_radius)
+
+
+def test_band_prefilter_on_a_zoom_and_a_grid_of_several_tiles():
+    g = paper_g()
+    grid = _assert_grid_matches_reference(g, WIDE, (173, 101), 1e-6)
+    assert grid.width * grid.height > fatou.basins.TILE_CELLS
+    grid = _assert_grid_matches_reference(g, ZOOM, (64, 64), 1e-6)
+    assert (grid.steps > 20).mean() > 0.5  # slow escape near the Julia set
+    # few iterations leave unresolved cells
+    _assert_grid_matches_reference(_cube(), Bounds(-2, 2, -2, 2), (40, 30), 1e-3, max_iter=4)
+
+
+@pytest.mark.parametrize("trap_radius", [1e-6, 1e-3, 0.2])
+def test_band_prefilter_without_a_trap_at_infinity_and_with_complex_coefficients(trap_radius):
+    # two rotations of the sphere, so the trap disks stay disjoint: the first
+    # moves the basin of infinity to a finite centre, the second makes every
+    # coefficient non-real
+    finite = paper_g().conjugate_by(MoebiusTransform(1.0, -0.3, 0.3, 1.0))
+    rotated = paper_g().conjugate_by(MoebiusTransform(np.exp(0.7j), 0.0, 0.0, 1.0))
+    assert not any(p.is_infinity for cyc in superattracting_cycles(critical_portrait(finite))
+                   for p in cyc)
+    assert all(c.imag != 0 for c in rotated.num.coeffs if c != 0)
+    for f in (finite, rotated):
+        _assert_grid_matches_reference(f, Bounds(-3.1, 3.3, -2.4, 2.2), (57, 43), trap_radius)
+
+
+def _points_at_chordal_distance(c: SpherePoint, dist: np.ndarray, rng) -> tuple:
+    """Homogeneous representatives, of random phase and scale, of points at
+    the given chordal distances from c. Half of them lie on the great circle
+    through c and 0, where |rho - rho_c| is largest."""
+    r = dist / np.sqrt(4.0 - dist * dist)  # chordal distance of r from 0
+    theta = rng.uniform(0.0, 2.0 * np.pi, dist.size)
+    radial = rng.random(dist.size) < 0.5
+    if c.is_infinity:  # the isometry t -> 1/t takes 0 to c
+        t = r * np.exp(1j * theta)
+        z, w = np.ones_like(t), t
+    else:  # the isometry t -> (t + c) / (1 - conj(c) t) takes 0 to c
+        cc = c.to_complex()
+        theta[radial] = np.angle(cc) + np.pi * rng.integers(0, 2, radial.sum())
+        t = r * np.exp(1j * theta)
+        z, w = t + cc, 1.0 - np.conj(cc) * t
+    scale = 10.0 ** rng.uniform(-30, 30, dist.size) * np.exp(1j * rng.uniform(0, 7, dist.size))
+    return z * scale, w * scale
+
+
+def test_band_never_rejects_a_point_the_exact_test_accepts():
+    rng = np.random.default_rng(2024)
+    traps = [p for name in CATALOG_NAMES
+             for cyc in superattracting_cycles(critical_portrait(by_name(name))) for p in cyc]
+    traps += [SpherePoint.of(complex(*v))
+              for v in rng.normal(size=(20, 2)) * rng.choice([1e-3, 1.0, 1e3], (20, 1))]
+    accepted = 0
+    for c in traps:
+        cn = np.hypot(abs(c.z), abs(c.w))
+        for trap_radius in (1e-9, 1e-6, 1e-3, 0.2, 0.9):
+            band = fatou.basins._band(abs(c.z) / cn, trap_radius)
+            dist = trap_radius * (1.0 + 1e-12 * rng.choice([-1.0, 1.0], 400))
+            z, w = _points_at_chordal_distance(c, dist, rng)
+            # the first step's band reads unscaled moduli, the later ones
+            # scale the iterate in place
+            rho2 = fatou.basins._normalize(np.abs(z), np.abs(w))
+            z1, w1 = z.copy(), w.copy()
+            rho2_1 = fatou.basins._normalize(np.abs(z1), np.abs(w1), z1, w1)
+            for zz, ww, r2 in ((z, w, rho2), (z1, w1, rho2_1)):
+                norm = np.hypot(np.abs(zz), np.abs(ww))
+                exact = 2.0 * np.abs(zz * c.w - ww * c.z) / (norm * cn) <= trap_radius
+                assert not (exact & ~band(r2)).any(), (c, trap_radius)
+                accepted += exact.sum()
+    assert accepted > 0.3 * 2 * 400 * 5 * len(traps)
+
+
+def test_an_indeterminate_cell_stays_unresolved_without_a_warning():
+    # (z^3 - z^2) / (z - 1) built raw keeps the common root 1, where P and Q
+    # both vanish; the cell centred on 1 must neither trap nor warn (numpy
+    # warnings are errors in this suite)
+    f = RationalMap(Polynomial((0.0, 0.0, -1.0, 1.0)), Polynomial((-1.0, 1.0)))
+    portrait = types.SimpleNamespace(orbits=tuple(
+        types.SimpleNamespace(classification="superattracting", cycle=(p,))
+        for p in (SpherePoint.infinity(), SpherePoint.of(0.0))))
+    grid = classify_grid(f, portrait, Bounds(0.0, 2.0, -1.0, 1.0), (3, 1), max_iter=5)
+    assert grid.cell_center(0, 1) == 1.0
+    assert grid.cycle_id.tolist() == [[1, -1, 0]]

@@ -5,6 +5,7 @@ import pytest
 
 from fatou.catalog import CATALOG_NAMES, by_name, paper_g, pseudo_basilica
 from fatou.lifting import _match
+from fatou.orbits import critical_portrait
 from fatou.ratmap import (RationalMap, _Ambiguous, compose_self, critical_points,
                           eval_sphere, fibers, from_coeffs, hom_eval, iterate,
                           map_from_jsonable, map_to_jsonable, nearest, normalize,
@@ -135,6 +136,54 @@ def test_hom_eval_partials(name):
         assert abs(qz1[k] - dden(tk)) <= 1e-14 * scale
 
 
+def _hom_eval_out_of_place(f, z, w, partials=False):
+    """hom_eval with a fresh array for every partial sum: the same operations
+    in the same order as the in-place body, as hom_eval was written first."""
+    d = f.degree
+    a, b = f.pair
+    p, q, wk = a[d], b[d], 1.0
+    pz = pw = qz = qw = 0j
+    for k in range(d - 1, -1, -1):
+        if partials:
+            pz, pw = pz * z + p, pw * z + (d - k) * a[k] * wk
+            qz, qw = qz * z + q, qw * z + (d - k) * b[k] * wk
+        wk = wk * w
+        p = p * z + a[k] * wk
+        q = q * z + b[k] * wk
+    return (p, q, pz, pw, qz, qw) if partials else (p, q)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_hom_eval_in_place_gives_the_out_of_place_bits(name):
+    """Every bit, signs of zeros included, on the same arrays and on the
+    scalars cycle_multiplier passes, the cycle points among them. Against
+    the scalar path the array path agrees to rounding only
+    (test_hom_eval_matches_eval_sphere): numpy's vectorized complex product
+    may fuse a*c - b*d into one rounding, in its vector body but not for the
+    remainder of an array."""
+    f = by_name(name)
+    pts = [p for rep in critical_portrait(f).orbits if rep is not None for p in rep.cycle]
+    pts += _kernel_points(f, 13)
+    z = np.array([x.z for x in pts])
+    w = np.array([x.w for x in pts])
+    z0, w0 = z.tobytes(), w.tobytes()
+    for partials in (False, True):
+        arrays = hom_eval(f, z, w, partials=partials)
+        assert z.tobytes() == z0 and w.tobytes() == w0  # inputs untouched
+        assert not any(np.shares_memory(a, x) for a in arrays for x in (z, w))
+        want = _hom_eval_out_of_place(f, z, w, partials=partials)
+        assert [a.tobytes() for a in arrays] == [a.tobytes() for a in want]
+        for x in pts:
+            got = hom_eval(f, x.z, x.w, partials=partials)
+            want = _hom_eval_out_of_place(f, x.z, x.w, partials=partials)
+            assert [repr(v) for v in got] == [repr(v) for v in want]
+    # real arrays: the accumulators turn complex, the inputs stay as they were
+    x, y = np.array([0.5, -2.0]), np.array([1.0, 0.25])
+    p, q = hom_eval(f, x, y)
+    assert x.tolist() == [0.5, -2.0] and y.tolist() == [1.0, 0.25]
+    assert p.dtype == q.dtype == complex
+
+
 def test_evaluation_reads_the_cached_pair(monkeypatch):
     """eval_sphere in both charts, hom_eval and fibers build no Polynomial:
     they read the one homogeneous pair the map caches."""
@@ -176,6 +225,19 @@ def test_critical_points_multiple_pole():
     f = from_coeffs([1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0])
     total = sum(c.local_degree - 1 for c in critical_points(f))
     assert total == 2 * f.degree - 2
+
+
+def test_critical_points_one_trim_for_infinity():
+    # z^2 + 1e-10 z^3: the Wronskian's top coefficient is 3e-10 of its
+    # largest, above the LEAD_TRIM that keeps it as a finite root; infinity
+    # must not count it again
+    f = from_coeffs([0, 0, 1, 1e-10], [1])
+    crit = critical_points(f)
+    assert sum(c.local_degree - 1 for c in crit) == 4
+    assert _crit_summary(f) == {(0j, 2), (complex(round(-2 / 3e-10, 9)), 2), ("inf", 3)}
+    # below the trim the cubic term is a root at infinity, of order one more
+    g = from_coeffs([0, 0, 1, 1e-13], [1])
+    assert _crit_summary(g) == {(0j, 2), ("inf", 4)}
 
 
 def test_riemann_hurwitz_random_maps():
