@@ -21,7 +21,7 @@ from .catalog import CATALOG_NAMES, by_name
 from .lifting import circle, lift_curve, sign_change_sequence
 from .orbits import critical_portrait, periodic_points
 from .ratmap import RationalMap, map_from_jsonable, map_to_jsonable
-from .rays import DEFAULT_DEPTH, DEFAULT_R0, MIN_R0, RayAngle
+from .rays import DEFAULT_DEPTH, DEFAULT_R0, MAX_DEPTH, MIN_R0, RayAngle
 from .sphere import SpherePoint, as_sphere
 from .verify import groups as verify_groups
 from .verify import run_checks
@@ -371,6 +371,8 @@ def dispatch(argv=None) -> int:
             if getattr(args, flag, 1) < 1:
                 raise _UsageError("--" + flag.replace("_", "-"),
                                   "must be a positive integer")
+        if getattr(args, "depth", 1) > MAX_DEPTH:
+            raise _UsageError("--depth", f"must be at most {MAX_DEPTH}")
         if getattr(args, "segments", 3) < 3:
             raise _UsageError("--segments", "must be at least 3")
         if getattr(args, "steps", 0) < 0:

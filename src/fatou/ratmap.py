@@ -298,11 +298,13 @@ FIBER_SEPARATION = 1e-3
 
 def _cold_start(mono: np.ndarray) -> np.ndarray:
     """Points on the circle whose radius is the geometric mean of the root
-    moduli of each monic row, at the fixed angular offset of poly_roots."""
+    moduli of each monic row, at the fixed angular offset of poly_roots.
+    The power and exp are math scalars, as in sphere._initial_guesses, so the
+    start does not depend on numpy's CPU dispatch."""
     d = mono.shape[1] - 1
-    r = np.abs(mono[:, 0]) ** (1.0 / d)
+    r = np.array([x ** (1.0 / d) for x in np.abs(mono[:, 0]).tolist()])
     ang = 2.0 * np.pi * (np.arange(d) + 0.5) / d + 0.45
-    return r[:, None] * np.exp(1j * ang)[None, :]
+    return r[:, None] * np.array([cmath.exp(1j * t) for t in ang.tolist()])[None, :]
 
 
 def fibers(f: RationalMap, targets, warm=None) -> tuple[np.ndarray, np.ndarray]:

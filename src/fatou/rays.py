@@ -28,6 +28,7 @@ DEFAULT_R0 = 100.0
 MIN_R0 = 10.0  # smallest starting potential the linearized seed is trusted at
 MAX_ORBIT_ANGLES = 64
 DEFAULT_DEPTH = 96
+MAX_DEPTH = 1024  # potentials round to 1.0 long before; deeper adds no information
 LANDING_TOL = 1e-6
 LANDING_WINDOW = 8  # potential shells inspected for contraction
 _LIN_GUIDE_MIN = 4.0  # potential above which the linearized coordinate guides
@@ -168,24 +169,29 @@ def _trace_at_infinity(f: RationalMap, m: int, orbit: list[RayAngle], potentials
     chains = list(samples.values())
     images = [samples[t.times(m)] for t in orbit]
     warm = None
-    for q in range(sublevels, len(potentials)):
-        rho = potentials[q]
-        targets = [image[q - sublevels] for image in images]
-        # one solve for the whole level, seeded with the fibers of the level above
-        roots, certified = fibers(f, targets, warm)
+    for q0 in range(sublevels, len(potentials), sublevels):
+        # level q pulls back level q - sublevels, so the block of sublevels
+        # levels from q0 depends only on the block above: one solve for the
+        # block, rows level by level, each row seeded with the same row of
+        # the block above
+        levels = range(q0, min(q0 + sublevels, len(potentials)))
+        targets = [image[q - sublevels] for q in levels for image in images]
+        roots, certified = fibers(f, targets, None if warm is None else warm[:len(targets)])
         warm = np.where(certified[:, None], roots, np.nan)
-        for t, chain, target, row, ok in zip(orbit, chains, targets, roots.tolist(),
-                                             certified.tolist()):
-            if rho >= _LIN_GUIDE_MIN:
-                guide = lin_inverse(rho, t)
-            elif len(chain) >= 2:
-                guide = 2.0 * chain[-1] - chain[-2]
-            else:
-                guide = chain[-1]
-            cands = row if ok else _finite_fiber(f, target)
-            if not cands:
-                raise RayTraceError("empty finite fiber while tracing")
-            chain.append(cands[nearest(cands, guide)])
+        rows = zip(targets, roots.tolist(), certified.tolist())
+        for q in levels:
+            rho = potentials[q]
+            for t, chain, (target, row, ok) in zip(orbit, chains, rows):
+                if rho >= _LIN_GUIDE_MIN:
+                    guide = lin_inverse(rho, t)
+                elif len(chain) >= 2:
+                    guide = 2.0 * chain[-1] - chain[-2]
+                else:
+                    guide = chain[-1]
+                cands = row if ok else _finite_fiber(f, target)
+                if not cands:
+                    raise RayTraceError("empty finite fiber while tracing")
+                chain.append(cands[nearest(cands, guide)])
     return samples
 
 
@@ -193,8 +199,9 @@ def trace_orbit(f: RationalMap, basin_fixed_point, angles, depth: int = DEFAULT_
                 r0: float = DEFAULT_R0) -> dict:
     """Traces of every ray in the forward angle orbit of the given angles.
 
-    Keys of the returned dict are RayAngle instances. Raises AngleOrbitError
-    (a ValueError) when the orbit holds more than MAX_ORBIT_ANGLES angles, and
+    Keys of the returned dict are RayAngle instances. Raises ValueError when
+    depth is outside 1..MAX_DEPTH, AngleOrbitError (a ValueError) when the
+    orbit holds more than MAX_ORBIT_ANGLES angles, and
     RayTraceError when branch continuation stays ambiguous at the finest
     potential subdivision.
     """
@@ -202,8 +209,8 @@ def trace_orbit(f: RationalMap, basin_fixed_point, angles, depth: int = DEFAULT_
     m = _check_superattracting_fixed(f, b)
     if not (math.isfinite(r0) and r0 >= MIN_R0):
         raise ValueError(f"r0 must be a finite number >= {MIN_R0:g}")
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+    if not 1 <= depth <= MAX_DEPTH:
+        raise ValueError(f"depth must be between 1 and {MAX_DEPTH}")
     orbit = _orbit_angles([_as_angle(t) for t in angles], m)
 
     if b.is_infinity:
@@ -235,11 +242,13 @@ def trace_orbit(f: RationalMap, basin_fixed_point, angles, depth: int = DEFAULT_
     traces = {}
     for t, chain in chains.items():
         # landing is decided in the chart the rays were traced in
-        landed = tail_diameter(chain) < LANDING_TOL
+        residual = tail_diameter(chain)
+        landed = residual < LANDING_TOL
         if back is not None:
             chain = [back + 1.0 / u for u in chain]
+            residual = tail_diameter(chain)
         traces[t] = RayTrace(t, tuple(chain), potentials, landed,
-                             chain[-1] if landed else None, tail_diameter(chain), sub)
+                             chain[-1] if landed else None, residual, sub)
     return traces
 
 

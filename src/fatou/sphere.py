@@ -270,11 +270,12 @@ def _initial_guesses(a: np.ndarray) -> np.ndarray:
     its radius is astronomically large and evaluation overflows.
     """
     n = len(a) - 1
-    mags = np.abs(a)
-    logs = np.where(mags > 0.0, np.log(np.where(mags > 0.0, mags, 1.0)), -np.inf)
+    # math, not numpy, transcendentals: numpy's SIMD log and exp round
+    # differently per CPU target, and the start points seed every root
+    logs = [math.log(m) if m > 0.0 else -math.inf for m in np.abs(a).tolist()]
     hull = [0]
     for k in range(1, n + 1):
-        if not np.isfinite(logs[k]):
+        if not math.isfinite(logs[k]):
             continue
         while len(hull) >= 2:
             k1, k2 = hull[-2], hull[-1]
@@ -290,7 +291,7 @@ def _initial_guesses(a: np.ndarray) -> np.ndarray:
         m = k2 - k1
         r = math.exp((logs[k1] - logs[k2]) / m)
         ang = 2.0 * math.pi * (np.arange(m) + 0.5) / m + 0.45 + 0.3 * i
-        z[pos:pos + m] = r * np.exp(1j * ang)
+        z[pos:pos + m] = [r * cmath.exp(1j * t) for t in ang.tolist()]
         pos += m
     return z
 

@@ -329,6 +329,17 @@ def test_unusable_flag_values_are_usage_errors(capsys, tmp_path, monkeypatch, fl
     assert not (tmp_path / "unused.ppm").exists()
 
 
+def test_depth_beyond_the_bound_is_refused_before_tracing(capsys, monkeypatch):
+    def no_trace(*args, **kwargs):
+        raise AssertionError("traced a ray despite an out-of-range --depth")
+    monkeypatch.setattr(fatou.rays, "trace_orbit", no_trace)
+    for depth in (fatou.rays.MAX_DEPTH + 1, 100000):
+        code, out, err = _run(capsys, _RAY + ["--depth", str(depth)])
+        assert code == 2
+        assert out == ""
+        assert err == f"usage error: --depth: must be at most {fatou.rays.MAX_DEPTH}\n"
+
+
 def test_unknown_map_error_names_the_flag_and_catalog(capsys):
     code, _, err = _run(capsys, ["portrait", "--map", "no-such-map"])
     assert code == 2

@@ -9,6 +9,9 @@ and say why in CHANGES.md. A `render` entry is its stdout followed by a
 line with the sha256 of the PPM it wrote. `verify` is covered with its
 measured values, so a change in any check's figures shows here. `periodic` is
 left out because its output is known to be wrong from d^p = 27.
+
+The same bytes must come out whether numpy dispatches to its AVX512 loops or
+to its AVX2 ones; a second test reruns the commands with AVX512 dispatch off.
 """
 
 import contextlib
@@ -16,16 +19,20 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import pytest
 
 from fatou.catalog import CATALOG_NAMES, by_name, paper_g
 from fatou.cli import dispatch
 from fatou.ratmap import map_to_jsonable
 from fatou.sphere import MoebiusTransform
 
-FIXTURE = Path(__file__).resolve().parent / "golden" / "stdout.json"
+HERE = Path(__file__).resolve().parent
+FIXTURE = HERE / "golden" / "stdout.json"
 FINITE_BASIN_MAP = "paper-g-conjugated.json"  # relative: the report echoes --map
 
 RAYS = (
@@ -50,6 +57,7 @@ RENDERS = (  # map, bounds, resolution
     ("paper-g", "-2.8,2.8,-2.1,2.1", "300x200"),  # 60,000 cells: crosses tile boundaries
 )
 PPM = "render.ppm"  # relative, in the test's working directory
+AVX512_OFF = "X86_V4 AVX512_ICL AVX512_SPR"  # for NPY_DISABLE_CPU_FEATURES
 
 
 def commands() -> list[list[str]]:
@@ -108,15 +116,47 @@ def test_stdout_matches_the_golden_fixture(tmp_path, monkeypatch):
                                  f"offset {at}: {got[at:at + 40]!r} vs {want[at:at + 40]!r}")
 
 
-def regenerate() -> None:
+def _dispatches_x86_v4() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x names the module differently
+        return False
+    return "X86_V4" in __cpu_dispatch__ and bool(__cpu_features__.get("X86_V4"))
+
+
+@pytest.mark.skipif(not _dispatches_x86_v4(),
+                    reason="numpy has no X86_V4 (AVX512) dispatch target on this CPU")
+def test_stdout_is_the_same_with_avx512_dispatch_off():
+    # numpy's AVX512 and AVX2 loops round exp, log and power differently
+    code = ("import json, sys\n"
+            "from numpy._core._multiarray_umath import __cpu_features__\n"
+            "assert not __cpu_features__['X86_V4'], 'AVX512 dispatch is still on'\n"
+            "import test_golden\n"
+            "json.dump(test_golden.outputs(), sys.stdout)\n")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=AVX512_OFF,
+               PYTHONPATH=os.pathsep.join([str(HERE.parent / "src"), str(HERE)]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    got, golden = json.loads(proc.stdout), json.loads(FIXTURE.read_text())
+    assert sorted(got) == sorted(golden)
+    assert [label for label in golden if got[label] != golden[label]] == []
+
+
+def outputs() -> dict:
+    """stdout of every command, run in a temporary directory."""
     with tempfile.TemporaryDirectory() as tmp:
         write_finite_basin_map(Path(tmp))
         here = os.getcwd()
         os.chdir(tmp)
         try:
-            golden = {" ".join(argv): run(argv) for argv in commands()}
+            return {" ".join(argv): run(argv) for argv in commands()}
         finally:
             os.chdir(here)
+
+
+def regenerate() -> None:
+    golden = outputs()
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(golden, indent=0, sort_keys=True) + "\n")
     print(f"wrote {len(golden)} commands to {FIXTURE}", file=sys.stderr)

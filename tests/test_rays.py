@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 
 import fatou.rays
-from fatou.catalog import paper_g
-from fatou.ratmap import Polynomial, eval_sphere, normalize
+from fatou.catalog import by_name, paper_g
+from fatou.ratmap import Polynomial, eval_sphere, nearest, normalize
 from fatou.rays import (
+    DEFAULT_DEPTH,
+    MAX_DEPTH,
     MAX_ORBIT_ANGLES,
     AngleOrbitError,
     RayAngle,
     RayLandingError,
     RayTraceError,
+    _finite_fiber,
+    _leading_data,
     _orbit_angles,
     coland,
     separation_test,
@@ -20,6 +24,7 @@ from fatou.rays import (
     trace_ray,
 )
 from fatou.sphere import MoebiusTransform, SpherePoint
+from test_golden import RAYS
 
 # independent oracle: the two real roots of 2z^2 + z - 2 by interval
 # bisection (see tests/test_sphere.py for the other four)
@@ -158,8 +163,9 @@ def test_trace_validation_errors():
     for r0 in (math.inf, math.nan):
         with pytest.raises(ValueError, match="r0"):
             trace_orbit(paper_g(), SpherePoint.infinity(), ["1/3"], r0=r0)
-    with pytest.raises(ValueError, match="depth"):
-        trace_orbit(paper_g(), SpherePoint.infinity(), ["1/3"], depth=0)
+    for depth in (0, MAX_DEPTH + 1):
+        with pytest.raises(ValueError, match="depth"):
+            trace_orbit(paper_g(), SpherePoint.infinity(), ["1/3"], depth=depth)
 
 
 def test_separation_parity():
@@ -237,3 +243,82 @@ def test_angle_orbit_is_bounded_before_tracing():
         _orbit_angles([RayAngle(1, 2 ** (MAX_ORBIT_ANGLES + 1) - 1)], 2)
     with pytest.raises(ValueError, match=f"more than {MAX_ORBIT_ANGLES} angles"):
         trace_orbit(paper_g(), SpherePoint.infinity(), ["1/1000003"])
+
+
+def _reference_trace(f, m, orbit, potentials, sublevels):
+    """The level-by-level loop: one fibers call per potential level, seeded
+    with the fibers of the level just above. The block solve of
+    fatou.rays._trace_at_infinity must continue the rays as this does."""
+    a, shift = _leading_data(f, m)
+
+    def lin_inverse(rho, t):
+        return rho * cmath.exp(2j * math.pi * t.value()) / a - shift
+
+    samples = {t: [lin_inverse(potentials[q], t) for q in range(sublevels)] for t in orbit}
+    chains = list(samples.values())
+    images = [samples[t.times(m)] for t in orbit]
+    warm = None
+    for q in range(sublevels, len(potentials)):
+        rho = potentials[q]
+        targets = [image[q - sublevels] for image in images]
+        roots, certified = fatou.rays.fibers(f, targets, warm)
+        warm = np.where(certified[:, None], roots, np.nan)
+        for t, chain, target, row, ok in zip(orbit, chains, targets, roots.tolist(),
+                                             certified.tolist()):
+            if rho >= fatou.rays._LIN_GUIDE_MIN:
+                guide = lin_inverse(rho, t)
+            elif len(chain) >= 2:
+                guide = 2.0 * chain[-1] - chain[-2]
+            else:
+                guide = chain[-1]
+            cands = row if ok else _finite_fiber(f, target)
+            if not cands:
+                raise RayTraceError("empty finite fiber while tracing")
+            chain.append(cands[nearest(cands, guide)])
+    return samples
+
+
+_RAY_CASES = [pytest.param(name, angles, False, id=f"{name} {','.join(angles)}")
+              for name, angles, _ in RAYS] + [
+    pytest.param("paper-g", ("1/3", "2/3"), True, id="paper-g at 0 1/3,2/3")]
+
+
+@pytest.mark.parametrize("name, angles, basin_at_zero", _RAY_CASES)
+def test_block_solve_matches_the_level_by_level_reference(monkeypatch, name, angles,
+                                                          basin_at_zero):
+    f, basin = by_name(name), SpherePoint.infinity()
+    if basin_at_zero:  # the basin of infinity moved to 0 by z -> 1/z
+        f, basin = f.conjugate_by(MoebiusTransform(0.0, 1.0, 1.0, 0.0)), 0.0
+    blocked = trace_orbit(f, basin, angles)
+    monkeypatch.setattr(fatou.rays, "_trace_at_infinity", _reference_trace)
+    reference = trace_orbit(f, basin, angles)
+    assert list(blocked) == list(reference)
+    for t, want in reference.items():
+        got = blocked[t]
+        assert (got.sublevels, got.landed) == (want.sublevels, want.landed)
+        assert got.potentials == want.potentials
+        assert len(got.samples) == len(want.samples)
+        assert all(abs(u - v) <= 1e-12 * (1.0 + abs(v)) for u, v in zip(got.samples, want.samples))
+        assert abs(got.residual - want.residual) <= 1e-12
+
+
+def test_one_fibers_call_per_block_of_sublevels(monkeypatch):
+    # the levels of one block depend only on the block above, so the
+    # successful attempt solves each block of sub levels in one call: depth
+    # calls, where the level-by-level loop made depth * sub - sub + 1
+    attempts = []
+    real_fibers, real_trace = fatou.rays.fibers, fatou.rays._trace_at_infinity
+
+    def counted_fibers(f, targets, warm=None):
+        attempts[-1] += 1
+        return real_fibers(f, targets, warm)
+
+    def counted_trace(*args):
+        attempts.append(0)
+        return real_trace(*args)
+    monkeypatch.setattr(fatou.rays, "fibers", counted_fibers)
+    monkeypatch.setattr(fatou.rays, "_trace_at_infinity", counted_trace)
+    traces = trace_orbit(paper_g(), SpherePoint.infinity(), ["1/3", "2/3"])
+    sub = traces[RayAngle(1, 3)].sublevels
+    assert sub == 4 and len(attempts) == 3  # 1 -> 2 -> 4 sublevels
+    assert attempts[-1] <= DEFAULT_DEPTH + 1
