@@ -18,7 +18,7 @@ from . import _jsonio
 from . import basins as _basins
 from . import rays as _rays
 from .catalog import CATALOG_NAMES, by_name
-from .lifting import circle, lift_curve, sign_change_sequence
+from .lifting import MAX_SEGMENTS, MAX_STEPS, circle, lift_curve, sign_change_sequence
 from .orbits import critical_portrait, periodic_points
 from .ratmap import RationalMap, map_from_jsonable, map_to_jsonable
 from .rays import DEFAULT_DEPTH, DEFAULT_R0, MAX_DEPTH, MIN_R0, RayAngle
@@ -203,7 +203,10 @@ def cmd_ray(args) -> int:
 
 def cmd_lift(args) -> int:
     f = _load_map(args.map)
-    base = circle(args.center, args.radius, args.segments)
+    try:
+        base = circle(args.center, args.radius, args.segments)
+    except ValueError as exc:
+        raise _UsageError("--center/--radius", str(exc)) from None
     report = {
         "schema": SCHEMA,
         "map": args.map,
@@ -375,8 +378,12 @@ def dispatch(argv=None) -> int:
             raise _UsageError("--depth", f"must be at most {MAX_DEPTH}")
         if getattr(args, "segments", 3) < 3:
             raise _UsageError("--segments", "must be at least 3")
+        if getattr(args, "segments", 3) > MAX_SEGMENTS:
+            raise _UsageError("--segments", f"must be at most {MAX_SEGMENTS}")
         if getattr(args, "steps", 0) < 0:
             raise _UsageError("--steps", "must be a non-negative integer")
+        if getattr(args, "steps", 0) > MAX_STEPS:
+            raise _UsageError("--steps", f"must be at most {MAX_STEPS}")
         for flag in ("r0", "trap_radius", "eps", "radius"):
             val = getattr(args, flag, 1.0)
             if not (math.isfinite(val) and val > 0):

@@ -20,7 +20,7 @@ import numpy as np
 from ._geom import (is_simple, point_polyline_distance, signed_area,
                     winding_number)
 from .sphere import SpherePoint, as_sphere
-from .ratmap import (RationalMap, _Ambiguous, critical_points, eval_sphere,
+from .ratmap import (MATCH_RATIO, RationalMap, _Ambiguous, critical_points, eval_sphere,
                      fibers, nearest, preimages)
 
 MAX_SUBDIVISION = 10
@@ -28,6 +28,17 @@ HUGE_FIBER = 1e9
 # Compared floats closer than this, relative to their scale, tie, so that the
 # next key decides instead of roundoff (mirror lifts of a real map).
 TIE_REL = 1e-9
+# Work bounds, derived in the README from the time of the largest lift:
+# --segments of `fatou lift`, vertices of a curve that lift_curve takes or
+# refines, and --steps of `fatou lift` (lifts in one tower).
+MAX_SEGMENTS = 20_000
+MAX_VERTICES = 100_000
+MAX_STEPS = 64
+# circle() keeps |z| <= MAX_COORD, so that the product of two coordinate
+# differences stays finite, and a radius of at least RADIUS_RESOLUTION times
+# |center|, so that the vertices stay apart at float resolution.
+MAX_COORD = 1e150
+RADIUS_RESOLUTION = 1e-9
 
 
 class LiftError(RuntimeError):
@@ -36,35 +47,38 @@ class LiftError(RuntimeError):
 
 @dataclass(frozen=True)
 class OrientedPolyCurve:
-    """Closed polyline, implicitly joining the last vertex back to the first."""
+    """Closed polyline, implicitly joining the last vertex back to the first.
+    The geometry reads a read-only array copy of the vertices."""
 
     vertices: tuple
 
     def __post_init__(self):
-        vs = tuple(complex(v) for v in self.vertices)
-        if len(vs) < 3:
+        v = np.array(self.vertices, dtype=complex)
+        if len(v) < 3:
             raise ValueError("need at least three vertices")
-        for i, v in enumerate(vs):
-            nxt = vs[(i + 1) % len(vs)]
-            if abs(v - nxt) == 0.0:
-                raise ValueError("coincident consecutive vertices")
-        object.__setattr__(self, "vertices", vs)
+        if not np.isfinite(v).all():
+            raise ValueError("vertices must be finite")
+        if (v == np.roll(v, -1)).any():
+            raise ValueError("coincident consecutive vertices")
+        v.flags.writeable = False
+        object.__setattr__(self, "vertices", tuple(v.tolist()))
+        object.__setattr__(self, "_array", v)
 
     def validate_simple(self):
-        if not is_simple(self.vertices):
+        if not is_simple(self._array):
             raise ValueError("polyline is self-intersecting")
 
     def winding(self, p: complex) -> int:
-        return winding_number(self.vertices, p)
+        return winding_number(self._array, p)
 
     def orientation(self) -> int:
-        a = signed_area(self.vertices)
+        a = signed_area(self._array)
         if a == 0.0:
             raise ValueError("degenerate curve with zero area")
         return 1 if a > 0 else -1
 
     def distance_to(self, p: complex) -> float:
-        return point_polyline_distance(p, self.vertices)
+        return point_polyline_distance(p, self._array)
 
 
 def circle(center: complex, radius: float, n: int = 64,
@@ -76,6 +90,14 @@ def circle(center: complex, radius: float, n: int = 64,
         raise ValueError("radius must be a finite number > 0")
     if n < 3:
         raise ValueError("need at least three vertices")
+    center = complex(center)
+    mod = math.hypot(center.real, center.imag)  # inf, where abs() would raise
+    if mod + radius > MAX_COORD:
+        raise ValueError(f"the circle reaches |z| = {mod + radius:g}; "
+                         f"vertices must stay within |z| <= {MAX_COORD:g}")
+    if radius < RADIUS_RESOLUTION * mod:
+        raise ValueError(f"radius {radius:g} is below {RADIUS_RESOLUTION:g} times "
+                         f"|center| = {mod:g}; the vertices would round together")
     sgn = -1.0 if clockwise else 1.0
     pts = tuple(center + radius * complex(math.cos(sgn * 2 * math.pi * k / n),
                                           math.sin(sgn * 2 * math.pi * k / n))
@@ -175,11 +197,32 @@ def _vertex_fibers(f: RationalMap, verts: Sequence[complex]) -> list[list[comple
             for v, row, ok in zip(verts, roots.tolist(), certified.tolist())]
 
 
+def _match_edges(rows: np.ndarray) -> tuple[list[list[int]], list[bool]]:
+    """_match on every edge at once. rows (n + 1, d) holds the fiber over each
+    vertex, the first and last row alike in strand order.
+
+    Returns, per edge i, the index in row i + 1 that each point of row i
+    continues to, and whether _match would refuse the edge: some point's
+    nearest candidate fails ratmap.nearest's MATCH_RATIO test, or two points
+    share one. The distances are np.hypot of the coordinate differences,
+    which rounds as abs() of a complex number does, so every decision is
+    _match's.
+    """
+    dz = rows[1:, None, :] - rows[:-1, :, None]  # [edge, point, candidate]
+    dist = np.hypot(dz.real, dz.imag)
+    best = dist.argmin(axis=2)
+    two = np.partition(dist, 1, axis=2)
+    ambiguous = ((two[..., 0] > MATCH_RATIO * two[..., 1]) & (two[..., 0] > 1e-12)).any(axis=1)
+    shared = (np.sort(best, axis=1) != np.arange(rows.shape[1])).any(axis=1)
+    return best.tolist(), (ambiguous | shared).tolist()
+
+
 def _continue_edge(f: RationalMap, strands: list[complex], va: complex, vb: complex,
                    fiber: list[complex], depth: int, refined: list[complex],
-                   chains: list[list[complex]]):
+                   matches: list[list[complex]]):
     """Continue all strands across the edge va -> vb, whose end has the given
-    fiber, subdividing on ambiguity."""
+    fiber, subdividing on ambiguity. Appends each point reached, midpoints
+    and then vb, to refined and the strands' continuations there to matches."""
     try:
         matched = _match(strands, fiber)
     except _Ambiguous:
@@ -188,60 +231,117 @@ def _continue_edge(f: RationalMap, strands: list[complex], va: complex, vb: comp
                 f"strand matching stayed ambiguous after {depth} subdivisions "
                 f"near {vb}") from None
         vm = 0.5 * (va + vb)
-        mid = _continue_edge(f, strands, va, vm, _fiber(f, vm), depth + 1, refined, chains)
-        return _continue_edge(f, mid, vm, vb, fiber, depth + 1, refined, chains)
+        mid = _continue_edge(f, strands, va, vm, _fiber(f, vm), depth + 1, refined, matches)
+        return _continue_edge(f, mid, vm, vb, fiber, depth + 1, refined, matches)
     refined.append(vb)
-    for chain, m in zip(chains, matched):
-        chain.append(m)
+    matches.append(matched)
     return matched
+
+
+def _critical_values(f: RationalMap) -> tuple[SpherePoint, ...]:
+    """f at its critical points, solved on the first lift through the map
+    object and kept in its __dict__ (as functools.cached_property keeps
+    RationalMap.pair), so that a sign_change_sequence tower, which lifts
+    through one map, solves them once."""
+    values = f.__dict__.get("_critical_values")
+    if values is None:
+        values = f.__dict__["_critical_values"] = tuple(
+            eval_sphere(f, c.point) for c in critical_points(f))
+    return values
+
+
+def _check_critical_values(f: RationalMap, verts: np.ndarray, eps: float):
+    """Raise unless every vertex keeps chordal distance > eps from every
+    critical value. An array pass picks the vertices that might not; the
+    SpherePoint.chordal test then decides those, in vertex order."""
+    crit = _critical_values(f)
+    s = np.maximum(np.hypot(verts.real, verts.imag), 1.0)
+    z, w = verts / s, 1.0 / s  # SpherePoint.of(v), max-modulus normalized
+    near = np.zeros(len(verts), dtype=bool)
+    norm = np.hypot(np.abs(z), w)
+    for cv in crit:
+        d = 2.0 * np.abs(z * cv.w - cv.z * w) / (norm * math.hypot(abs(cv.z), abs(cv.w)))
+        near |= d <= eps * (1.0 + 1e-9) + 1e-300
+    for v in verts[near].tolist():
+        vp = as_sphere(v)
+        for cv in crit:
+            if vp.chordal(cv) <= eps:
+                raise LiftError(f"vertex {v} within eps of critical value {cv}")
 
 
 def lift_curve(f: RationalMap, curve: OrientedPolyCurve, omega: complex,
                eps: float = 1e-3) -> LiftSet:
     """All lifts of a closed curve, each with covering degree and sign.
 
-    Preconditions enforced: the curve is simple, every vertex keeps chordal
-    distance > eps from every critical value, and omega stays off the base
-    curve and off every lift. Lifts inherit the parametrization that makes f
-    orientation preserving on them, which is automatic for the induced
-    continuation.
+    Preconditions enforced: the curve is simple with at most MAX_VERTICES
+    vertices, every vertex keeps chordal distance > eps from every critical
+    value, and omega stays off the base curve and off every lift. Lifts
+    inherit the parametrization that makes f orientation preserving on them,
+    which is automatic for the induced continuation.
+
+    Every edge is matched in one array pass (_match_edges); only the edges
+    it flags are subdivided, by _continue_edge. LiftError when subdivision
+    would take the refined curve past MAX_VERTICES vertices.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be a finite number > 0")
     if not isinstance(omega, SpherePoint) and cmath.isnan(omega):
         raise ValueError("omega must be a point of the sphere, not NaN")
+    verts = curve.vertices
+    n = len(verts)
+    if n > MAX_VERTICES:
+        raise LiftError(f"base curve has {n} vertices; at most {MAX_VERTICES} are lifted")
     try:
         curve.validate_simple()
     except ValueError as exc:
         raise LiftError(f"base curve: {exc}") from exc
-    crit_values = [eval_sphere(f, c.point) for c in critical_points(f)]
-    for v in curve.vertices:
-        vp = as_sphere(v)
-        for cv in crit_values:
-            if vp.chordal(cv) <= eps:
-                raise LiftError(
-                    f"vertex {v} within eps of critical value {cv}")
+    varr = curve._array
+    _check_critical_values(f, varr, eps)
     om = as_sphere(omega)
     if not om.is_infinity:
         oz = om.to_complex()
         if curve.distance_to(oz) < 1e-9 * (1.0 + abs(oz)):
             raise LiftError("omega lies on the base curve")
 
-    verts = list(curve.vertices)
     vert_fibers = _vertex_fibers(f, verts)
     start_fiber = _strand_order(vert_fibers[0])
-    refined = [verts[0]]
-    chains = [[s] for s in start_fiber]
-    strands = list(start_fiber)
-    for i in range(len(verts)):
-        j = (i + 1) % len(verts)
-        fiber = start_fiber if j == 0 else vert_fibers[j]
-        strands = _continue_edge(f, strands, verts[i], verts[j], fiber, 0, refined, chains)
+    fiber_rows = [start_fiber] + vert_fibers[1:] + [start_fiber]
+    rows = np.array(fiber_rows)
+    best, flagged = _match_edges(rows)
+    d = rows.shape[1]
+    # pos[i][k]: the index in rows[i] of strand k's point over vertex i
+    pos = [list(range(d))]
+    inserted = []  # (edge, midpoints, strand points over them) per subdivided edge
+    extra = 0
+    for i in range(n):
+        idx = pos[-1]
+        if not flagged[i]:
+            pos.append([best[i][k] for k in idx])
+            continue
+        mids: list[complex] = []
+        found: list[list[complex]] = []
+        end_fiber = fiber_rows[i + 1]
+        matched = _continue_edge(f, [fiber_rows[i][k] for k in idx], verts[i],
+                                 verts[(i + 1) % n], end_fiber, 0, mids, found)
+        pos.append([end_fiber.index(m) for m in matched])
+        inserted.append((i, mids[:-1], found[:-1]))
+        extra += len(mids) - 1
+        if n + extra > MAX_VERTICES:
+            raise LiftError(f"subdivision takes the base curve past {MAX_VERTICES} vertices")
     # the last edge matched the strands into start_fiber itself
-    perm = [start_fiber.index(s) for s in strands]
+    perm = pos[-1]
+
+    # strand points over every refined vertex, the closing vertex dropped
+    at_verts = rows[np.arange(n)[:, None], np.array(pos[:n])]
+    base_parts, strand_parts, lo = [], [], 0
+    for i, mids, found in inserted:
+        base_parts += [varr[lo:i + 1], np.array(mids, dtype=complex)]
+        strand_parts += [at_verts[lo:i + 1], np.array(found, dtype=complex).reshape(-1, d)]
+        lo = i + 1
+    refined = np.concatenate(base_parts + [varr[lo:]])
+    strand_pts = np.concatenate(strand_parts + [at_verts[lo:]])
 
     # cycles of the permutation -> lifts
-    k = len(refined) - 1  # chain length per loop, excluding the closing vertex
     lifts = []
     seen = set()
     for s0 in range(len(perm)):
@@ -253,16 +353,13 @@ def lift_curve(f: RationalMap, curve: OrientedPolyCurve, omega: complex,
             cycle.append(nxt)
             nxt = perm[nxt]
         seen.update(cycle)
-        pts: list[complex] = []
-        for idx in cycle:
-            pts.extend(chains[idx][:k])
-        lift_curve_ = OrientedPolyCurve(tuple(pts))
+        lift_curve_ = OrientedPolyCurve(strand_pts[:, cycle].T.reshape(-1))
         if not om.is_infinity:
             oz = om.to_complex()
             if lift_curve_.distance_to(oz) < 1e-9 * (1.0 + abs(oz)):
                 raise LiftError("omega lies on a lift")
         lifts.append(Lift(lift_curve_, len(cycle), sign_of(lift_curve_, om), s0))
-    return LiftSet(curve, tuple(refined[:-1]), tuple(lifts), tuple(perm))
+    return LiftSet(curve, tuple(refined.tolist()), tuple(lifts), tuple(perm))
 
 
 def outermost_lifts(lift_set: LiftSet, omega) -> list[Lift]:
@@ -314,21 +411,29 @@ class SignSequence:
         return sum(1 for s in self.steps if s.changed)
 
 
+def _closest(vertices: Sequence[complex], om: SpherePoint) -> float:
+    """Least distance from a vertex to om: |v - om|, or the chordal distance
+    when om is infinity. np.hypot rounds as abs() does, so the finite case
+    has the bits of the scalar loop. The chordal case takes
+    2 (1/s) / hypot(|v|/s, 1/s), s = max(|v|, 1), for every vertex, and
+    SpherePoint.chordal then decides among those within rounding of the least."""
+    v = np.asarray(vertices, dtype=complex)
+    if not om.is_infinity:
+        oz = om.to_complex()
+        return float(np.hypot(v.real - oz.real, v.imag - oz.imag).min())
+    mod = np.hypot(v.real, v.imag)
+    s = np.maximum(mod, 1.0)
+    approx = 2.0 / s / np.hypot(mod / s, 1.0 / s)
+    near = v[approx <= approx.min() * (1.0 + 1e-12)]
+    return min(om.chordal(as_sphere(z)) for z in near.tolist())
+
+
 def _default_selector(lifts: Sequence[Lift], omega) -> Lift:
     """Deterministic choice: the outermost lift whose closest vertex to omega
     is farthest away (chordally when omega is at infinity); ties, up to
     TIE_REL, break by strand index."""
     om = as_sphere(omega)
-    if om.is_infinity:
-        def dist(v):
-            return om.chordal(as_sphere(v))
-    else:
-        oz = om.to_complex()
-
-        def dist(v):
-            return abs(v - oz)
-
-    nearest = [min(dist(v) for v in l.curve.vertices) for l in lifts]
+    nearest = [_closest(l.curve._array, om) for l in lifts]
     scale = 1.0 + max(nearest)
     best = min(range(len(lifts)), key=lambda i: (-_tied(nearest[i], scale), lifts[i].strand))
     return lifts[best]
@@ -337,7 +442,8 @@ def _default_selector(lifts: Sequence[Lift], omega) -> Lift:
 def sign_change_sequence(f: RationalMap, curve: OrientedPolyCurve, omega,
                          n: int = 8, eps: float = 1e-3) -> SignSequence:
     """Iterated lifting, recording the sign of a chosen outermost lift at each
-    backward step and whether it changed from the previous one."""
+    backward step and whether it changed from the previous one. Every step
+    lifts through f, so its critical values are solved once (_critical_values)."""
     if n < 1:
         raise ValueError("need at least one step")
     omega = as_sphere(omega)

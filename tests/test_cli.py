@@ -263,6 +263,10 @@ def test_usage_errors_exit_two(capsys):
                  "--radius", "0.1", "--steps=-1"]),
     ("--max-iter", ["render", "--map", "paper-g", "--max-iter=-5",
                     "--out", "unused.ppm"]),
+    ("--segments", ["lift", "--map", "paper-g", "--center=-2,0",
+                    "--radius", "0.1", "--segments", "20001"]),  # MAX_SEGMENTS + 1
+    ("--steps", ["lift", "--map", "paper-g", "--center=-2,0",
+                 "--radius", "0.1", "--steps", "65"]),  # MAX_STEPS + 1
 ])
 def test_out_of_range_counts_are_usage_errors(capsys, tmp_path, monkeypatch, flag, argv):
     monkeypatch.chdir(tmp_path)
@@ -318,6 +322,10 @@ _RAY = ["ray", "--map", "paper-g", "--angle", "1/3"]
     ("--basin", _RAY + ["--basin", "0,nan"]),
     ("--angle", ["ray", "--map", "paper-g", "--angle", "1/1000003"]),  # orbit too long
     ("--center", ["lift", "--map", "paper-g", "--center", "inf", "--radius", "0.1"]),
+    # vertices past the float range, or rounded together next to the center
+    ("--center/--radius", ["lift", "--map", "paper-g", "--center=1e308,0", "--radius", "1e308"]),
+    ("--center/--radius", ["lift", "--map", "paper-g", "--center=1e200,0", "--radius", "1"]),
+    ("--center/--radius", ["lift", "--map", "paper-g", "--center=1e100,0", "--radius", "1"]),
 ])
 def test_unusable_flag_values_are_usage_errors(capsys, tmp_path, monkeypatch, flag, argv):
     monkeypatch.chdir(tmp_path)
@@ -327,6 +335,21 @@ def test_unusable_flag_values_are_usage_errors(capsys, tmp_path, monkeypatch, fl
     last = err.splitlines()[-1]
     assert last.startswith(f"usage error: {flag}: ") or f"argument {flag}: " in last
     assert not (tmp_path / "unused.ppm").exists()
+
+
+@pytest.mark.parametrize("center, radius, message", [
+    ("1e308,0", "1e308", "the circle reaches |z| = inf; vertices must stay within |z| <= 1e+150"),
+    ("1e200,0", "1", "the circle reaches |z| = 1e+200; vertices must stay within |z| <= 1e+150"),
+    ("1.5e308,1.5e308", "1", "the circle reaches |z| = inf; vertices must stay within "
+                             "|z| <= 1e+150"),  # abs() of the center overflows
+    ("1e100,0", "1", "radius 1 is below 1e-09 times |center| = 1e+100; "
+                     "the vertices would round together"),
+])
+def test_unrepresentable_circles_are_refused_cleanly(capsys, center, radius, message):
+    code, out, err = _run(capsys, ["lift", "--map", "paper-g", f"--center={center}",
+                                   "--radius", radius])
+    assert (code, out) == (2, "")
+    assert err == f"usage error: --center/--radius: {message}\n"
 
 
 def test_depth_beyond_the_bound_is_refused_before_tracing(capsys, monkeypatch):

@@ -50,6 +50,11 @@ TOWERS = (  # map, centre, omega, steps
     ("paper-degree4", 0.0, "inf", 4),
     ("paper-degree4", 0.0, "0.0,0.0", 3),
 )
+LONG_LIFTS = (  # a long base curve, and a tower of many subdivided steps
+    ["lift", "--map", "paper-g", "--center=-2,0", "--radius", "0.1", "--segments", "1000"],
+    ["lift", "--map", "paper-g", "--center=-2,0", "--radius", "0.1", "--steps", "8",
+     "--omega", "0,0"],
+)
 RENDERS = (  # map, bounds, resolution
     ("paper-g", "-2.8,2.8,-2.1,2.1", "120x90"),
     ("paper-g", "-1.2908,-1.2708,-0.01,0.01", "80x80"),  # around the landing of R_1/3
@@ -75,6 +80,7 @@ def commands() -> list[list[str]]:
     for name, c, omega, steps in TOWERS:
         cmds.append(["lift", "--map", name, f"--center={c!r},0", "--radius", "0.1",
                      "--steps", str(steps), "--omega", omega])
+    cmds += [list(argv) for argv in LONG_LIFTS]
     cmds += [["portrait", "--map", name] for name in CATALOG_NAMES]
     cmds.append(["catalog", "--coeffs"])
     cmds.append(["verify"])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import fatou._geom
 import fatou.lifting
 from fatou.catalog import by_name, paper_g
 from fatou.lifting import (
@@ -19,8 +20,8 @@ from fatou.lifting import (
     signed_area,
     winding_number,
 )
-from fatou.ratmap import Polynomial, eval_sphere, normalize
-from fatou.sphere import SpherePoint
+from fatou.ratmap import Polynomial, _Ambiguous, eval_sphere, normalize
+from fatou.sphere import SpherePoint, as_sphere
 
 
 def _square_map():
@@ -295,3 +296,248 @@ def test_tower_matches_the_preimages_path(monkeypatch):
         assert (a.sign, a.outermost_count) == (b.sign, b.outermost_count)
         assert len(a.curve.vertices) == len(b.curve.vertices)
         assert max(abs(u - v) for u, v in zip(a.curve.vertices, b.curve.vertices)) < 1e-12
+
+
+# --- array geometry against scalar references --------------------------------
+# The references are per-edge scalar loops; the array passes must agree with them.
+
+
+def _orient(p, q, r):
+    return (q.real - p.real) * (r.imag - p.imag) - (r.real - p.real) * (q.imag - p.imag)
+
+
+def _on_segment(p, q, r, d):
+    return (d == 0 and min(p.real, q.real) <= r.real <= max(p.real, q.real)
+            and min(p.imag, q.imag) <= r.imag <= max(p.imag, q.imag))
+
+
+def _is_simple_all_pairs(vs):
+    n = len(vs)
+    if n < 3:
+        return False
+    for i in range(n):
+        for j in range(i + 2, n):
+            if i == 0 and j == n - 1:
+                continue  # the wraparound pair shares vertex 0
+            a, b, c, e = vs[i], vs[(i + 1) % n], vs[j], vs[(j + 1) % n]
+            d1, d2, d3, d4 = _orient(a, b, c), _orient(a, b, e), _orient(c, e, a), _orient(c, e, b)
+            if d1 * d2 < 0 and d3 * d4 < 0:
+                return False
+            if (_on_segment(a, b, c, d1) or _on_segment(a, b, e, d2)
+                    or _on_segment(c, e, a, d3) or _on_segment(c, e, b, d4)):
+                return False
+    return True
+
+
+def _winding_scalar(vs, p):
+    w = 0
+    for i in range(len(vs)):
+        a, b = vs[i], vs[(i + 1) % len(vs)]
+        left = _orient(a, b, p)
+        if a.imag <= p.imag:
+            if b.imag > p.imag and left > 0:
+                w += 1
+        elif b.imag <= p.imag and left < 0:
+            w -= 1
+    return w
+
+
+def _distance_scalar(p, vs):
+    best = math.inf
+    for i in range(len(vs)):
+        a, b = vs[i], vs[(i + 1) % len(vs)]
+        ab = b - a
+        denom = abs(ab) ** 2
+        t = 0.0 if denom == 0.0 else min(1.0, max(0.0, ((p - a).real * ab.real
+                                                       + (p - a).imag * ab.imag) / denom))
+        best = min(best, abs(p - (a + t * ab)))
+    return best
+
+
+def _random_polylines(rng, count):
+    for k in range(count):
+        n = int(rng.integers(3, 30))
+        if k % 3 == 0:  # lattice: shared vertices, collinear overlaps, T-touches
+            v = rng.integers(0, 4, n) + 1j * rng.integers(0, 4, n)
+        elif k % 3 == 1:  # star-shaped, mostly simple
+            v = rng.uniform(0.5, 1.5, n) * np.exp(1j * np.sort(rng.uniform(0, 2 * np.pi, n)))
+        else:
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        yield [complex(z) for z in v]
+
+
+_HAND_POLYLINES = [
+    (0j, 2 + 0j, 2 + 2j, 1 + 0j),  # a vertex touches a non-adjacent edge
+    (0j, 2 + 0j, 2 + 1j, 1 + 0j, 1 - 1j),  # T-touch from inside an edge
+    (0j, 3 + 0j, 3 + 1j, 1 + 0j, 2 + 0j, 2 - 1j),  # collinear overlap
+    (0j, 1 + 0j, 1 + 1j, 0j + 0j, 1j),  # a repeated vertex
+    (0j, 1 + 0j, 1 + 1j, 1j),  # the wraparound pair only meets at vertex 0
+    (0j, 1 + 0j, 0.5 + 1j),
+]
+
+
+def test_is_simple_matches_the_all_pairs_check():
+    rng = np.random.default_rng(12)
+    cases = list(_random_polylines(rng, 600)) + [list(p) for p in _HAND_POLYLINES]
+    got = [fatou.lifting.is_simple(vs) for vs in cases]
+    assert got == [_is_simple_all_pairs(vs) for vs in cases]
+    assert 0 < sum(got) < len(got)  # both answers are exercised
+    assert [fatou.lifting.is_simple(p) for p in _HAND_POLYLINES] == [False] * 4 + [True] * 2
+
+
+def test_is_simple_blocks_agree_with_one_pass(monkeypatch):
+    # a long circle with one crossing near the end, with candidate blocks of
+    # a few pairs
+    pts = list(circle(0.0, 1.0, 200).vertices)
+    pts[150], pts[151] = pts[151], pts[150]
+    zigzag = [complex(k, k % 2) for k in range(40)] + [complex(39, 5), complex(0, 5)]
+    for size in (1, 7, 1 << 16):
+        monkeypatch.setattr(fatou._geom, "_PAIR_BLOCK", size)
+        assert not fatou.lifting.is_simple(pts)
+        assert fatou.lifting.is_simple(circle(0.0, 1.0, 200).vertices)
+        assert fatou.lifting.is_simple(zigzag)
+
+
+def test_winding_number_matches_the_crossing_count():
+    rng = np.random.default_rng(13)
+    for vs in _random_polylines(rng, 300):
+        probes = [complex(*rng.standard_normal(2)) for _ in range(3)]
+        # at a vertex's height, and on the lattice of the lattice polylines
+        probes += [complex(0.5, vs[0].imag), complex(rng.uniform(-2, 2), vs[-1].imag),
+                   complex(1.5, 1.5), complex(1, 2)]
+        for p in probes:
+            assert winding_number(vs, p) == _winding_scalar(vs, p)
+
+
+def test_point_polyline_distance_matches_the_edge_loop():
+    rng = np.random.default_rng(14)
+    for vs in _random_polylines(rng, 300):
+        for p in [complex(*rng.standard_normal(2)) for _ in range(3)] + [vs[0], 0.5 * (vs[0] + vs[1])]:
+            assert abs(point_polyline_distance(p, vs) - _distance_scalar(p, vs)) <= 1e-12
+
+
+def test_signed_area_sums_left_to_right():
+    rng = np.random.default_rng(15)
+    for vs in _random_polylines(rng, 100):
+        acc = 0.0
+        for a, b in zip(vs, vs[1:] + vs[:1]):
+            acc += a.real * b.imag - b.real * a.imag
+        assert signed_area(vs) == 0.5 * acc
+
+
+def test_curve_rejects_non_finite_vertices():
+    for bad in (complex(math.inf, 0.0), complex(0.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            OrientedPolyCurve((0j, 1 + 0j, bad))
+
+
+# --- all-edge strand matching against _match edge by edge ---------------------
+
+
+def _lift_edge_by_edge(f, curve):
+    """Base points, strand chains and monodromy from _match, one edge at a time."""
+    verts = list(curve.vertices)
+    vert_fibers = fatou.lifting._vertex_fibers(f, verts)
+    start = fatou.lifting._strand_order(vert_fibers[0])
+    refined, matches = [verts[0]], [start]
+    strands = start
+    for i in range(len(verts)):
+        j = (i + 1) % len(verts)
+        strands = fatou.lifting._continue_edge(f, strands, verts[i], verts[j],
+                                               start if j == 0 else vert_fibers[j], 0,
+                                               refined, matches)
+    chains = [list(c) for c in zip(*matches[:-1])]
+    return tuple(refined[:-1]), chains, tuple(start.index(s) for s in strands)
+
+
+def _assert_lift_matches_edge_by_edge(f, curve, omega=1e6):
+    ls = lift_curve(f, curve, omega)
+    refined, chains, perm = _lift_edge_by_edge(f, curve)
+    assert ls.base_refined == refined
+    assert ls.monodromy == perm
+    for lift in ls.lifts:
+        cycle = [lift.strand]
+        while perm[cycle[-1]] != lift.strand:
+            cycle.append(perm[cycle[-1]])
+        assert lift.curve.vertices == tuple(z for k in cycle for z in chains[k])
+    return ls
+
+
+@pytest.mark.parametrize("name", ["paper-g", "paper-degree4", "pseudo-basilica:2",
+                                  "pseudo-basilica:3", "pseudo-basilica:4",
+                                  "pseudo-rabbit:3:0"])
+def test_all_edge_matching_makes_the_edge_by_edge_decisions(name):
+    f = by_name(name)
+    for c in (0.0, 1.0 - f.degree):
+        _assert_lift_matches_edge_by_edge(f, circle(c, 0.1))
+    # coarse enough that edges subdivide on every map but pseudo-basilica:2
+    ls = _assert_lift_matches_edge_by_edge(f, circle(0.3 + 0.2j, 0.6, 6))
+    assert len(ls.base_refined) > 6 or name == "pseudo-basilica:2"
+
+
+def test_match_edges_flags_what_match_refuses():
+    # one edge where both strands pick one point with a clear margin (the
+    # bijection test fails), one where the bijection holds but a strand's
+    # nearest point is not twice as close as the runner-up (the ratio test)
+    for row0, row1, best in (([0j, 2 + 0j], [1 + 0j, 10 + 0j], [0, 0]),
+                             ([0j, -1.3 + 0j], [1 + 0j, -1.2 + 0j], [0, 1])):
+        got, flagged = fatou.lifting._match_edges(np.array([row0, row1]))
+        assert (got, flagged) == ([best], [True])
+        with pytest.raises(_Ambiguous):
+            fatou.lifting._match(row0, row1)
+
+
+@pytest.mark.parametrize("branches", [
+    lambda u: [u, 2 + 8 * u],  # over the first edge, both strands claim u = 1
+    lambda u: [u, -1.3 + 0.1 * u],  # 0 sits 1 from u = 1 and 1.2 from the other
+], ids=["bijection", "ratio"])
+def test_flagged_edges_subdivide(monkeypatch, branches):
+    # a made-up degree-2 fiber: two affine branches of u = v - 10 over a
+    # triangle far from the critical values of z -> z^2, whose first edge
+    # fails exactly one of the two tests
+    def fake_fibers(f, targets, warm=None):
+        rows = np.array([sorted(branches(complex(v) - 10), key=lambda z: (z.real, z.imag))
+                         for v in targets])
+        return rows, np.ones(len(rows), dtype=bool)
+
+    def fake_preimages(f, v):
+        return [(SpherePoint.of(z), 1) for z in branches(as_sphere(v).to_complex() - 10)]
+    monkeypatch.setattr(fatou.lifting, "fibers", fake_fibers)
+    monkeypatch.setattr(fatou.lifting, "preimages", fake_preimages)
+    base = OrientedPolyCurve((10 + 0j, 11 + 0j, 10.5 + 0.05j))
+    rows, _ = fake_fibers(None, (10 + 0j, 11 + 0j))
+    assert fatou.lifting._match_edges(rows)[1] == [True]
+    ls = _assert_lift_matches_edge_by_edge(_square_map(), base)
+    assert len(ls.base_refined) > 3 and 10 < ls.base_refined[1].real < 11
+    assert ls.monodromy == (0, 1)
+
+
+def test_lift_refuses_curves_past_the_vertex_cap(monkeypatch):
+    # six vertices, but the coarse edges subdivide to eight
+    assert len(lift_curve(paper_g(), circle(0.0, 0.5, 6), omega=1e6).base_refined) == 8
+    monkeypatch.setattr(fatou.lifting, "MAX_VERTICES", 7)
+    with pytest.raises(LiftError, match="8 vertices; at most 7"):
+        lift_curve(paper_g(), circle(-2.0, 0.1, 8), omega=1e6)
+    with pytest.raises(LiftError, match="past 7 vertices"):
+        lift_curve(paper_g(), circle(0.0, 0.5, 6), omega=1e6)
+
+
+def test_tower_solves_the_critical_points_once(monkeypatch):
+    calls = []
+    real = fatou.lifting.critical_points
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+    monkeypatch.setattr(fatou.lifting, "critical_points", counted)
+    g = paper_g()
+    sign_change_sequence(g, circle(-2.0, 0.1), 0.0, n=3)
+    assert calls == [g]
+
+
+def test_circle_refuses_what_floats_cannot_represent():
+    with pytest.raises(ValueError, match="1e\\+150"):
+        circle(1e308, 1e308)
+    with pytest.raises(ValueError, match="round together"):
+        circle(1e100 + 0j, 1.0)
+    circle(1e6, 1e-3, 20000).validate_simple()
