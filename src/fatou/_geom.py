@@ -36,8 +36,11 @@ def winding_number(vertices: Sequence[complex], p: complex) -> int:
 
 def signed_area(vertices: Sequence[complex]) -> float:
     """Shoelace area; positive for counterclockwise orientation. The terms are
-    summed left to right (a cumulative sum), as a scalar loop adds them."""
-    ax, ay, bx, by = _edges(vertices)
+    taken relative to the first vertex, so a small curve far from 0 keeps its
+    area instead of cancelling, and summed left to right (a cumulative sum),
+    as a scalar loop adds them."""
+    v = np.asarray(vertices, dtype=complex)
+    ax, ay, bx, by = _edges(v - v[0])
     return 0.5 * float(np.cumsum(ax * by - bx * ay)[-1])
 
 

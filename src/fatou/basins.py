@@ -24,15 +24,16 @@ DEFAULT_TRAP_RADIUS = 1e-6
 # classify_grid iterates the grid in flat tiles of this many cells, so its
 # temporaries are a few MB whatever the resolution
 TILE_CELLS = 16384
-# Bytes per cell that render keeps at its peak, inside label_components: the
-# grid's cycle_id, phase and steps (8), the int32 cell numbers and union-find
-# parents (8), up to two equal-key edges per cell as int32 endpoint pairs
-# (16), and the masks and copies made while the edges are gathered and
-# compacted. With the grid, tracemalloc measures 46 on a one-key 800x600
-# grid and 50 on an 800x600 checkerboard (a component per cell). classify_grid
-# adds fixed-size tiles to the grid's 8, and render_ppm about 21 to the grid
-# and the labels (12). The labeling keeps an int32 root and count per
-# component; Component records are built only when asked for.
+# Bytes per cell that render keeps at its peak: the grid's cycle_id, phase and
+# steps (8) and the int32 labels (4). label_components works on row runs: its
+# masks are a byte per cell, and it keeps an int32 first cell, parent, label
+# and length per run, with an int64 copy of the first cells while they are
+# found. With the grid, tracemalloc measures 12 on a one-key 800x600 grid
+# (a run per row) and 32 on an 800x600 checkerboard (a run and a component
+# per cell). classify_grid adds fixed-size tiles to the grid's 8, and
+# render_ppm 15 to the grid and the labels: an int32 palette code, the image
+# and its bytes. The labeling keeps an int32 root and count per component;
+# Component records are built only when asked for.
 BYTES_PER_CELL = 64
 MAX_GRID_BYTES = 2 ** 31  # for the arrays of one grid
 # 33,554,432 cells; labels and union-find indices are int32, so this must
@@ -306,20 +307,38 @@ def label_components(grid: BasinGrid) -> ComponentLabeling:
     """4-connected components of constant (cycle_id, phase), numbered in
     row-major order of their first cell, so numbering is deterministic.
 
-    Union-find over the equal-key neighbour edges: every round hooks the
-    larger root of each edge to the smaller (np.minimum.at), then pointer
-    jumping flattens every tree, and edges inside one tree are dropped. A
-    root is the smallest cell of its tree, i.e. the component's first cell.
+    Union-find over row runs (He, Chao & Suzuki, IEEE TIP 17(5), 2008): each
+    row splits into maximal runs of one key, numbered in row-major order of
+    their first cell, and an unresolved cell is a run of its own. Two
+    vertically adjacent runs of one key are joined by a single edge, at the
+    column where their overlap begins, which is where one of them starts.
+    Every round hooks the larger root of each edge to the smaller
+    (np.minimum.at), then pointer jumping flattens every tree, and edges
+    inside one tree are dropped. A root is the smallest run of its tree,
+    whose first cell is the component's first cell. Labels and counts are
+    per run, then spread over the run's cells.
     """
     h, w = grid.height, grid.width
     cid, ph = grid.cycle_id, grid.phase
-    cells = np.arange(h * w, dtype=np.int32)
-    idx = cells.reshape(h, w)
-    right = (cid[:, :-1] >= 0) & (cid[:, :-1] == cid[:, 1:]) & (ph[:, :-1] == ph[:, 1:])
-    down = (cid[:-1] >= 0) & (cid[:-1] == cid[1:]) & (ph[:-1] == ph[1:])
-    a = np.concatenate([idx[:, :-1][right], idx[:-1][down]])
-    b = np.concatenate([idx[:, 1:][right], idx[1:][down]])
-    parent = cells.copy()
+    # a run starts at column 0 and after an unresolved cell or a key change
+    start = np.ones((h, w), dtype=bool)
+    np.not_equal(cid[:, :-1], cid[:, 1:], out=start[:, 1:])
+    start[:, 1:] |= ph[:, :-1] != ph[:, 1:]
+    start[:, 1:] |= cid[:, :-1] < 0
+    first = np.flatnonzero(start).astype(np.int32)  # first cell of each run
+    n_runs = first.size
+    down = cid[:-1] == cid[1:]
+    down &= ph[:-1] == ph[1:]
+    down &= cid[:-1] >= 0
+    down &= start[:-1] | start[1:]
+    del start
+    top = np.flatnonzero(down).astype(np.int32)  # upper cell of each edge
+    del down
+    a = (np.searchsorted(first, top, side="right") - 1).astype(np.int32)
+    top += w
+    b = (np.searchsorted(first, top, side="right") - 1).astype(np.int32)
+    del top
+    parent = np.arange(n_runs, dtype=np.int32)
     while a.size:  # a < b, both roots
         np.minimum.at(parent, b, a)
         while True:
@@ -335,12 +354,22 @@ def label_components(grid: BasinGrid) -> ComponentLabeling:
         b = b[apart]
         a, b = np.minimum(a, b), np.maximum(a, b)
 
-    roots = np.flatnonzero((parent == cells) & (cid.ravel() >= 0)).astype(np.int32)
-    rank = np.full(h * w, -1, dtype=np.int32)
-    rank[roots] = np.arange(roots.size, dtype=np.int32)
-    labels = rank[parent]  # unresolved cells are their own, unranked, roots
-    counts = np.bincount(labels[labels >= 0], minlength=roots.size).astype(np.int32)
-    return ComponentLabeling(grid, labels.reshape(h, w), roots, counts)
+    resolved = cid.ravel()[first] >= 0
+    root = parent == np.arange(n_runs, dtype=np.int32)
+    root &= resolved
+    roots = first[root]
+    run_label = np.cumsum(root, dtype=np.int32)[parent]
+    del root, parent
+    run_label -= 1
+    run_label[~resolved] = -1  # unresolved runs are their own, unranked, roots
+    del resolved
+    run_len = np.diff(first, append=np.int32(h * w))
+    del first
+    labels = np.repeat(run_label, run_len).reshape(h, w)
+    run_label += 1  # unresolved runs count in slot 0
+    counts = np.zeros(roots.size + 1, dtype=np.int32)
+    np.add.at(counts, run_label, run_len)
+    return ComponentLabeling(grid, labels, roots, counts[1:])
 
 
 def component_of(labeling: ComponentLabeling, point: complex) -> Component:
@@ -373,13 +402,15 @@ def render_ppm(grid: BasinGrid) -> bytes:
     """Binary PPM (P6) image of the grid in default_palette; unresolved cells
     are black. Byte-for-byte deterministic for a given grid.
     """
-    n_cycles = len(grid.cycles)
     max_phase = max(len(c) for c in grid.cycles)
-    lut = np.zeros((n_cycles + 1, max_phase, 3), dtype=np.uint8)
+    lut = np.zeros(((len(grid.cycles) + 1) * max_phase, 3), dtype=np.uint8)
     for (ci, pi), rgb in default_palette(grid).items():
-        lut[ci + 1, pi] = rgb
-    cid = np.clip(grid.cycle_id.astype(np.int32) + 1, 0, n_cycles)
-    ph = np.clip(grid.phase.astype(np.int32), 0, max_phase - 1)
-    img = lut[cid, ph]
+        lut[(ci + 1) * max_phase + pi] = rgb
+    # unresolved cells (cycle_id and phase -1) get code 0, black
+    code = grid.cycle_id.astype(np.int32)
+    code += 1
+    code *= max_phase
+    code += np.maximum(grid.phase, 0)
+    img = np.take(lut, code, axis=0)  # a row gather, faster than lut[code]
     header = f"P6\n{grid.width} {grid.height}\n255\n".encode("ascii")
     return header + img.tobytes()

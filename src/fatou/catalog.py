@@ -51,7 +51,11 @@ def pseudo_rabbit_condition(d: int = 3) -> Polynomial:
     with num/den the integer family pair. Clearing denominators gives the
     returned polynomial in r.
     """
-    num, den = _family_pair(d)
+    return _rabbit_condition(_family_pair(d), d)
+
+
+def _rabbit_condition(pair, d: int) -> Polynomial:
+    num, den = pair
 
     def at_neg(p: Polynomial) -> Polynomial:
         return Polynomial(tuple(c * (-1.0) ** k for k, c in enumerate(p.coeffs)))
@@ -68,12 +72,15 @@ def pseudo_rabbit_roots(d: int = 3) -> list[complex]:
     Each candidate root of the cleared condition polynomial is validated
     against the actual orbit of 0 before being accepted.
     """
-    cond = pseudo_rabbit_condition(d)
+    return _rabbit_roots(_family_pair(d), d)
+
+
+def _rabbit_roots(pair, d: int) -> list[complex]:
     roots = []
-    for r, _ in poly_roots(cond):
+    for r, _ in poly_roots(_rabbit_condition(pair, d)):
         if abs(r) < 1e-6:
             continue  # g_r(0) = -r must be nonzero
-        g = pseudo_rabbit_map(d, r)
+        g = _rabbit_map(pair, d, r)
         x = eval_sphere(g, 0.0)
         if x.is_infinity or abs(x.to_complex()) < 1e-6:
             continue
@@ -86,7 +93,12 @@ def pseudo_rabbit_roots(d: int = 3) -> list[complex]:
 
 
 def pseudo_rabbit_map(d: int, r: complex) -> RationalMap:
-    num, den = _family_pair(d)
+    return _rabbit_map(_family_pair(d), d, r)
+
+
+def _rabbit_map(pair, d: int, r: complex) -> RationalMap:
+    """g_r from the family pair of degree d, which the callers build once."""
+    num, den = pair
     return normalize(num.scale(complex(r)), den.scale(float(d - 1)))
 
 
@@ -168,11 +180,12 @@ def by_name(name: str) -> RationalMap:
             return pseudo_basilica(int(parts[1]))
         if parts[0] == "pseudo-rabbit" and len(parts) == 3:
             d = int(parts[1])
-            roots = pseudo_rabbit_roots(d)
+            pair = _family_pair(d)
+            roots = _rabbit_roots(pair, d)
             idx = int(parts[2])
             if not 0 <= idx < len(roots):
                 raise KeyError(f"root index {idx} out of range (have {len(roots)})")
-            return pseudo_rabbit_map(d, roots[idx])
+            return _rabbit_map(pair, d, roots[idx])
     except ValueError as exc:
         # malformed or out-of-family selectors are name errors to callers
         raise KeyError(f"bad catalog selector {name!r}: {exc}") from exc

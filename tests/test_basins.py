@@ -15,6 +15,7 @@ from fatou.basins import (
     classify_grid,
     classify_point,
     component_of,
+    default_palette,
     label_components,
     render_ppm,
     superattracting_cycles,
@@ -214,6 +215,27 @@ def test_render_ppm_format():
     assert (pixels[~unresolved].sum(axis=1) > 0).all()
 
 
+def test_render_ppm_matches_a_pixel_by_pixel_reference():
+    # cycles of lengths 1, 3 and 2: every (cycle, phase) pair and unresolved
+    # cells, at a width that is not the palette's size
+    cycles = ((None,), (None, None, None), (None, None))
+    pairs = [(-1, -1)] + [(ci, pi) for ci, cyc in enumerate(cycles) for pi in range(len(cyc))]
+    rng = np.random.default_rng(23)
+    k = rng.integers(len(pairs), size=(11, 17))
+    k[0, :len(pairs)] = np.arange(len(pairs))
+    cid = np.array([pairs[i][0] for i in k.ravel()], dtype=np.int16).reshape(11, 17)
+    ph = np.array([pairs[i][1] for i in k.ravel()], dtype=np.int16).reshape(11, 17)
+    grid = BasinGrid(Bounds(-1.0, 1.0, -1.0, 1.0), 17, 11, cycles, cid, ph,
+                     np.zeros((11, 17), dtype=np.int32), 1e-6, 1)
+    palette = default_palette(grid)
+    want = bytearray(b"P6\n17 11\n255\n")
+    for r in range(11):
+        for c in range(17):
+            ci, pi = int(cid[r, c]), int(ph[r, c])
+            want += bytes(palette[ci, pi]) if ci >= 0 else bytes(3)
+    assert render_ppm(grid) == bytes(want)
+
+
 # --- cell centres and the resolution cap --------------------------------------
 
 
@@ -380,6 +402,25 @@ def _comb(h: int, w: int) -> np.ndarray:
     return a
 
 
+def _staircase(h: int, step: int) -> np.ndarray:
+    """Runs of `step` cells, each row's run starting where the run above
+    ends, so consecutive runs touch only at a corner."""
+    a = np.zeros((h, h * step), dtype=int)
+    for r in range(h):
+        a[r, r * step:(r + 1) * step] = 1
+    return a
+
+
+def _one_column_overlaps(h: int, step: int) -> np.ndarray:
+    """Row r holds the run of columns r * step .. (r + 1) * step, so the runs
+    of consecutive rows overlap in exactly one column, where the lower run
+    starts (mirrored left to right: where the upper one starts)."""
+    a = np.zeros((h, h * step + 1), dtype=int)
+    for r in range(h):
+        a[r, r * step:(r + 1) * step + 1] = 1
+    return a
+
+
 _rows, _cols = np.indices((9, 12))
 _wall = np.zeros((9, 12), dtype=int)
 _wall[:, 5] = -1
@@ -398,6 +439,15 @@ HAND_BUILT = {
             [[0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 0, 0, 1]]),
     "Nx1": ([[0], [0], [1], [1], [-1], [0], [0], [1], [0]],
             [[0], [0], [0], [1], [0], [0], [0], [1], [1]]),
+    "1xN-one-run": (np.ones((1, 40)), np.ones((1, 40))),
+    "Nx1-one-key": (np.ones((40, 1)), np.ones((40, 1))),
+    "staircase": (np.ones((8, 24)), _staircase(8, 3)),
+    "staircase-of-cells": (np.ones((10, 10)), _staircase(10, 1)),
+    "staircase-upside-down": (np.ones((8, 24)), _staircase(8, 3)[::-1]),
+    "wide-comb": (np.ones((9, 23)), np.repeat(_comb(9, 12), 2, axis=1)[:, :23]),
+    "one-column-overlaps": (np.ones((9, 37)), _one_column_overlaps(9, 4)),
+    "one-column-overlaps-mirrored": (np.ones((9, 37)), _one_column_overlaps(9, 4)[:, ::-1]),
+    "one-column-overlaps-of-cells": (np.ones((9, 10)), _one_column_overlaps(9, 1)),
     "1x1": ([[1]], [[1]]),
     "1x1-unresolved": ([[-1]], [[0]]),
     "all-unresolved": (-np.ones((4, 5)), np.zeros((4, 5))),
@@ -417,6 +467,14 @@ def test_hand_built_component_counts():
     assert counts == {"spiral": 2, "comb": 1 + 8, "comb-upside-down": 1 + 8,
                       "checkerboard": 9 * 12, "same-key-split-by-unresolved": 4,
                       "1x1-unresolved": 0}
+    counts = {name: len(label_components(_grid(*HAND_BUILT[name])).components)
+              for name in ("1xN-one-run", "Nx1-one-key", "staircase",
+                           "staircase-of-cells", "wide-comb", "one-column-overlaps")}
+    # a staircase keeps its runs apart between two pieces of background; runs
+    # that overlap in one column join
+    assert counts == {"1xN-one-run": 1, "Nx1-one-key": 1, "staircase": 8 + 2,
+                      "staircase-of-cells": 10 + 2, "wide-comb": 1 + 6,
+                      "one-column-overlaps": 1 + 2}
 
 
 def test_labels_match_bfs_on_random_grids():
@@ -426,6 +484,21 @@ def test_labels_match_bfs_on_random_grids():
             cid = rng.integers(-1, 2, size=shape)
             ph = rng.integers(0, 2, size=shape)
             _assert_labels_match_bfs(_grid(cid, ph))
+
+
+@pytest.mark.parametrize("shape", [(1, 64), (64, 1), (2, 2), (7, 61), (61, 7), (33, 47)])
+def test_labels_match_bfs_on_random_three_key_grids(shape):
+    # keys (0, 0), (1, 0) and (1, 1) and unresolved cells; stretching a
+    # grid along its rows makes runs longer than one cell
+    rng = np.random.default_rng(sum(shape))
+    keys = np.array([(-1, -1), (0, 0), (1, 0), (1, 1)])
+    for p_unresolved in (0.05, 0.3):
+        p = [p_unresolved] + [(1 - p_unresolved) / 3] * 3
+        for stretch in (1, 3):
+            h, w = shape
+            k = rng.choice(4, size=(h, -(-w // stretch)), p=p)
+            k = np.repeat(k, stretch, axis=1)[:, :w]
+            _assert_labels_match_bfs(_grid(keys[k, 0], keys[k, 1]))
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import fatou.catalog
+
 from fatou.catalog import (
     CATALOG_NAMES,
     by_name,
@@ -149,6 +151,22 @@ def test_rabbit_catalog_selector_picks_indexed_root():
     built = pseudo_rabbit_map(3, pseudo_rabbit_roots(3)[0])
     rng = np.random.default_rng(873)
     assert _cross_identity_error(picked, built, rng) < 1e-12
+
+
+def test_rabbit_selector_builds_the_family_pair_once(monkeypatch):
+    calls = []
+    real = fatou.catalog._family_pair
+
+    def counted(d):
+        calls.append(d)
+        return real(d)
+    monkeypatch.setattr(fatou.catalog, "_family_pair", counted)
+    picked = by_name("pseudo-rabbit:3:0")
+    assert calls == [3]
+    monkeypatch.undo()
+    built = pseudo_rabbit_map(3, pseudo_rabbit_roots(3)[0])
+    assert picked.num.coeffs == built.num.coeffs
+    assert picked.den.coeffs == built.den.coeffs
 
 
 def test_pinch_parameters_are_unique():

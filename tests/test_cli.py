@@ -128,6 +128,18 @@ def test_sign_sequence_report(capsys):
     assert doc["outermost_counts"] == [1, 2]
 
 
+def test_tower_whose_lifts_shrink_far_from_zero(capsys):
+    # the chosen lifts shrink toward 0.78 - 0.18i, to a diameter of 2.5e-8
+    # at step 6; the shoelace sum at absolute coordinates cancels to 0.0 at
+    # step 7 and the tower failed with "degenerate curve with zero area"
+    code, out, _ = _run(capsys, ["lift", "--map", "paper-degree4", "--center=0,0",
+                                 "--radius", "0.1", "--steps", "8"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["signs"] == [1] * 8
+    assert doc["outermost_counts"] == [2, 4, 4, 4, 4, 4, 4, 4]
+
+
 def test_catalog_listing(capsys):
     code, out, _ = _run(capsys, ["catalog"])
     assert code == 0

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -419,10 +420,23 @@ def test_point_polyline_distance_matches_the_edge_loop():
 def test_signed_area_sums_left_to_right():
     rng = np.random.default_rng(15)
     for vs in _random_polylines(rng, 100):
+        # relative to the first vertex, as signed_area takes it
+        rel = [v - vs[0] for v in vs]
         acc = 0.0
-        for a, b in zip(vs, vs[1:] + vs[:1]):
+        for a, b in zip(rel, rel[1:] + rel[:1]):
             acc += a.real * b.imag - b.real * a.imag
         assert signed_area(vs) == 0.5 * acc
+
+
+def test_signed_area_of_a_small_curve_far_from_zero():
+    # a regular 12-gon of radius 1e-9 around 0.78 - 0.18i: at absolute
+    # coordinates each shoelace term is about 0.1 and their sum, 3e-18, is
+    # lost to rounding (such a sum reads 1.4e-17 here)
+    c, r = 0.78 - 0.18j, 1e-9
+    vs = [c + r * cmath.exp(2j * math.pi * k / 12) for k in range(12)]
+    area = 0.5 * 12 * math.sin(2 * math.pi / 12) * r * r
+    assert abs(signed_area(vs) / area - 1.0) < 1e-6
+    assert abs(signed_area(vs[::-1]) / area + 1.0) < 1e-6
 
 
 def test_curve_rejects_non_finite_vertices():
