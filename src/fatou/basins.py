@@ -39,6 +39,9 @@ MAX_GRID_BYTES = 2 ** 31  # for the arrays of one grid
 # 33,554,432 cells; labels and union-find indices are int32, so this must
 # stay below 2**31 - 1
 MAX_CELLS = MAX_GRID_BYTES // BYTES_PER_CELL
+# Steps a cell may take before it is left unresolved, derived in the README
+# from the time of a cell that never traps.
+MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -203,12 +206,13 @@ def classify_grid(f: RationalMap, portrait: CriticalPortrait, bounds: Bounds,
     special casing. A tile's iterates shrink to its unresolved cells as they
     are trapped. Each step, the exact chordal distance to a trap is taken
     only for the cells in its _band, which the normalization finds from the
-    moduli it takes anyway. More than MAX_CELLS cells is a ValueError.
+    moduli it takes anyway. More than MAX_CELLS cells, or a max_iter outside
+    1..MAX_ITER, is a ValueError.
     """
     if not (math.isfinite(trap_radius) and trap_radius > 0):
         raise ValueError("trap_radius must be a finite number > 0")
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    if not 1 <= max_iter <= MAX_ITER:
+        raise ValueError(f"max_iter must be between 1 and {MAX_ITER}")
     width, height = resolution
     if width < 1 or height < 1:
         raise ValueError("resolution must be positive")

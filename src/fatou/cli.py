@@ -21,7 +21,7 @@ from .catalog import CATALOG_NAMES, by_name
 from .lifting import MAX_SEGMENTS, MAX_STEPS, circle, lift_curve, sign_change_sequence
 from .orbits import critical_portrait, periodic_points
 from .ratmap import RationalMap, map_from_jsonable, map_to_jsonable
-from .rays import DEFAULT_DEPTH, DEFAULT_R0, MAX_DEPTH, MIN_R0, RayAngle
+from .rays import DEFAULT_DEPTH, DEFAULT_R0, MAX_DEPTH, MAX_R0, MIN_R0, RayAngle
 from .sphere import SpherePoint, as_sphere
 from .verify import groups as verify_groups
 from .verify import run_checks
@@ -376,6 +376,8 @@ def dispatch(argv=None) -> int:
                                   "must be a positive integer")
         if getattr(args, "depth", 1) > MAX_DEPTH:
             raise _UsageError("--depth", f"must be at most {MAX_DEPTH}")
+        if getattr(args, "max_iter", 1) > _basins.MAX_ITER:
+            raise _UsageError("--max-iter", f"must be at most {_basins.MAX_ITER}")
         if getattr(args, "segments", 3) < 3:
             raise _UsageError("--segments", "must be at least 3")
         if getattr(args, "segments", 3) > MAX_SEGMENTS:
@@ -390,8 +392,8 @@ def dispatch(argv=None) -> int:
                 raise _UsageError("--" + flag.replace("_", "-"), "must be a finite number > 0")
         if isinstance(getattr(args, "center", None), SpherePoint):
             raise _UsageError("--center", "must be a finite point")
-        if getattr(args, "r0", MIN_R0) < MIN_R0:
-            raise _UsageError("--r0", f"must be at least {MIN_R0:g}")
+        if not MIN_R0 <= getattr(args, "r0", MIN_R0) <= MAX_R0:
+            raise _UsageError("--r0", f"must be between {MIN_R0:g} and {MAX_R0:g}")
         return args.func(args)
     except SystemExit as e:
         code = e.code

@@ -20,8 +20,8 @@ import numpy as np
 from ._geom import (is_simple, point_polyline_distance, signed_area,
                     winding_number)
 from .sphere import SpherePoint, as_sphere
-from .ratmap import (MATCH_RATIO, RationalMap, _Ambiguous, critical_points, eval_sphere,
-                     fibers, nearest, preimages)
+from .ratmap import (MATCH_RATIO, RationalMap, critical_points, eval_sphere, fibers,
+                     preimages)
 
 MAX_SUBDIVISION = 10
 HUGE_FIBER = 1e9
@@ -81,9 +81,8 @@ class OrientedPolyCurve:
         return point_polyline_distance(p, self._array)
 
 
-def circle(center: complex, radius: float, n: int = 64,
-           clockwise: bool = False) -> OrientedPolyCurve:
-    """Regular polygon approximation of a circle, counterclockwise by default."""
+def circle(center: complex, radius: float, n: int = 64) -> OrientedPolyCurve:
+    """Regular polygon approximation of a circle, counterclockwise."""
     if not cmath.isfinite(center):
         raise ValueError("center must be a finite complex number")
     if not (math.isfinite(radius) and radius > 0):
@@ -98,9 +97,8 @@ def circle(center: complex, radius: float, n: int = 64,
     if radius < RADIUS_RESOLUTION * mod:
         raise ValueError(f"radius {radius:g} is below {RADIUS_RESOLUTION:g} times "
                          f"|center| = {mod:g}; the vertices would round together")
-    sgn = -1.0 if clockwise else 1.0
-    pts = tuple(center + radius * complex(math.cos(sgn * 2 * math.pi * k / n),
-                                          math.sin(sgn * 2 * math.pi * k / n))
+    pts = tuple(center + radius * complex(math.cos(2 * math.pi * k / n),
+                                          math.sin(2 * math.pi * k / n))
                 for k in range(n))
     return OrientedPolyCurve(pts)
 
@@ -172,22 +170,6 @@ def _strand_order(fiber: list[complex]) -> list[complex]:
     return sorted(fiber, key=lambda z: (_tied(z.real, scale), _tied(z.imag, scale)))
 
 
-def _match(strands: Sequence[complex], fiber: Sequence[complex]) -> list[complex]:
-    """Assign each strand its continuation in the next fiber: its nearest
-    point by ratmap.nearest, with the assignment a bijection. Anything else
-    raises _Ambiguous.
-    """
-    chosen = []
-    taken = set()
-    for s in strands:
-        best = nearest(fiber, s)
-        if best in taken:
-            raise _Ambiguous(f"two strands claim one preimage near {fiber[best]}")
-        taken.add(best)
-        chosen.append(fiber[best])
-    return chosen
-
-
 def _vertex_fibers(f: RationalMap, verts: Sequence[complex]) -> list[list[complex]]:
     """The fiber over each vertex, as _fiber returns it: from one batched
     solve, with _fiber solving the rows the batch cannot vouch for."""
@@ -198,15 +180,15 @@ def _vertex_fibers(f: RationalMap, verts: Sequence[complex]) -> list[list[comple
 
 
 def _match_edges(rows: np.ndarray) -> tuple[list[list[int]], list[bool]]:
-    """_match on every edge at once. rows (n + 1, d) holds the fiber over each
-    vertex, the first and last row alike in strand order.
+    """Strand matching on every edge at once. rows (n + 1, d) holds the fiber
+    over each vertex, the first and last row alike in strand order.
 
     Returns, per edge i, the index in row i + 1 that each point of row i
-    continues to, and whether _match would refuse the edge: some point's
-    nearest candidate fails ratmap.nearest's MATCH_RATIO test, or two points
-    share one. The distances are np.hypot of the coordinate differences,
-    which rounds as abs() of a complex number does, so every decision is
-    _match's.
+    continues to, its nearest candidate as ratmap.nearest picks it, and
+    whether the edge is refused: some point's nearest candidate fails
+    nearest's MATCH_RATIO test, or two points share one. The distances are
+    np.hypot of the coordinate differences, which rounds as abs() of a complex
+    number does, so every decision is nearest's.
     """
     dz = rows[1:, None, :] - rows[:-1, :, None]  # [edge, point, candidate]
     dist = np.hypot(dz.real, dz.imag)
@@ -215,27 +197,6 @@ def _match_edges(rows: np.ndarray) -> tuple[list[list[int]], list[bool]]:
     ambiguous = ((two[..., 0] > MATCH_RATIO * two[..., 1]) & (two[..., 0] > 1e-12)).any(axis=1)
     shared = (np.sort(best, axis=1) != np.arange(rows.shape[1])).any(axis=1)
     return best.tolist(), (ambiguous | shared).tolist()
-
-
-def _continue_edge(f: RationalMap, strands: list[complex], va: complex, vb: complex,
-                   fiber: list[complex], depth: int, refined: list[complex],
-                   matches: list[list[complex]]):
-    """Continue all strands across the edge va -> vb, whose end has the given
-    fiber, subdividing on ambiguity. Appends each point reached, midpoints
-    and then vb, to refined and the strands' continuations there to matches."""
-    try:
-        matched = _match(strands, fiber)
-    except _Ambiguous:
-        if depth >= MAX_SUBDIVISION:
-            raise LiftError(
-                f"strand matching stayed ambiguous after {depth} subdivisions "
-                f"near {vb}") from None
-        vm = 0.5 * (va + vb)
-        mid = _continue_edge(f, strands, va, vm, _fiber(f, vm), depth + 1, refined, matches)
-        return _continue_edge(f, mid, vm, vb, fiber, depth + 1, refined, matches)
-    refined.append(vb)
-    matches.append(matched)
-    return matched
 
 
 def _critical_values(f: RationalMap) -> tuple[SpherePoint, ...]:
@@ -279,15 +240,18 @@ def lift_curve(f: RationalMap, curve: OrientedPolyCurve, omega: complex,
     inherit the parametrization that makes f orientation preserving on them,
     which is automatic for the induced continuation.
 
-    Every edge is matched in one array pass (_match_edges); only the edges
-    it flags are subdivided, by _continue_edge. LiftError when subdivision
-    would take the refined curve past MAX_VERTICES vertices.
+    The curve is refined in whole-curve rounds: _match_edges matches every
+    edge in one array pass, each edge it flags gains its midpoint (with the
+    fiber from _fiber), and the refined curve is matched again. The strands
+    compose from the last round's matches. LiftError when an edge is still
+    flagged after MAX_SUBDIVISION rounds, or when a round would take the
+    refined curve past MAX_VERTICES vertices.
     """
     if not (math.isfinite(eps) and eps > 0):
         raise ValueError("eps must be a finite number > 0")
     if not isinstance(omega, SpherePoint) and cmath.isnan(omega):
         raise ValueError("omega must be a point of the sphere, not NaN")
-    verts = curve.vertices
+    verts = list(curve.vertices)
     n = len(verts)
     if n > MAX_VERTICES:
         raise LiftError(f"base curve has {n} vertices; at most {MAX_VERTICES} are lifted")
@@ -295,51 +259,38 @@ def lift_curve(f: RationalMap, curve: OrientedPolyCurve, omega: complex,
         curve.validate_simple()
     except ValueError as exc:
         raise LiftError(f"base curve: {exc}") from exc
-    varr = curve._array
-    _check_critical_values(f, varr, eps)
+    _check_critical_values(f, curve._array, eps)
     om = as_sphere(omega)
     if not om.is_infinity:
         oz = om.to_complex()
         if curve.distance_to(oz) < 1e-9 * (1.0 + abs(oz)):
             raise LiftError("omega lies on the base curve")
 
-    vert_fibers = _vertex_fibers(f, verts)
-    start_fiber = _strand_order(vert_fibers[0])
-    fiber_rows = [start_fiber] + vert_fibers[1:] + [start_fiber]
-    rows = np.array(fiber_rows)
-    best, flagged = _match_edges(rows)
-    d = rows.shape[1]
-    # pos[i][k]: the index in rows[i] of strand k's point over vertex i
-    pos = [list(range(d))]
-    inserted = []  # (edge, midpoints, strand points over them) per subdivided edge
-    extra = 0
-    for i in range(n):
-        idx = pos[-1]
-        if not flagged[i]:
-            pos.append([best[i][k] for k in idx])
-            continue
-        mids: list[complex] = []
-        found: list[list[complex]] = []
-        end_fiber = fiber_rows[i + 1]
-        matched = _continue_edge(f, [fiber_rows[i][k] for k in idx], verts[i],
-                                 verts[(i + 1) % n], end_fiber, 0, mids, found)
-        pos.append([end_fiber.index(m) for m in matched])
-        inserted.append((i, mids[:-1], found[:-1]))
-        extra += len(mids) - 1
-        if n + extra > MAX_VERTICES:
+    rows = np.array(_vertex_fibers(f, verts))
+    rows[0] = _strand_order(rows[0].tolist())
+    for depth in range(MAX_SUBDIVISION + 1):
+        n = len(verts)
+        best, flagged = _match_edges(np.concatenate((rows, rows[:1])))
+        split = [i for i, bad in enumerate(flagged) if bad]
+        if not split:
+            break
+        if depth == MAX_SUBDIVISION:
+            raise LiftError(f"strand matching stayed ambiguous after {depth} subdivisions "
+                            f"near {verts[(split[0] + 1) % n]}")
+        if n + len(split) > MAX_VERTICES:
             raise LiftError(f"subdivision takes the base curve past {MAX_VERTICES} vertices")
-    # the last edge matched the strands into start_fiber itself
-    perm = pos[-1]
+        mids = [0.5 * (verts[i] + verts[(i + 1) % n]) for i in split]
+        at = [i + 1 for i in split]
+        rows = np.insert(rows, at, [_fiber(f, vm) for vm in mids], axis=0)
+        verts = np.insert(np.array(verts), at, mids).tolist()
 
-    # strand points over every refined vertex, the closing vertex dropped
-    at_verts = rows[np.arange(n)[:, None], np.array(pos[:n])]
-    base_parts, strand_parts, lo = [], [], 0
-    for i, mids, found in inserted:
-        base_parts += [varr[lo:i + 1], np.array(mids, dtype=complex)]
-        strand_parts += [at_verts[lo:i + 1], np.array(found, dtype=complex).reshape(-1, d)]
-        lo = i + 1
-    refined = np.concatenate(base_parts + [varr[lo:]])
-    strand_pts = np.concatenate(strand_parts + [at_verts[lo:]])
+    # pos[i][k]: the index in rows[i] of strand k's point over vertex i; the
+    # last edge matched the strands into rows[0] itself
+    pos = [list(range(rows.shape[1]))]
+    for b in best:
+        pos.append([b[k] for k in pos[-1]])
+    perm = pos.pop()
+    strand_pts = rows[np.arange(n)[:, None], np.array(pos)]
 
     # cycles of the permutation -> lifts
     lifts = []
@@ -359,7 +310,7 @@ def lift_curve(f: RationalMap, curve: OrientedPolyCurve, omega: complex,
             if lift_curve_.distance_to(oz) < 1e-9 * (1.0 + abs(oz)):
                 raise LiftError("omega lies on a lift")
         lifts.append(Lift(lift_curve_, len(cycle), sign_of(lift_curve_, om), s0))
-    return LiftSet(curve, tuple(refined.tolist()), tuple(lifts), tuple(perm))
+    return LiftSet(curve, tuple(verts), tuple(lifts), tuple(perm))
 
 
 def outermost_lifts(lift_set: LiftSet, omega) -> list[Lift]:

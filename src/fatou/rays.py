@@ -26,6 +26,10 @@ from .ratmap import (RationalMap, _Ambiguous, critical_points, eval_sphere,
 
 DEFAULT_R0 = 100.0
 MIN_R0 = 10.0  # smallest starting potential the linearized seed is trusted at
+# Largest starting potential: the first fiber targets are about as large as
+# r0, and from 1 / LEAD_TRIM = 1e12 on preimages trims their fibers to
+# infinity (derived in the README).
+MAX_R0 = 1e10
 MAX_ORBIT_ANGLES = 64
 DEFAULT_DEPTH = 96
 MAX_DEPTH = 1024  # potentials round to 1.0 long before; deeper adds no information
@@ -200,15 +204,15 @@ def trace_orbit(f: RationalMap, basin_fixed_point, angles, depth: int = DEFAULT_
     """Traces of every ray in the forward angle orbit of the given angles.
 
     Keys of the returned dict are RayAngle instances. Raises ValueError when
-    depth is outside 1..MAX_DEPTH, AngleOrbitError (a ValueError) when the
-    orbit holds more than MAX_ORBIT_ANGLES angles, and
-    RayTraceError when branch continuation stays ambiguous at the finest
-    potential subdivision.
+    depth is outside 1..MAX_DEPTH or r0 outside MIN_R0..MAX_R0,
+    AngleOrbitError (a ValueError) when the orbit holds more than
+    MAX_ORBIT_ANGLES angles, and RayTraceError when branch continuation
+    stays ambiguous at the finest potential subdivision.
     """
     b = as_sphere(basin_fixed_point)
     m = _check_superattracting_fixed(f, b)
-    if not (math.isfinite(r0) and r0 >= MIN_R0):
-        raise ValueError(f"r0 must be a finite number >= {MIN_R0:g}")
+    if not MIN_R0 <= r0 <= MAX_R0:
+        raise ValueError(f"r0 must be between {MIN_R0:g} and {MAX_R0:g}")
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"depth must be between 1 and {MAX_DEPTH}")
     orbit = _orbit_angles([_as_angle(t) for t in angles], m)

@@ -9,6 +9,7 @@ import pytest
 import fatou.basins
 from fatou.basins import (
     MAX_CELLS,
+    MAX_ITER,
     BasinGrid,
     Bounds,
     Component,
@@ -78,8 +79,9 @@ def test_trap_disks_must_be_disjoint():
         classify_grid(g, port, Bounds(-1, 1, -1, 1), (8, 8), trap_radius=-1.0)
     with pytest.raises(ValueError, match="trap_radius"):
         classify_grid(g, port, Bounds(-1, 1, -1, 1), (8, 8), trap_radius=float("nan"))
-    with pytest.raises(ValueError, match="max_iter"):
-        classify_grid(g, port, Bounds(-1, 1, -1, 1), (8, 8), max_iter=-5)
+    for max_iter in (-5, MAX_ITER + 1):
+        with pytest.raises(ValueError, match="max_iter"):
+            classify_grid(g, port, Bounds(-1, 1, -1, 1), (8, 8), max_iter=max_iter)
 
 
 def test_grid_matches_pointwise_classification():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -279,6 +280,8 @@ def test_usage_errors_exit_two(capsys):
                     "--radius", "0.1", "--segments", "20001"]),  # MAX_SEGMENTS + 1
     ("--steps", ["lift", "--map", "paper-g", "--center=-2,0",
                  "--radius", "0.1", "--steps", "65"]),  # MAX_STEPS + 1
+    ("--max-iter", ["render", "--map", "paper-g", "--max-iter", "10001",
+                    "--out", "unused.ppm"]),  # MAX_ITER + 1
 ])
 def test_out_of_range_counts_are_usage_errors(capsys, tmp_path, monkeypatch, flag, argv):
     monkeypatch.chdir(tmp_path)
@@ -338,6 +341,7 @@ _RAY = ["ray", "--map", "paper-g", "--angle", "1/3"]
     ("--center/--radius", ["lift", "--map", "paper-g", "--center=1e308,0", "--radius", "1e308"]),
     ("--center/--radius", ["lift", "--map", "paper-g", "--center=1e200,0", "--radius", "1"]),
     ("--center/--radius", ["lift", "--map", "paper-g", "--center=1e100,0", "--radius", "1"]),
+    ("--r0", _RAY + ["--r0", repr(math.nextafter(fatou.rays.MAX_R0, math.inf))]),
 ])
 def test_unusable_flag_values_are_usage_errors(capsys, tmp_path, monkeypatch, flag, argv):
     monkeypatch.chdir(tmp_path)
@@ -347,6 +351,18 @@ def test_unusable_flag_values_are_usage_errors(capsys, tmp_path, monkeypatch, fl
     last = err.splitlines()[-1]
     assert last.startswith(f"usage error: {flag}: ") or f"argument {flag}: " in last
     assert not (tmp_path / "unused.ppm").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    _RAY + ["--r0", repr(fatou.rays.MAX_R0)],
+    ["render", "--map", "paper-g", "--resolution", "1x1", "--out", "x.ppm",
+     "--max-iter", str(fatou.basins.MAX_ITER)],
+], ids=["--r0", "--max-iter"])
+def test_flag_values_at_their_caps_are_accepted(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["map"] == "paper-g"
 
 
 @pytest.mark.parametrize("center, radius, message", [

@@ -1,5 +1,6 @@
 import cmath
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import fatou._geom
 import fatou.lifting
 from fatou.catalog import by_name, paper_g
 from fatou.lifting import (
+    MAX_SUBDIVISION,
     Lift,
     LiftError,
     LiftSet,
@@ -20,13 +22,18 @@ from fatou.lifting import (
     sign_of,
     signed_area,
     winding_number,
+    _fiber,
 )
-from fatou.ratmap import Polynomial, _Ambiguous, eval_sphere, normalize
+from fatou.ratmap import Polynomial, RationalMap, _Ambiguous, eval_sphere, nearest, normalize
 from fatou.sphere import SpherePoint, as_sphere
 
 
 def _square_map():
     return normalize(Polynomial((0.0, 0.0, 1.0)), Polynomial((1.0,)))
+
+
+def _clockwise(curve):
+    return OrientedPolyCurve(curve.vertices[::-1])
 
 
 def test_winding_number_hand_cases():
@@ -45,7 +52,7 @@ def test_signed_area_and_orientation():
     # regular 64-gon area, not quite pi
     assert abs(signed_area(cc.vertices) - 32 * math.sin(math.pi / 32)) < 1e-12
     assert cc.orientation() == 1
-    assert circle(0.0, 1.0, clockwise=True).orientation() == -1
+    assert _clockwise(circle(0.0, 1.0)).orientation() == -1
     flat = OrientedPolyCurve((0j, 1 + 0j, 2 + 0j))
     with pytest.raises(ValueError):
         flat.orientation()
@@ -84,7 +91,7 @@ def test_circle_helper():
     assert len(c.vertices) == 48
     assert all(abs(abs(v - (2 + 1j)) - 0.5) < 1e-12 for v in c.vertices)
     assert c.winding(2.0 + 1j) == 1
-    assert circle(2.0 + 1j, 0.5, clockwise=True).winding(2.0 + 1j) == -1
+    assert _clockwise(circle(2.0 + 1j, 0.5)).winding(2.0 + 1j) == -1
     for radius in (math.nan, math.inf, 0.0):
         with pytest.raises(ValueError, match="radius"):
             circle(-2.0, radius)
@@ -95,7 +102,7 @@ def test_circle_helper():
 
 def test_sign_convention():
     cc = circle(0.0, 1.0)
-    cw = circle(0.0, 1.0, clockwise=True)
+    cw = _clockwise(circle(0.0, 1.0))
     assert sign_of(cc, 5.0) == 1
     assert sign_of(cc, 0.0) == -1
     assert sign_of(cw, 5.0) == -1
@@ -445,7 +452,47 @@ def test_curve_rejects_non_finite_vertices():
             OrientedPolyCurve((0j, 1 + 0j, bad))
 
 
-# --- all-edge strand matching against _match edge by edge ---------------------
+# --- whole-curve rounds against the edge-by-edge reference -------------------
+# A scalar reference for lift_curve's refinement: each edge is matched point
+# by point and bisected depth first until its strands continue unambiguously.
+# The rounds must split every edge where this bisection splits it.
+
+
+def _match(strands: Sequence[complex], fiber: Sequence[complex]) -> list[complex]:
+    """Assign each strand its continuation in the next fiber: its nearest
+    point by ratmap.nearest, with the assignment a bijection. Anything else
+    raises _Ambiguous.
+    """
+    chosen = []
+    taken = set()
+    for s in strands:
+        best = nearest(fiber, s)
+        if best in taken:
+            raise _Ambiguous(f"two strands claim one preimage near {fiber[best]}")
+        taken.add(best)
+        chosen.append(fiber[best])
+    return chosen
+
+
+def _continue_edge(f: RationalMap, strands: list[complex], va: complex, vb: complex,
+                   fiber: list[complex], depth: int, refined: list[complex],
+                   matches: list[list[complex]]):
+    """Continue all strands across the edge va -> vb, whose end has the given
+    fiber, subdividing on ambiguity. Appends each point reached, midpoints
+    and then vb, to refined and the strands' continuations there to matches."""
+    try:
+        matched = _match(strands, fiber)
+    except _Ambiguous:
+        if depth >= MAX_SUBDIVISION:
+            raise LiftError(
+                f"strand matching stayed ambiguous after {depth} subdivisions "
+                f"near {vb}") from None
+        vm = 0.5 * (va + vb)
+        mid = _continue_edge(f, strands, va, vm, _fiber(f, vm), depth + 1, refined, matches)
+        return _continue_edge(f, mid, vm, vb, fiber, depth + 1, refined, matches)
+    refined.append(vb)
+    matches.append(matched)
+    return matched
 
 
 def _lift_edge_by_edge(f, curve):
@@ -457,9 +504,8 @@ def _lift_edge_by_edge(f, curve):
     strands = start
     for i in range(len(verts)):
         j = (i + 1) % len(verts)
-        strands = fatou.lifting._continue_edge(f, strands, verts[i], verts[j],
-                                               start if j == 0 else vert_fibers[j], 0,
-                                               refined, matches)
+        strands = _continue_edge(f, strands, verts[i], verts[j],
+                                 start if j == 0 else vert_fibers[j], 0, refined, matches)
     chains = [list(c) for c in zip(*matches[:-1])]
     return tuple(refined[:-1]), chains, tuple(start.index(s) for s in strands)
 
@@ -490,25 +536,26 @@ def test_all_edge_matching_makes_the_edge_by_edge_decisions(name):
 
 
 def test_match_edges_flags_what_match_refuses():
-    # one edge where both strands pick one point with a clear margin (the
-    # bijection test fails), one where the bijection holds but a strand's
-    # nearest point is not twice as close as the runner-up (the ratio test)
-    for row0, row1, best in (([0j, 2 + 0j], [1 + 0j, 10 + 0j], [0, 0]),
+    # one edge whose strands cross over to a bijection; two where both
+    # strands pick one point with a clear margin (the bijection test fails);
+    # one where the bijection holds but a strand's nearest point is not twice
+    # as close as the runner-up (the ratio test)
+    row0, row1 = [0j, 4.9 + 0j], [5 + 0j, 0.1 + 0j]
+    assert fatou.lifting._match_edges(np.array([row0, row1])) == ([[1, 0]], [False])
+    assert _match(row0, row1) == [0.1 + 0j, 5 + 0j]
+    for row0, row1, best in (([0j, 0.2 + 0j], [5 + 0j, 0.1 + 0j], [1, 1]),
+                             ([0j, 2 + 0j], [1 + 0j, 10 + 0j], [0, 0]),
                              ([0j, -1.3 + 0j], [1 + 0j, -1.2 + 0j], [0, 1])):
         got, flagged = fatou.lifting._match_edges(np.array([row0, row1]))
         assert (got, flagged) == ([best], [True])
-        with pytest.raises(_Ambiguous):
-            fatou.lifting._match(row0, row1)
+        shared = best[0] == best[1]
+        with pytest.raises(_Ambiguous, match="two strands" if shared else "ambiguous"):
+            _match(row0, row1)
 
 
-@pytest.mark.parametrize("branches", [
-    lambda u: [u, 2 + 8 * u],  # over the first edge, both strands claim u = 1
-    lambda u: [u, -1.3 + 0.1 * u],  # 0 sits 1 from u = 1 and 1.2 from the other
-], ids=["bijection", "ratio"])
-def test_flagged_edges_subdivide(monkeypatch, branches):
-    # a made-up degree-2 fiber: two affine branches of u = v - 10 over a
-    # triangle far from the critical values of z -> z^2, whose first edge
-    # fails exactly one of the two tests
+def _fake_fibers(monkeypatch, branches):
+    """Install a made-up degree-2 fiber over v: the points branches(v - 10),
+    for the batched and the scalar solver alike. Returns the batched one."""
     def fake_fibers(f, targets, warm=None):
         rows = np.array([sorted(branches(complex(v) - 10), key=lambda z: (z.real, z.imag))
                          for v in targets])
@@ -518,12 +565,52 @@ def test_flagged_edges_subdivide(monkeypatch, branches):
         return [(SpherePoint.of(z), 1) for z in branches(as_sphere(v).to_complex() - 10)]
     monkeypatch.setattr(fatou.lifting, "fibers", fake_fibers)
     monkeypatch.setattr(fatou.lifting, "preimages", fake_preimages)
+    return fake_fibers
+
+
+@pytest.mark.parametrize("branches", [
+    lambda u: [u, 2 + 8 * u],  # over the first edge, both strands claim u = 1
+    lambda u: [u, -1.3 + 0.1 * u],  # 0 sits 1 from u = 1 and 1.2 from the other
+], ids=["bijection", "ratio"])
+def test_flagged_edges_subdivide(monkeypatch, branches):
+    # two affine branches of u = v - 10 over a triangle far from the critical
+    # values of z -> z^2, whose first edge fails exactly one of the two tests
+    fake_fibers = _fake_fibers(monkeypatch, branches)
     base = OrientedPolyCurve((10 + 0j, 11 + 0j, 10.5 + 0.05j))
     rows, _ = fake_fibers(None, (10 + 0j, 11 + 0j))
     assert fatou.lifting._match_edges(rows)[1] == [True]
     ls = _assert_lift_matches_edge_by_edge(_square_map(), base)
     assert len(ls.base_refined) > 3 and 10 < ls.base_refined[1].real < 11
     assert ls.monodromy == (0, 1)
+
+
+def test_nested_bisection_takes_one_round_per_level(monkeypatch):
+    # both strands claim one point across the first edge until it is cut to
+    # eighths next to v = 10: three rounds of midpoints, each matched again
+    _fake_fibers(monkeypatch, lambda u: [u, 1.5 + 4 * u])
+    edges = []
+    real = fatou.lifting._match_edges
+
+    def counted(rows):
+        edges.append(len(rows) - 1)
+        return real(rows)
+    monkeypatch.setattr(fatou.lifting, "_match_edges", counted)
+    base = OrientedPolyCurve((10 + 0j, 11 + 0j, 10.5 + 0.05j))
+    ls = _assert_lift_matches_edge_by_edge(_square_map(), base)
+    assert edges == [3, 5, 7, 8]  # three rounds insert midpoints; the last match flags none
+    assert ls.base_refined[:6] == (10, 10.125, 10.25, 10.5, 10.75, 11)
+
+
+def test_an_edge_that_never_disambiguates_exhausts_the_rounds(monkeypatch):
+    # the branches of [u, 2u] meet at u = 0, the midpoint of the first edge,
+    # and every sub-edge that ends there stays refused at any depth
+    _fake_fibers(monkeypatch, lambda u: [u, 2 * u])
+    base = OrientedPolyCurve((9.5 + 0j, 10.5 + 0j, 10 - 0.5j))
+    with pytest.raises(LiftError, match=f"after {MAX_SUBDIVISION} subdivisions") as rounds:
+        lift_curve(_square_map(), base, 1e6)
+    with pytest.raises(LiftError) as reference:
+        _lift_edge_by_edge(_square_map(), base)
+    assert str(rounds.value) == str(reference.value)
 
 
 def test_lift_refuses_curves_past_the_vertex_cap(monkeypatch):

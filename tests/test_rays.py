@@ -11,6 +11,7 @@ from fatou.rays import (
     DEFAULT_DEPTH,
     MAX_DEPTH,
     MAX_ORBIT_ANGLES,
+    MAX_R0,
     AngleOrbitError,
     RayAngle,
     RayLandingError,
@@ -160,7 +161,7 @@ def test_trace_validation_errors():
         trace_ray(f, 0.5, "0")  # not a fixed point
     with pytest.raises(ValueError):
         trace_ray(paper_g(), 2.0, "0")  # fixed but repelling
-    for r0 in (math.inf, math.nan):
+    for r0 in (math.inf, math.nan, math.nextafter(MAX_R0, math.inf)):
         with pytest.raises(ValueError, match="r0"):
             trace_orbit(paper_g(), SpherePoint.infinity(), ["1/3"], r0=r0)
     for depth in (0, MAX_DEPTH + 1):
