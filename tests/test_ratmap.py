@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fatou.catalog import CATALOG_NAMES, by_name, paper_g, pseudo_basilica
+from fatou.lifting import _match_edges
 from fatou.orbits import critical_portrait
 from fatou.ratmap import (RationalMap, _Ambiguous, compose_self, critical_points,
                           eval_sphere, fibers, from_coeffs, hom_eval, iterate,
@@ -405,3 +406,12 @@ def test_nearest_needs_a_clear_winner():
     # ties go to the first point; a lone point is its own continuation
     assert nearest([5.0 + 0j, 1e-13 + 0j, -1e-13 + 0j, 1e-13j], 0j) == 1
     assert nearest([7.0 + 1j], -100.0 + 0j) == 0
+
+
+def test_strand_matching_is_a_bijection():
+    # the strands cross over: each takes its nearest point, one apiece
+    rows = np.array([[0.0 + 0j, 4.9 + 0j], [5.0 + 0j, 0.1 + 0j]])
+    assert _match_edges(rows) == ([[1, 0]], [False])
+    # both strands nearest one point: the edge is refused
+    rows = np.array([[0.0 + 0j, 0.2 + 0j], [5.0 + 0j, 0.1 + 0j]])
+    assert _match_edges(rows) == ([[1, 1]], [True])
