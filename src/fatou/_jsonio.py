@@ -1,23 +1,15 @@
-"""Deterministic JSON emission: fixed key order, 17-significant-digit floats.
+"""Deterministic JSON emission: insertion key order, shortest round-trip floats.
 
 Reports double as golden test fixtures, so two runs with the same inputs must
-produce byte-identical output. Keys are emitted in insertion order and floats
-through one fixed format; non-finite floats are rejected rather than smuggled
-out as bare words.
+produce byte-identical output. The standard encoder gives that: keys in
+insertion order, ASCII strings, and each float as its `repr`, the shortest
+text that reads back as the same double (sign of zero included). Non-finite
+floats are rejected rather than smuggled out as bare words.
 """
 
 from __future__ import annotations
 
 import json
-import math
-
-
-def format_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite float {x!r} has no JSON form")
-    if x == int(x) and abs(x) < 1e16:
-        return f"{int(x)}.0"
-    return format(x, ".17g")
 
 
 def complex_pair(z: complex) -> list:
@@ -32,44 +24,5 @@ def sphere_jsonable(p) -> object:
     return complex_pair(p.to_complex())
 
 
-def _emit(obj, out: list):
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, complex):
-        _emit([obj.real, obj.imag], out)
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if not isinstance(k, str):
-                raise TypeError(f"JSON object keys must be strings, got {k!r}")
-            if i:
-                out.append(", ")
-            out.append(json.dumps(k, ensure_ascii=True))
-            out.append(": ")
-            _emit(v, out)
-        out.append("}")
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.append(", ")
-            _emit(v, out)
-        out.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
 def dumps(obj) -> str:
-    out: list = []
-    _emit(obj, out)
-    return "".join(out)
+    return json.dumps(obj, allow_nan=False)

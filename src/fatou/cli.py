@@ -1,7 +1,7 @@
 """Command-line surface: rendering, orbit reports, rays, lifting, self-checks.
 
 All reports go to stdout as single-line JSON with fixed key order and
-17-significant-digit floats, so identical invocations are byte-identical.
+shortest round-trip floats, so identical invocations are byte-identical.
 Exit codes: 0 success, 1 computational failure, 2 usage error.
 """
 
@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from . import rays as _rays
 from .catalog import CATALOG_NAMES, by_name
 from .lifting import MAX_SEGMENTS, MAX_STEPS, circle, lift_curve, sign_change_sequence
 from .orbits import critical_portrait, periodic_points
-from .ratmap import RationalMap, map_from_jsonable, map_to_jsonable
+from .ratmap import RationalMap, iterate_degree, map_from_jsonable, map_to_jsonable
 from .rays import DEFAULT_DEPTH, DEFAULT_R0, MAX_DEPTH, MAX_R0, MIN_R0, RayAngle
 from .sphere import SpherePoint, as_sphere
 from .verify import groups as verify_groups
@@ -151,6 +152,10 @@ def cmd_portrait(args) -> int:
 
 def cmd_periodic(args) -> int:
     f = _load_map(args.map)
+    try:
+        iterate_degree(f.degree, args.period)
+    except ValueError as e:
+        raise _UsageError("--period", str(e)) from None
     pts = periodic_points(f, args.period)
     pts = sorted(pts, key=lambda q: _basins.point_key(q.point))
     report = {
@@ -298,7 +303,9 @@ def cmd_verify(args) -> int:
 # parser / dispatch
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="fatou",
         description="Rational map dynamics: basins, rays, curve lifting.")

@@ -8,7 +8,7 @@ from typing import Optional
 
 from .sphere import Polynomial, SpherePoint, as_sphere, poly_roots
 from .ratmap import (LEAD_TRIM, RationalMap, compose_self, critical_points,
-                     eval_sphere, hom_eval)
+                     eval_sphere, hom_eval, iterate_degree)
 
 SUPER_TOL = 1e-8
 INDIFFERENT_BAND = 1e-6
@@ -167,9 +167,9 @@ def periodic_points(f: RationalMap, period: int) -> list[PeriodicPoint]:
     """
     if period < 1:
         raise ValueError("period must be >= 1")
+    dp = iterate_degree(f.degree, period)
     fp = compose_self(f, period)
     num, den = fp.num, fp.den
-    dp = f.degree ** period
     phi = (num - Polynomial((0.0, 1.0)) * den).trimmed(LEAD_TRIM)
     out: list[PeriodicPoint] = []
     pts: list[tuple[SpherePoint, int]] = []

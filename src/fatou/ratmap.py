@@ -189,11 +189,15 @@ def hom_eval(f: RationalMap, z, w, partials: bool = False):
     return (p, q, pz, pw, qz, qw) if partials else (p, q)
 
 
-def iterate(f: RationalMap, x, n: int) -> SpherePoint:
-    pt = as_sphere(x)
+def iterate_degree(d: int, n: int) -> int:
+    """d^n for d >= 2, multiplied up only as far as COMPOSE_DEGREE_BOUND (at
+    most 12 steps, whatever n is); raises ValueError past the bound."""
+    dn = 1
     for _ in range(n):
-        pt = eval_sphere(f, pt)
-    return pt
+        dn *= d
+        if dn > COMPOSE_DEGREE_BOUND:
+            raise ValueError(f"degree {d}^{n} exceeds bound {COMPOSE_DEGREE_BOUND}")
+    return dn
 
 
 def compose_self(f: RationalMap, n: int) -> RationalMap:
@@ -205,8 +209,7 @@ def compose_self(f: RationalMap, n: int) -> RationalMap:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if f.degree ** n > COMPOSE_DEGREE_BOUND:
-        raise ValueError(f"degree {f.degree}^{n} exceeds bound {COMPOSE_DEGREE_BOUND}")
+    iterate_degree(f.degree, n)
     num, den = f.num, f.den
     d = f.degree
     for _ in range(n - 1):

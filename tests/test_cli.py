@@ -6,7 +6,7 @@ import pytest
 import fatou.basins
 import fatou.rays
 from fatou.catalog import by_name, paper_g
-from fatou.cli import dispatch
+from fatou.cli import build_parser, dispatch
 from fatou.ratmap import map_to_jsonable
 
 
@@ -68,6 +68,19 @@ def test_ray_output_dedupes_angles(capsys):
         assert abs(r["landing"][0] + 1.2807764064044149) < 1e-6
         assert r["residual"] < 1e-6
         assert "samples" not in r
+
+
+def test_dispatches_share_one_parser_and_no_state(capsys):
+    assert build_parser() is build_parser()
+    _, first, _ = _run(capsys, ["ray", "--map", "paper-g", "--angle", "1/3"])
+    assert [r["angle"] for r in json.loads(first)["rays"]] == ["1/3"]
+    code, out, _ = _run(capsys, ["ray", "--map", "paper-g", "--angle", "0",
+                                 "--angle", "1/2"])
+    assert code == 0
+    assert [r["angle"] for r in json.loads(out)["rays"]] == ["0/1", "1/2"]
+    code, out, err = _run(capsys, ["ray", "--map", "paper-g", "--angle", "0.25"])
+    assert (code, out) == (2, "") and "--angle" in err
+    assert _run(capsys, ["ray", "--map", "paper-g", "--angle", "1/3"]) == (0, first, "")
 
 
 def test_ray_samples_flag(capsys):
@@ -282,6 +295,8 @@ def test_usage_errors_exit_two(capsys):
                  "--radius", "0.1", "--steps", "65"]),  # MAX_STEPS + 1
     ("--max-iter", ["render", "--map", "paper-g", "--max-iter", "10001",
                     "--out", "unused.ppm"]),  # MAX_ITER + 1
+    ("--period", ["periodic", "--map", "paper-g", "--period", "9"]),  # 3^9 > 4096
+    ("--period", ["periodic", "--map", "paper-g", "--period", "30000000"]),
 ])
 def test_out_of_range_counts_are_usage_errors(capsys, tmp_path, monkeypatch, flag, argv):
     monkeypatch.chdir(tmp_path)

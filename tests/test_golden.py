@@ -5,10 +5,13 @@ Any change to it must be deliberate: regenerate it with
 
     PYTHONPATH=src python3 tests/test_golden.py
 
-and say why in CHANGES.md. A `render` entry is its stdout followed by a
-line with the sha256 of the PPM it wrote. `verify` is covered with its
-measured values, so a change in any check's figures shows here. `periodic` is
-left out because its output is known to be wrong from d^p = 27.
+and say why in CHANGES.md. Regenerating lists each changed entry as `text`
+(every line parses to the same values, floats compared bit for bit),
+`zero signs` (only the signs of zeros differ) or `values`. A `render` entry
+is its stdout followed by a line with the sha256 of the PPM it wrote.
+`verify` is covered with its measured values, so a change in any check's
+figures shows here. `periodic` is left out because its output is known to
+be wrong from d^p = 27.
 
 The same bytes must come out whether numpy dispatches to its AVX512 loops or
 to its AVX2 ones; a second test reruns the commands with AVX512 dispatch off.
@@ -19,6 +22,7 @@ import hashlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -122,6 +126,14 @@ def test_stdout_matches_the_golden_fixture(tmp_path, monkeypatch):
                                  f"offset {at}: {got[at:at + 40]!r} vs {want[at:at + 40]!r}")
 
 
+def test_change_kind_tells_text_from_values():
+    report = '{"radius": 0.10000000000000001, "landing": [0.0, 2]}\n'
+    assert change_kind(report, '{"radius": 0.1, "landing": [0.0, 2]}\n') == "text"
+    assert change_kind(report, '{"radius": 0.1, "landing": [-0.0, 2]}\n') == "zero signs"
+    assert change_kind(report, '{"radius": 0.1, "landing": [0.0, 2.0]}\n') == "values"
+    assert change_kind("PASS a  measured: 1\n", "PASS a  measured: 1.0\n") == "values"
+
+
 def _dispatches_x86_v4() -> bool:
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
@@ -161,11 +173,58 @@ def outputs() -> dict:
             os.chdir(here)
 
 
+def _parsed(text: str) -> list:
+    """Each line of an entry, parsed as JSON where it parses, else as text."""
+    lines = []
+    for line in text.splitlines():
+        try:
+            lines.append(json.loads(line))
+        except ValueError:
+            lines.append(line)
+    return lines
+
+
+def _exact(value, signed_zeros: bool):
+    """A comparable form of a parsed value: floats by their bits, so 0.1 and
+    0.10000000000000001 agree while 0.0 and -0.0 do unless signed_zeros is off."""
+    if isinstance(value, float):
+        return struct.pack("<d", value if signed_zeros else value + 0.0)
+    if isinstance(value, dict):
+        return tuple((k, _exact(v, signed_zeros)) for k, v in value.items())
+    if isinstance(value, list):
+        return tuple(_exact(v, signed_zeros) for v in value)
+    return type(value).__name__, value
+
+
+def change_kind(old: str, new: str) -> str:
+    """How an entry's stdout changed: 'text' when every line parses to the
+    same values (floats exactly, sign of zero included), 'zero signs' when only
+    the signs of zeros differ, else 'values'."""
+    old_v, new_v = _parsed(old), _parsed(new)
+    if _exact(old_v, True) == _exact(new_v, True):
+        return "text"
+    if _exact(old_v, False) == _exact(new_v, False):
+        return "zero signs"
+    return "values"
+
+
 def regenerate() -> None:
+    old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
     golden = outputs()
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(golden, indent=0, sort_keys=True) + "\n")
     print(f"wrote {len(golden)} commands to {FIXTURE}", file=sys.stderr)
+    kinds: dict = {}
+    for label in sorted(set(old) | set(golden)):
+        if label not in old or label not in golden:
+            kind = "added" if label in golden else "removed"
+        elif old[label] == golden[label]:
+            continue
+        else:
+            kind = change_kind(old[label], golden[label])
+        kinds[kind] = kinds.get(kind, 0) + 1
+        print(f"{kind}: {label}", file=sys.stderr)
+    print(f"changed entries: {kinds or 'none'}", file=sys.stderr)
 
 
 if __name__ == "__main__":

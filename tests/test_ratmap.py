@@ -7,7 +7,7 @@ from fatou.catalog import CATALOG_NAMES, by_name, paper_g, pseudo_basilica
 from fatou.lifting import _match_edges
 from fatou.orbits import critical_portrait
 from fatou.ratmap import (RationalMap, _Ambiguous, compose_self, critical_points,
-                          eval_sphere, fibers, from_coeffs, hom_eval, iterate,
+                          eval_sphere, fibers, from_coeffs, hom_eval, iterate_degree,
                           map_from_jsonable, map_to_jsonable, nearest, normalize,
                           preimages)
 from fatou.sphere import Polynomial, SpherePoint, as_sphere, poly
@@ -299,6 +299,13 @@ def test_preimages_at_infinity():
     assert flat == {(0.666666667, 1), ("inf", 2)}
 
 
+def _iterate(f, x, n):
+    pt = as_sphere(x)
+    for _ in range(n):
+        pt = eval_sphere(f, pt)
+    return pt
+
+
 def test_iterate_matches_composition():
     g = paper_g()
     g2 = compose_self(g, 2)
@@ -306,7 +313,7 @@ def test_iterate_matches_composition():
     rng = np.random.default_rng(8)
     for _ in range(10):
         z = as_sphere(complex(rng.normal(), rng.normal()))
-        a = iterate(g, z, 2)
+        a = _iterate(g, z, 2)
         b = eval_sphere(g2, z)
         assert a.chordal(b) < 1e-7
 
@@ -314,20 +321,26 @@ def test_iterate_matches_composition():
 def test_iterate_orbit_of_one():
     g = paper_g()
     x = as_sphere(1.0)
-    orbit = [iterate(g, x, n) for n in range(4)]
+    orbit = [_iterate(g, x, n) for n in range(4)]
     vals = [("inf" if p.is_infinity else round(p.to_complex().real, 9)) for p in orbit]
     assert vals == [1.0, 0.0, -2.0, 0.0]
 
 
 def test_iterate_power_of_two():
     f = from_coeffs([0.0, 0.0, 1.0], [1.0])
-    assert iterate(f, as_sphere(2.0), 3).to_complex() == pytest.approx(256.0)
+    assert _iterate(f, as_sphere(2.0), 3).to_complex() == pytest.approx(256.0)
 
 
 def test_compose_self_degree_bound():
     g = paper_g()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"degree 3\^9 exceeds bound 4096"):
         compose_self(g, 9)  # 3^9 > 4096
+    assert iterate_degree(3, 7) == 2187
+    assert iterate_degree(2, 12) == 4096  # the bound itself is allowed
+    with pytest.raises(ValueError):
+        iterate_degree(2, 13)
+    with pytest.raises(ValueError):
+        iterate_degree(3, 10**18)  # refused without computing the power
 
 
 def test_json_round_trip():
