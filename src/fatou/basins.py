@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .sphere import SpherePoint, as_sphere
+from .sphere import ParameterError, SpherePoint, as_sphere
 from .ratmap import RationalMap, eval_sphere, hom_eval
 from .orbits import CriticalPortrait
 
@@ -134,7 +134,7 @@ def _check_trap_disjoint(cycles, trap_radius: float):
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if pts[i].chordal(pts[j]) <= 2.0 * trap_radius:
-                raise ValueError("trap disks overlap; reduce trap_radius")
+                raise ParameterError("trap_radius", "trap disks overlap; reduce it")
 
 
 def classify_point(f: RationalMap, cycles, z0, trap_radius: float = DEFAULT_TRAP_RADIUS,
@@ -206,19 +206,20 @@ def classify_grid(f: RationalMap, portrait: CriticalPortrait, bounds: Bounds,
     special casing. A tile's iterates shrink to its unresolved cells as they
     are trapped. Each step, the exact chordal distance to a trap is taken
     only for the cells in its _band, which the normalization finds from the
-    moduli it takes anyway. More than MAX_CELLS cells, or a max_iter outside
-    1..MAX_ITER, is a ValueError.
+    moduli it takes anyway. A trap_radius that is not a finite number > 0 or
+    makes two trap disks overlap, a max_iter outside 1..MAX_ITER, or more
+    than MAX_CELLS cells is a ParameterError, raised before any cell steps.
     """
     if not (math.isfinite(trap_radius) and trap_radius > 0):
-        raise ValueError("trap_radius must be a finite number > 0")
+        raise ParameterError("trap_radius", "must be a finite number > 0")
     if not 1 <= max_iter <= MAX_ITER:
-        raise ValueError(f"max_iter must be between 1 and {MAX_ITER}")
+        raise ParameterError("max_iter", f"must be between 1 and {MAX_ITER}")
     width, height = resolution
     if width < 1 or height < 1:
-        raise ValueError("resolution must be positive")
+        raise ParameterError("resolution", "must be positive")
     if width * height > MAX_CELLS:
-        raise ValueError(f"resolution {width}x{height} has {width * height} cells; "
-                         f"at most {MAX_CELLS} fit")
+        raise ParameterError("resolution", f"{width}x{height} is {width * height} cells; "
+                             f"at most {MAX_CELLS} fit")
     cycles = superattracting_cycles(portrait)
     _check_trap_disjoint(cycles, trap_radius)
 

@@ -16,14 +16,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sphere import Polynomial, hom_compose, poly_roots
+from .sphere import ParameterError, Polynomial, hom_compose, poly_roots
 from .ratmap import RationalMap, eval_sphere, critical_points, normalize
+
+# From degree 8 on, poly_roots merges the critical points 0 and 1 of the
+# family member (local degrees d and d - 1) into one wrong point.
+FAMILY_MAX_DEGREE = 7
 
 
 def _family_pair(d: int) -> tuple[Polynomial, Polynomial]:
-    """Integer numerator/denominator of the degree-d family member."""
-    if d < 2:
-        raise ValueError("family needs degree >= 2")
+    """Integer numerator/denominator of the degree-d family member; a degree
+    outside 2..FAMILY_MAX_DEGREE raises ParameterError."""
+    if not 2 <= d <= FAMILY_MAX_DEGREE:
+        raise ParameterError("degree", f"must be between 2 and {FAMILY_MAX_DEGREE}")
     # p_d coefficients ascending: 1, 0, ..., 0, -d, d-1
     p_d = Polynomial(tuple([1.0] + [0.0] * (d - 2) + [float(-d), float(d - 1)]))
     u = Polynomial((-1.0, 1.0))  # z - 1

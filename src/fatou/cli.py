@@ -11,7 +11,6 @@ import argparse
 import cmath
 import functools
 import json
-import math
 import os
 import sys
 
@@ -19,21 +18,15 @@ from . import _jsonio
 from . import basins as _basins
 from . import rays as _rays
 from .catalog import CATALOG_NAMES, by_name
-from .lifting import MAX_SEGMENTS, MAX_STEPS, circle, lift_curve, sign_change_sequence
+from .lifting import circle, lift_curve, sign_change_sequence
 from .orbits import critical_portrait, periodic_points
-from .ratmap import RationalMap, iterate_degree, map_from_jsonable, map_to_jsonable
-from .rays import DEFAULT_DEPTH, DEFAULT_R0, MAX_DEPTH, MAX_R0, MIN_R0, RayAngle
-from .sphere import SpherePoint, as_sphere
+from .ratmap import RationalMap, map_from_jsonable, map_to_jsonable
+from .rays import DEFAULT_DEPTH, DEFAULT_R0, RayAngle
+from .sphere import ParameterError, SpherePoint, as_sphere
 from .verify import groups as verify_groups
 from .verify import run_checks
 
 SCHEMA = 1
-
-
-class _UsageError(Exception):
-    def __init__(self, flag: str, message: str):
-        super().__init__(f"{flag}: {message}")
-        self.flag = flag
 
 
 def _angle_type(text: str) -> RayAngle:
@@ -78,10 +71,7 @@ def _bounds_type(text: str) -> _basins.Bounds:
 def _resolution_type(text: str) -> tuple:
     try:
         w_s, h_s = text.lower().split("x", 1)
-        w, h = int(w_s), int(h_s)
-        if w < 1 or h < 1:
-            raise ValueError
-        return w, h
+        return int(w_s), int(h_s)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"--resolution expects 'WIDTHxHEIGHT', got {text!r}")
@@ -90,16 +80,16 @@ def _resolution_type(text: str) -> tuple:
 def _load_map(selector: str) -> RationalMap:
     try:
         return by_name(selector)
-    except KeyError:
-        pass
+    except KeyError as exc:
+        reason = exc.args[0]
     if os.path.exists(selector):
         try:
             with open(selector, "r", encoding="utf-8") as fh:
                 return map_from_jsonable(json.load(fh))
         except (OSError, ValueError, RecursionError) as exc:
-            raise _UsageError("--map", f"map file {selector!r}: {exc}") from None
-    raise _UsageError("--map", f"unknown catalog name or missing file {selector!r}; "
-                      f"catalog: {', '.join(CATALOG_NAMES)}")
+            raise ParameterError("map", f"map file {selector!r}: {exc}") from None
+    raise ParameterError("map", f"not a file, and {reason}; "
+                         f"catalog: {', '.join(CATALOG_NAMES)}")
 
 
 def _emit(report: dict):
@@ -152,10 +142,6 @@ def cmd_portrait(args) -> int:
 
 def cmd_periodic(args) -> int:
     f = _load_map(args.map)
-    try:
-        iterate_degree(f.degree, args.period)
-    except ValueError as e:
-        raise _UsageError("--period", str(e)) from None
     pts = periodic_points(f, args.period)
     pts = sorted(pts, key=lambda q: _basins.point_key(q.point))
     report = {
@@ -176,10 +162,7 @@ def cmd_periodic(args) -> int:
 def cmd_ray(args) -> int:
     f = _load_map(args.map)
     angles = list(dict.fromkeys(args.angle))
-    try:
-        traces = _rays.trace_orbit(f, args.basin, angles, depth=args.depth, r0=args.r0)
-    except _rays.AngleOrbitError as e:
-        raise _UsageError("--angle", str(e))
+    traces = _rays.trace_orbit(f, args.basin, angles, depth=args.depth, r0=args.r0)
     rays = []
     for t in angles:
         tr = traces[t]
@@ -207,11 +190,10 @@ def cmd_ray(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    if args.steps < 0:  # 0 asks for a single lift
+        raise ParameterError("steps", "must be a non-negative integer")
     f = _load_map(args.map)
-    try:
-        base = circle(args.center, args.radius, args.segments)
-    except ValueError as exc:
-        raise _UsageError("--center/--radius", str(exc)) from None
+    base = circle(args.center, args.radius, args.segments)
     report = {
         "schema": SCHEMA,
         "map": args.map,
@@ -252,15 +234,11 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_render(args) -> int:
-    width, height = args.resolution
-    if width * height > _basins.MAX_CELLS:
-        raise _UsageError("--resolution", f"{width}x{height} is {width * height} cells; "
-                          f"at most {_basins.MAX_CELLS} fit")
     out_dir = os.path.dirname(os.path.abspath(args.out))
     if os.path.isdir(args.out):
-        raise _UsageError("--out", f"{args.out!r} is a directory")
+        raise ParameterError("out", f"{args.out!r} is a directory")
     if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
-        raise _UsageError("--out", f"directory {out_dir!r} does not exist or is not writable")
+        raise ParameterError("out", f"directory {out_dir!r} does not exist or is not writable")
     f = _load_map(args.map)
     port = critical_portrait(f)
     grid = _basins.classify_grid(f, port, args.bounds, args.resolution,
@@ -377,38 +355,16 @@ def dispatch(argv=None) -> int:
         args = parser.parse_args(argv)
         if not hasattr(args, "func"):
             parser.error("a subcommand is required")
-        for flag in ("period", "depth", "max_iter"):
-            if getattr(args, flag, 1) < 1:
-                raise _UsageError("--" + flag.replace("_", "-"),
-                                  "must be a positive integer")
-        if getattr(args, "depth", 1) > MAX_DEPTH:
-            raise _UsageError("--depth", f"must be at most {MAX_DEPTH}")
-        if getattr(args, "max_iter", 1) > _basins.MAX_ITER:
-            raise _UsageError("--max-iter", f"must be at most {_basins.MAX_ITER}")
-        if getattr(args, "segments", 3) < 3:
-            raise _UsageError("--segments", "must be at least 3")
-        if getattr(args, "segments", 3) > MAX_SEGMENTS:
-            raise _UsageError("--segments", f"must be at most {MAX_SEGMENTS}")
-        if getattr(args, "steps", 0) < 0:
-            raise _UsageError("--steps", "must be a non-negative integer")
-        if getattr(args, "steps", 0) > MAX_STEPS:
-            raise _UsageError("--steps", f"must be at most {MAX_STEPS}")
-        for flag in ("r0", "trap_radius", "eps", "radius"):
-            val = getattr(args, flag, 1.0)
-            if not (math.isfinite(val) and val > 0):
-                raise _UsageError("--" + flag.replace("_", "-"), "must be a finite number > 0")
-        if isinstance(getattr(args, "center", None), SpherePoint):
-            raise _UsageError("--center", "must be a finite point")
-        if not MIN_R0 <= getattr(args, "r0", MIN_R0) <= MAX_R0:
-            raise _UsageError("--r0", f"must be between {MIN_R0:g} and {MAX_R0:g}")
         return args.func(args)
     except SystemExit as e:
         code = e.code
         if isinstance(code, int):
             return code
         return 0 if code is None else 2
-    except _UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
+    except ParameterError as e:
+        # the library names its parameters as the flags spell them
+        flags = "/".join("--" + name.replace("_", "-") for name in e.names)
+        print(f"usage error: {flags}: {e.message}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, RuntimeError, KeyError, OSError) as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)

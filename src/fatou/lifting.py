@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from ._geom import (is_simple, point_polyline_distance, signed_area,
                     winding_number)
-from .sphere import SpherePoint, as_sphere
+from .sphere import ParameterError, SpherePoint, as_sphere
 from .ratmap import (MATCH_RATIO, RationalMap, critical_points, eval_sphere, fibers,
                      preimages)
 
@@ -29,14 +30,15 @@ HUGE_FIBER = 1e9
 # next key decides instead of roundoff (mirror lifts of a real map).
 TIE_REL = 1e-9
 # Work bounds, derived in the README from the time of the largest lift:
-# --segments of `fatou lift`, vertices of a curve that lift_curve takes or
-# refines, and --steps of `fatou lift` (lifts in one tower).
+# segments of a circle(), vertices of a curve that lift_curve takes or
+# refines, and steps of a sign_change_sequence (lifts in one tower).
 MAX_SEGMENTS = 20_000
 MAX_VERTICES = 100_000
 MAX_STEPS = 64
 # circle() keeps |z| <= MAX_COORD, so that the product of two coordinate
 # differences stays finite, and a radius of at least RADIUS_RESOLUTION times
-# |center|, so that the vertices stay apart at float resolution.
+# |center|, so that the vertices stay apart at float resolution; a radius
+# below the least normal float leaves them too few bits for that.
 MAX_COORD = 1e150
 RADIUS_RESOLUTION = 1e-9
 
@@ -82,21 +84,26 @@ class OrientedPolyCurve:
 
 
 def circle(center: complex, radius: float, n: int = 64) -> OrientedPolyCurve:
-    """Regular polygon approximation of a circle, counterclockwise."""
-    if not cmath.isfinite(center):
-        raise ValueError("center must be a finite complex number")
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError("radius must be a finite number > 0")
+    """Regular polygon of n vertices approximating a circle, counterclockwise.
+    Out-of-range arguments raise ParameterError, n under the name segments."""
+    if isinstance(center, SpherePoint) or not cmath.isfinite(center):
+        raise ParameterError("center", "must be a finite complex number")
+    if not (math.isfinite(radius) and radius >= sys.float_info.min):
+        raise ParameterError("radius", f"must be a finite number >= {sys.float_info.min:g}")
     if n < 3:
-        raise ValueError("need at least three vertices")
+        raise ParameterError("segments", "must be at least 3")
+    if n > MAX_SEGMENTS:
+        raise ParameterError("segments", f"must be at most {MAX_SEGMENTS}")
     center = complex(center)
     mod = math.hypot(center.real, center.imag)  # inf, where abs() would raise
     if mod + radius > MAX_COORD:
-        raise ValueError(f"the circle reaches |z| = {mod + radius:g}; "
-                         f"vertices must stay within |z| <= {MAX_COORD:g}")
+        raise ParameterError(("center", "radius"),
+                             f"the circle reaches |z| = {mod + radius:g}; "
+                             f"vertices must stay within |z| <= {MAX_COORD:g}")
     if radius < RADIUS_RESOLUTION * mod:
-        raise ValueError(f"radius {radius:g} is below {RADIUS_RESOLUTION:g} times "
-                         f"|center| = {mod:g}; the vertices would round together")
+        raise ParameterError(("center", "radius"),
+                             f"radius {radius:g} is below {RADIUS_RESOLUTION:g} times "
+                             f"|center| = {mod:g}; the vertices would round together")
     pts = tuple(center + radius * complex(math.cos(2 * math.pi * k / n),
                                           math.sin(2 * math.pi * k / n))
                 for k in range(n))
@@ -248,9 +255,9 @@ def lift_curve(f: RationalMap, curve: OrientedPolyCurve, omega: complex,
     refined curve past MAX_VERTICES vertices.
     """
     if not (math.isfinite(eps) and eps > 0):
-        raise ValueError("eps must be a finite number > 0")
+        raise ParameterError("eps", "must be a finite number > 0")
     if not isinstance(omega, SpherePoint) and cmath.isnan(omega):
-        raise ValueError("omega must be a point of the sphere, not NaN")
+        raise ParameterError("omega", "must be a point of the sphere, not NaN")
     verts = list(curve.vertices)
     n = len(verts)
     if n > MAX_VERTICES:
@@ -394,9 +401,12 @@ def sign_change_sequence(f: RationalMap, curve: OrientedPolyCurve, omega,
                          n: int = 8, eps: float = 1e-3) -> SignSequence:
     """Iterated lifting, recording the sign of a chosen outermost lift at each
     backward step and whether it changed from the previous one. Every step
-    lifts through f, so its critical values are solved once (_critical_values)."""
+    lifts through f, so its critical values are solved once (_critical_values).
+    An n outside 1..MAX_STEPS raises ParameterError, under the name steps."""
     if n < 1:
-        raise ValueError("need at least one step")
+        raise ParameterError("steps", "must be at least 1")
+    if n > MAX_STEPS:
+        raise ParameterError("steps", f"must be at most {MAX_STEPS}")
     omega = as_sphere(omega)
     prev_sign = sign_of(curve, omega)
     base_sign = prev_sign

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .sphere import Polynomial, SpherePoint, as_sphere, poly_roots
+from .sphere import ParameterError, Polynomial, SpherePoint, as_sphere, poly_roots
 from .ratmap import (LEAD_TRIM, RationalMap, compose_self, critical_points,
                      eval_sphere, hom_eval, iterate_degree)
 
@@ -14,6 +14,7 @@ SUPER_TOL = 1e-8
 INDIFFERENT_BAND = 1e-6
 CYCLE_WINDOW = 64
 CYCLE_TOL = 1e-9  # chordal distance at which an orbit point revisits another
+WALK_STEPS = 512  # steps a critical orbit walk takes before it is left unresolved
 
 
 @dataclass(frozen=True)
@@ -103,15 +104,15 @@ def _report(f: RationalMap, orbit: list, period: int) -> Optional[CycleReport]:
     return CycleReport(orbit[0], preperiod, period, cycle, lam, _classify(lam))
 
 
-def detect_cycle(f: RationalMap, start, max_iter: int = 512) -> Optional[CycleReport]:
+def detect_cycle(f: RationalMap, start, max_iter: int = WALK_STEPS) -> Optional[CycleReport]:
     """Find the eventually periodic structure of an orbit, or None if the
     orbit shows no revisit within max_iter (expected for Julia set starts)."""
     return _report(f, *_walk(f, start, max_iter))
 
 
-def critical_portrait(f: RationalMap, max_iter: int = 512) -> CriticalPortrait:
+def critical_portrait(f: RationalMap) -> CriticalPortrait:
     """Orbit data for every critical point plus the derived finiteness flags,
-    all read off one walk per critical orbit.
+    all read off one walk of up to WALK_STEPS steps per critical orbit.
 
     The postcritical point f^i(c), i >= 1, has the cycle of c and preperiod
     max(0, pre - i), so every postcritical point is periodic exactly when
@@ -121,7 +122,7 @@ def critical_portrait(f: RationalMap, max_iter: int = 512) -> CriticalPortrait:
     of evidence is reported as unknown rather than false.
     """
     crits = critical_points(f)
-    walks = [_walk(f, c.point, max_iter) for c in crits]
+    walks = [_walk(f, c.point, WALK_STEPS) for c in crits]
     reports = [_report(f, orbit, period) for orbit, period in walks]
     crit_pts = [c.point for c in crits]
     critical_cycle = [rep is not None and any(any(p.chordal(c) < CYCLE_TOL for c in crit_pts)
@@ -163,10 +164,11 @@ def periodic_points(f: RationalMap, period: int) -> list[PeriodicPoint]:
 
     There are degree^period + 1 of them on the sphere. Points whose true
     period strictly divides the requested one are kept, annotated with their
-    minimal period.
+    minimal period. A period below 1, or one whose d^period exceeds
+    COMPOSE_DEGREE_BOUND, raises ParameterError before anything is composed.
     """
     if period < 1:
-        raise ValueError("period must be >= 1")
+        raise ParameterError("period", "must be a positive integer")
     dp = iterate_degree(f.degree, period)
     fp = compose_self(f, period)
     num, den = fp.num, fp.den

@@ -9,8 +9,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .sphere import (ROOT_TOL, STOP_TOL, ZERO_TOL, Polynomial, SpherePoint,
-                     MoebiusTransform, _horner_rows, as_sphere, coprime, hom_compose,
+from .sphere import (ROOT_TOL, STOP_TOL, ZERO_TOL, ParameterError, Polynomial,
+                     SpherePoint, MoebiusTransform, _horner_rows, as_sphere, coprime, hom_compose,
                      moebius_conjugate, poly_roots)
 
 COMPOSE_DEGREE_BOUND = 4096
@@ -191,12 +191,13 @@ def hom_eval(f: RationalMap, z, w, partials: bool = False):
 
 def iterate_degree(d: int, n: int) -> int:
     """d^n for d >= 2, multiplied up only as far as COMPOSE_DEGREE_BOUND (at
-    most 12 steps, whatever n is); raises ValueError past the bound."""
+    most 12 steps, whatever n is); raises ParameterError, under the name
+    period, past the bound."""
     dn = 1
     for _ in range(n):
         dn *= d
         if dn > COMPOSE_DEGREE_BOUND:
-            raise ValueError(f"degree {d}^{n} exceeds bound {COMPOSE_DEGREE_BOUND}")
+            raise ParameterError("period", f"degree {d}^{n} exceeds bound {COMPOSE_DEGREE_BOUND}")
     return dn
 
 

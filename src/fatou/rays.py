@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from ._geom import point_polyline_distance, winding_number
-from .sphere import MoebiusTransform, SpherePoint, as_sphere
+from .sphere import MoebiusTransform, ParameterError, SpherePoint, as_sphere
 from .ratmap import (RationalMap, _Ambiguous, critical_points, eval_sphere,
                      fibers, nearest, preimages)
 
@@ -47,8 +47,11 @@ class RayLandingError(RayTraceError):
     pass
 
 
-class AngleOrbitError(ValueError):
+class AngleOrbitError(ParameterError):
     """The requested angles have a forward orbit too long to trace."""
+
+    def __init__(self, message: str):
+        super().__init__("angle", message)
 
 
 @dataclass(frozen=True)
@@ -203,18 +206,20 @@ def trace_orbit(f: RationalMap, basin_fixed_point, angles, depth: int = DEFAULT_
                 r0: float = DEFAULT_R0) -> dict:
     """Traces of every ray in the forward angle orbit of the given angles.
 
-    Keys of the returned dict are RayAngle instances. Raises ValueError when
-    depth is outside 1..MAX_DEPTH or r0 outside MIN_R0..MAX_R0,
-    AngleOrbitError (a ValueError) when the orbit holds more than
-    MAX_ORBIT_ANGLES angles, and RayTraceError when branch continuation
-    stays ambiguous at the finest potential subdivision.
+    Keys of the returned dict are RayAngle instances. Raises ParameterError
+    when depth is outside 1..MAX_DEPTH or r0 outside MIN_R0..MAX_R0, and
+    AngleOrbitError (a ParameterError) when the orbit holds more than
+    MAX_ORBIT_ANGLES angles, before any work; RayTraceError when branch
+    continuation stays ambiguous at the finest potential subdivision.
     """
+    if not MIN_R0 <= r0 <= MAX_R0:
+        raise ParameterError("r0", f"must be between {MIN_R0:g} and {MAX_R0:g}")
+    if depth < 1:
+        raise ParameterError("depth", "must be a positive integer")
+    if depth > MAX_DEPTH:
+        raise ParameterError("depth", f"must be at most {MAX_DEPTH}")
     b = as_sphere(basin_fixed_point)
     m = _check_superattracting_fixed(f, b)
-    if not MIN_R0 <= r0 <= MAX_R0:
-        raise ValueError(f"r0 must be between {MIN_R0:g} and {MAX_R0:g}")
-    if not 1 <= depth <= MAX_DEPTH:
-        raise ValueError(f"depth must be between 1 and {MAX_DEPTH}")
     orbit = _orbit_angles([_as_angle(t) for t in angles], m)
 
     if b.is_infinity:

@@ -28,6 +28,17 @@ MAX_ITER = 600
 COPRIME_TOL = 1e-10  # least over largest Sylvester singular value of a coprime pair
 
 
+class ParameterError(ValueError):
+    """An argument outside the range a function accepts, raised before any
+    work. names holds the parameters, spelled as the command-line flags with
+    underscores for dashes, and message what they accept."""
+
+    def __init__(self, names, message: str):
+        self.names = (names,) if isinstance(names, str) else tuple(names)
+        self.message = message
+        super().__init__(f"{'/'.join(self.names)}: {message}")
+
+
 class RootFindingError(ArithmeticError):
     """Raised when the Aberth iteration fails to converge.
 
@@ -320,37 +331,40 @@ def _aberth(coeffs: np.ndarray) -> np.ndarray:
     z = _initial_guesses(a)
     aa = np.abs(a)
     converged = np.zeros(n, dtype=bool)
-    for _ in range(MAX_ITER):
+    # an overflowing iterate is pulled inward, and the final test rejects one
+    # left non-finite, so the warnings of both are noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(MAX_ITER):
+            pv = _horner_rows(a, z)
+            bad = ~np.isfinite(pv)
+            if bad.any():
+                # evaluation overflowed: those iterates rocketed out, pull inward
+                z = np.where(bad, 0.5 * z, z)
+                continue
+            scale = _horner_rows(aa, np.abs(z)).real
+            converged = converged | (np.abs(pv) <= STOP_TOL * scale)
+            if converged.all():
+                return z
+            dv = _horner_rows(da, z)
+            dv = np.where(np.abs(dv) < 1e-300, 1e-300 + 0j, dv)
+            newton = pv / dv
+            diff = z[:, None] - z[None, :]
+            np.fill_diagonal(diff, np.inf)
+            s = np.sum(1.0 / diff, axis=1)
+            denom = 1.0 - newton * s
+            denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
+            step = newton / denom
+            step = np.where(np.isfinite(step), step, newton)
+            cap = 1.0 + np.abs(z)
+            mag = np.abs(step)
+            step = np.where(mag > cap, step * (cap / np.where(mag > 0, mag, 1.0)), step)
+            z = np.where(converged, z, z - step)
+        # Accept a looser backward error before giving up; multiple roots stall
+        # the per-point test even though the cluster centroid is fine.
         pv = _horner_rows(a, z)
-        bad = ~np.isfinite(pv)
-        if bad.any():
-            # evaluation overflowed: those iterates rocketed out, pull inward
-            z = np.where(bad, 0.5 * z, z)
-            continue
         scale = _horner_rows(aa, np.abs(z)).real
-        converged = converged | (np.abs(pv) <= STOP_TOL * scale)
-        if converged.all():
+        if np.all(np.abs(pv) <= 1e-8 * scale):
             return z
-        dv = _horner_rows(da, z)
-        dv = np.where(np.abs(dv) < 1e-300, 1e-300 + 0j, dv)
-        newton = pv / dv
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - newton * s
-        denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
-        step = newton / denom
-        step = np.where(np.isfinite(step), step, newton)
-        cap = 1.0 + np.abs(z)
-        mag = np.abs(step)
-        step = np.where(mag > cap, step * (cap / np.where(mag > 0, mag, 1.0)), step)
-        z = np.where(converged, z, z - step)
-    # Accept a looser backward error before giving up; multiple roots stall
-    # the per-point test even though the cluster centroid is fine.
-    pv = _horner_rows(a, z)
-    scale = _horner_rows(aa, np.abs(z)).real
-    if np.all(np.abs(pv) <= 1e-8 * scale):
-        return z
     raise RootFindingError("Aberth iteration did not converge", best=z)
 
 

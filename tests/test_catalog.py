@@ -5,6 +5,7 @@ import fatou.catalog
 
 from fatou.catalog import (
     CATALOG_NAMES,
+    FAMILY_MAX_DEGREE,
     by_name,
     hom_compose,
     paper_degree4,
@@ -82,7 +83,7 @@ def test_paper_degree4_matches_displayed_formula():
 
 
 def test_family_two_cycle_through_zero():
-    for d in range(2, 7):
+    for d in range(2, FAMILY_MAX_DEGREE + 1):
         f = pseudo_basilica(d)
         assert f.degree == d
         rep = detect_cycle(f, 0.0)
@@ -95,7 +96,7 @@ def test_family_two_cycle_through_zero():
 
 
 def test_family_critical_structure():
-    for d in range(2, 7):
+    for d in range(2, FAMILY_MAX_DEGREE + 1):
         port = critical_portrait(pseudo_basilica(d))
         crit = {("inf" if c.point.is_infinity
                  else round(c.point.to_complex().real, 6)): c.local_degree

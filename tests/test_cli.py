@@ -4,6 +4,7 @@ import math
 import pytest
 
 import fatou.basins
+import fatou.catalog
 import fatou.rays
 from fatou.catalog import by_name, paper_g
 from fatou.cli import build_parser, dispatch
@@ -242,7 +243,7 @@ def test_render_refuses_an_unwritable_out_before_classifying(
 def test_render_resolution_cap(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cap = fatou.basins.MAX_CELLS
-    monkeypatch.setattr(fatou.basins, "classify_grid", _no_classification)
+    monkeypatch.setattr(fatou.basins, "superattracting_cycles", _no_classification)
     code, out, err = _run(capsys, ["render", "--map", "paper-g", "--out", "x.ppm",
                                    "--resolution", f"{cap + 1}x1"])
     assert code == 2
@@ -398,12 +399,23 @@ def test_unrepresentable_circles_are_refused_cleanly(capsys, center, radius, mes
 def test_depth_beyond_the_bound_is_refused_before_tracing(capsys, monkeypatch):
     def no_trace(*args, **kwargs):
         raise AssertionError("traced a ray despite an out-of-range --depth")
-    monkeypatch.setattr(fatou.rays, "trace_orbit", no_trace)
+    monkeypatch.setattr(fatou.rays, "_trace_at_infinity", no_trace)
     for depth in (fatou.rays.MAX_DEPTH + 1, 100000):
         code, out, err = _run(capsys, _RAY + ["--depth", str(depth)])
         assert code == 2
         assert out == ""
         assert err == f"usage error: --depth: must be at most {fatou.rays.MAX_DEPTH}\n"
+
+
+def test_family_members_past_the_degree_cap_exit_two_at_once(capsys, monkeypatch):
+    def no_compose(*args):
+        raise AssertionError("composed a family member past the degree cap")
+    monkeypatch.setattr(fatou.catalog, "hom_compose", no_compose)
+    for name in ("pseudo-basilica:8", "pseudo-basilica:1000000", "pseudo-rabbit:8:0"):
+        code, out, err = _run(capsys, ["portrait", "--map", name])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: --map: not a file, and bad catalog selector "
+                              f"{name!r}: degree: must be between 2 and 7; catalog: ")
 
 
 def test_unknown_map_error_names_the_flag_and_catalog(capsys):

@@ -235,7 +235,7 @@ def test_portrait_unresolved_orbit_gives_none_flags():
     theta = (math.sqrt(5.0) - 1.0) / 2.0
     lam = cmath.exp(2j * math.pi * theta)
     f = normalize(Polynomial((0.0, lam, 1.0)), Polynomial((1.0,)))
-    port = critical_portrait(f, max_iter=256)
+    port = critical_portrait(f)  # walks WALK_STEPS steps
     assert any(rep is None for rep in port.orbits)
     assert port.critically_finite is None
     assert port.hyperbolic is None

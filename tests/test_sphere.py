@@ -1,10 +1,12 @@
 """Sphere points, polynomial arithmetic, and the root finder."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import fatou.sphere
 from fatou.sphere import (MoebiusTransform, Polynomial, RootFindingError,
                           SpherePoint, as_sphere, chordal, coprime, hom_compose,
                           moebius_conjugate, poly, poly_roots)
@@ -115,6 +117,24 @@ def test_wide_coefficient_range_roots():
     roots = _sorted_roots(poly_roots(p.trimmed()))
     got = sorted(abs(r) for r, _ in roots if abs(r) > 0)
     assert got == pytest.approx([1e-3, 1.0, 1e3], rel=1e-8)
+
+
+def test_aberth_pulls_an_overflowing_start_inward_without_warnings(monkeypatch):
+    # a start point whose cube overflows: the iteration halves it until the
+    # polynomial evaluates, and numpy's overflow warnings are not printed
+    real = fatou.sphere._initial_guesses
+
+    def one_far(a):
+        z = real(a)
+        z[0] = 1e200
+        return z
+    monkeypatch.setattr(fatou.sphere, "_initial_guesses", one_far)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        z = fatou.sphere._aberth(np.array([-1.0, 0.0, 0.0, 1.0], dtype=complex))
+    roots = sorted(z.tolist(), key=lambda c: (c.real, c.imag))
+    want = [complex(-0.5, -math.sqrt(3) / 2), complex(-0.5, math.sqrt(3) / 2), 1.0]
+    assert all(abs(r - w) < 1e-12 for r, w in zip(roots, want))
 
 
 def test_poly_roots_rejects_constant():
