@@ -22,6 +22,9 @@ from .ratmap import RationalMap, eval_sphere, critical_points, normalize
 # From degree 8 on, poly_roots merges the critical points 0 and 1 of the
 # family member (local degrees d and d - 1) into one wrong point.
 FAMILY_MAX_DEGREE = 7
+# From degree 7 on, poly_roots fails on the rabbit condition polynomial
+# (degree d(d + 1), 56 at d = 7) with a RootFindingError.
+RABBIT_MAX_DEGREE = 6
 
 
 def _family_pair(d: int) -> tuple[Polynomial, Polynomial]:
@@ -75,9 +78,21 @@ def pseudo_rabbit_roots(d: int = 3) -> list[complex]:
     """Parameters r with g_r^3(0) = 0 and g_r(0) != 0, sorted by (re, im).
 
     Each candidate root of the cleared condition polynomial is validated
-    against the actual orbit of 0 before being accepted.
+    against the actual orbit of 0 before being accepted. A degree past
+    RABBIT_MAX_DEGREE raises ParameterError before the solve.
     """
-    return _rabbit_roots(_family_pair(d), d)
+    return _rabbit_roots(_rabbit_pair(d), d)
+
+
+def _rabbit_pair(d: int) -> tuple[Polynomial, Polynomial]:
+    """The family pair the rabbit parameters are solved from. A degree the
+    family takes but past RABBIT_MAX_DEGREE raises ParameterError before
+    anything is composed; others outside the family, _family_pair's."""
+    if RABBIT_MAX_DEGREE < d <= FAMILY_MAX_DEGREE:
+        raise ParameterError("degree", f"must be at most {RABBIT_MAX_DEGREE} for pseudo-rabbit: "
+                             f"its condition polynomial, of degree {d * (d + 1)}, "
+                             f"is past what poly_roots solves")
+    return _family_pair(d)
 
 
 def _rabbit_roots(pair, d: int) -> list[complex]:
@@ -185,7 +200,7 @@ def by_name(name: str) -> RationalMap:
             return pseudo_basilica(int(parts[1]))
         if parts[0] == "pseudo-rabbit" and len(parts) == 3:
             d = int(parts[1])
-            pair = _family_pair(d)
+            pair = _rabbit_pair(d)
             roots = _rabbit_roots(pair, d)
             idx = int(parts[2])
             if not 0 <= idx < len(roots):

@@ -418,6 +418,24 @@ def test_family_members_past_the_degree_cap_exit_two_at_once(capsys, monkeypatch
                               f"{name!r}: degree: must be between 2 and 7; catalog: ")
 
 
+def test_rabbit_members_answer_up_to_degree_six_and_refuse_seven_before_solving(
+        capsys, monkeypatch):
+    for d in range(2, fatou.catalog.RABBIT_MAX_DEGREE + 1):
+        code, out, err = _run(capsys, ["portrait", "--map", f"pseudo-rabbit:{d}:0"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["degree"] == d
+
+    def no_solve(*args):
+        raise AssertionError("solved the rabbit condition past its degree cap")
+    monkeypatch.setattr(fatou.catalog, "poly_roots", no_solve)
+    code, out, err = _run(capsys, ["portrait", "--map", "pseudo-rabbit:7:0"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: --map: not a file, and bad catalog selector "
+                          "'pseudo-rabbit:7:0': degree: must be at most 6 for pseudo-rabbit: "
+                          "its condition polynomial, of degree 56, is past what poly_roots "
+                          "solves; catalog: ")
+
+
 def test_unknown_map_error_names_the_flag_and_catalog(capsys):
     code, _, err = _run(capsys, ["portrait", "--map", "no-such-map"])
     assert code == 2

@@ -14,7 +14,8 @@ import fatou.lifting
 import fatou.orbits
 import fatou.rays
 from fatou.basins import MAX_CELLS, MAX_ITER, Bounds, classify_grid
-from fatou.catalog import FAMILY_MAX_DEGREE, paper_g, pseudo_basilica
+from fatou.catalog import (FAMILY_MAX_DEGREE, RABBIT_MAX_DEGREE, paper_g, pseudo_basilica,
+                           pseudo_rabbit_roots)
 from fatou.cli import build_parser, dispatch
 from fatou.lifting import (MAX_SEGMENTS, MAX_STEPS, circle, lift_curve,
                            sign_change_sequence)
@@ -90,6 +91,8 @@ _CASES = [
     ("degree", lambda: pseudo_basilica(1)),
     ("degree", lambda: pseudo_basilica(FAMILY_MAX_DEGREE + 1)),
     ("degree", lambda: pseudo_basilica(10 ** 6)),
+    ("degree", lambda: pseudo_rabbit_roots(RABBIT_MAX_DEGREE + 1)),
+    ("degree", lambda: pseudo_rabbit_roots(FAMILY_MAX_DEGREE + 1)),
 ]
 
 
