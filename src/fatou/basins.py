@@ -5,13 +5,13 @@ keeps which cycle, which point of it (the phase), and after how many steps.
 Cells that never resolve within the iteration budget stay first-class
 unresolved rather than being guessed.
 
-A superattracting fixed point also gets, where one can be proved from the
-map's coefficients, a certified disc (certified_discs): f maps it into
-itself, it misses every other trap disk, and every orbit in it enters the
-point's trap disk within a proved number of steps K. A cell that is in the
-disc at step n <= max_iter - K is resolved there, with the cycle and phase 0
-its trap would give, so the disc changes when a cell resolves (its steps)
-but never how.
+Where infinity is a superattracting fixed point, it also gets, where one
+can be proved from the map's coefficients, a certified escape disc
+(escape_disc): f maps it into itself, it misses every other trap disk, and
+every orbit in it enters the trap disk at infinity within a proved number
+of steps K. A cell that is in the disc at step n <= max_iter - K is
+resolved there, with the cycle and phase 0 its trap would give, so the disc
+changes when a cell resolves (its steps) but never how.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ MAX_CELLS = MAX_GRID_BYTES // BYTES_PER_CELL
 # Steps a cell may take before it is left unresolved, derived in the README
 # from the time of a cell that never traps.
 MAX_ITER = 10_000
-# Certified discs (certified_discs) are tried at the chart radii
-# DISC_LADDER^-k, k = 0 .. DISC_RUNGS - 1, largest first; a disc must map
-# into the disc of half its radius.
+# The escape disc (escape_disc) is tried at the radii |z| >= DISC_LADDER^k,
+# k = 0 .. DISC_RUNGS - 1, largest disc first; in u = 1/z it must map into
+# the disc of half its radius.
 DISC_LADDER = 1.05
 DISC_RUNGS = 700
 
@@ -81,9 +81,9 @@ class BasinGrid:
     cells (phase and steps -1 too). cycles[i] is the tuple of cycle points
     for id i, in canonical rotation (lexicographically smallest point first,
     infinity ahead of all finite points). steps is the step at which a cell
-    resolved: the first step its iterate was in a trap disk or, for a cycle
-    of period 1, in the point's certified disc while at least K steps of the
-    budget were left. It is not the trap-entry step of fixed-point cells.
+    resolved: the first step its iterate was in a trap disk or, for a fixed
+    point at infinity, in its escape disc while at least K steps of the
+    budget were left. For those cells it is not the trap-entry step.
     """
 
     bounds: Bounds
@@ -154,152 +154,86 @@ def _check_trap_disjoint(cycles, trap_radius: float):
 
 
 @dataclass(frozen=True)
-class Disc:
-    """A certified disc D around the superattracting fixed point `center`,
-    the only point of cycle `cycle_id`.
+class EscapeDisc:
+    """A certified disc D = {|z| >= radius} about a superattracting fixed
+    point at infinity, cycle 0 in canonical order.
 
-    In the chart u = z - center (u = 1/z when the centre is infinity), D is
-    |u| <= radius. f maps D into |u| <= radius / 2, D misses every other
-    trap disk, and every orbit from D enters the centre's trap disk within
-    `steps` (K) steps, rounding included.
+    In the chart u = 1/z, f maps D into the disc of half its radius, D misses
+    every other trap disk, and every orbit from D enters the trap disk at
+    infinity within `steps` (K) steps, rounding included.
     """
 
-    cycle_id: int
-    center: SpherePoint
     radius: float
     steps: int
 
-    def membership(self):
-        """(band, radius): the points (z : w) counted in D are those whose
-        rho^2 band admits and, unless radius is None, whose chordal distance
-        to the centre is at most radius. Both are pulled inside D by far
-        more than rounding. At infinity, D is |z| >= R = 1 / self.radius,
-        which is rho^2 >= R^2 / (1 + R^2), so no distance is taken."""
-        r = self.radius
-        if self.center.is_infinity:
-            big = 1.0 / r
-            lo = big * big / (1.0 + big * big) * (1.0 + 1e-9)
-            return (lambda rho2: rho2 >= lo), None
-        c = self.center
-        radius = _inner_chordal(abs(c.to_complex()), r) * (1.0 - 1e-9)
-        return _band(abs(c.z) / math.hypot(abs(c.z), abs(c.w)), radius), radius
+    @property
+    def rho2_min(self) -> float:
+        """D is rho^2 >= R^2 / (1 + R^2), R = radius; the threshold is pulled
+        inside D by far more than rounding."""
+        big = self.radius
+        return big * big / (1.0 + big * big) * (1.0 + 1e-9)
 
     def contains(self, x: SpherePoint) -> bool:
-        """membership() for one point; where a distance is taken, the band
-        it prefilters with admits the point anyway."""
-        band, radius = self.membership()
-        if radius is not None:
-            return x.chordal(self.center) <= radius
         az2, aw2 = abs(x.z) ** 2, abs(x.w) ** 2
-        return bool(band(az2 / (az2 + aw2)))
+        return az2 / (az2 + aw2) >= self.rho2_min
 
 
-def _inner_chordal(ac: float, r: float):
-    """Chordal radius of the largest chordal disc about a point c, |c| = ac,
-    inside |z - c| <= r (r may be an array): along |z - c| = s the chordal
-    distance is least where |z| = ac + s, and it grows with s."""
-    return 2.0 * r / (math.sqrt(1.0 + ac * ac) * np.sqrt(1.0 + (ac + r) ** 2))
-
-
-def _outer_chordal(ac: float, r):
-    """An upper bound on the chordal distance from c, |c| = ac, of the points
-    of |z - c| <= r."""
-    return 2.0 * r / (math.sqrt(1.0 + ac * ac) * np.sqrt(1.0 + np.maximum(ac - r, 0.0) ** 2))
-
-
-def _taylor_shift(coeffs, c: complex) -> np.ndarray:
-    """Ascending coefficients of p(c + u) in u, by repeated synthetic division."""
-    out = np.array(coeffs, dtype=complex)
-    for i in range(out.size - 1):
-        for j in range(out.size - 2, i - 1, -1):
-            out[j] += c * out[j + 1]
-    return out
-
-
-def _chart(f: RationalMap, c: SpherePoint):
-    """f in the chart where the fixed point c is 0, g = N / M, as
-    (|N_k|, |M_k|, |c|, scale). At a finite c the moduli are widened by the
-    rounding of the shift to c. scale bounds the terms that evaluating f
-    near c adds up, so it sets the rounding of one step."""
-    a, b = (np.array(p, dtype=complex) for p in f.pair)
-    d = f.degree
-    if c.is_infinity:
-        # g(u) = 1 / f(1 / u) = (sum b_k u^(d-k)) / (sum a_k u^(d-k)), exactly
-        return np.abs(b[::-1]), np.abs(a[::-1]), 0.0, float(np.abs(a).sum() + np.abs(b).sum())
-    cz = c.to_complex()
-    ac = abs(cz)
-    grow = math.inf if d * math.log1p(ac) > 700.0 else (1.0 + ac) ** d
-    scale = float(np.abs(a).sum() + ac * np.abs(b).sum()) * grow
-    shift_err = 1e-14 * (d + 1) * scale
-    num = np.abs(_taylor_shift(a - cz * b, cz)) + shift_err
-    den = np.abs(_taylor_shift(b, cz)) + shift_err
-    den[0] -= 2.0 * shift_err  # a lower bound on |M_0|
-    return num, den, ac, scale
-
-
-def _certify(f: RationalMap, ci: int, c: SpherePoint, others, trap_radius: float):
-    """The largest disc about c on the radius ladder that passes, or None.
-
-    Over |u| <= e, |g(u)| <= h(e) = sum |N_k| e^k / (|M_0| - sum_{k>=1} |M_k| e^k),
-    which grows with e. A radius r passes when h(r) plus a rounding slack is
-    at most r / 2, the disc's chordal hull misses every trap disk about
-    `others`, and the disc is larger than c's own trap disk. K follows from
-    iterating e -> h(e) + slack from r until e is inside the trap disk; an
-    iteration that stops halving first gives no disc.
-    """
-    num, den, ac, scale = _chart(f, c)
-    if not math.isfinite(scale):
-        return None
-    d = f.degree
-
-    def bounds(r):
-        powers = np.power.outer(r, np.arange(max(num.size, den.size)))
-        top = powers[..., :num.size] @ num
-        bottom = den[0] - powers[..., 1:den.size] @ den[1:]
-        with np.errstate(divide="ignore", invalid="ignore"):  # where bottom <= 0
-            h = np.where(bottom > 0, top * (1.0 + 1e-9) / np.maximum(bottom, 0.0), np.inf)
-            slack = 1e-12 * ((d + 1) * scale * (1.0 + ac + r) / np.maximum(bottom, 0.0)
-                             + ac + r)
-        return h + slack
-
-    r = DISC_LADDER ** -np.arange(DISC_RUNGS, dtype=float)
-    gap = min((c.chordal(p) for p in others), default=math.inf)
-    ok = bounds(r) <= 0.5 * r
-    ok &= (_outer_chordal(ac, r) + trap_radius) * (1.0 + 1e-9) < gap
-    ok &= _inner_chordal(ac, r) > trap_radius
-    if not ok.any():
-        return None
-    radius = float(r[np.argmax(ok)])
-    # 2 e / sqrt(1 + |c|^2) bounds the chordal distance of |u| <= e from c
-    target = 0.5 * trap_radius * math.sqrt(1.0 + ac * ac) * (1.0 - 1e-6)
-    e, n = radius, 0
-    while e > target:
-        e_next = float(bounds(e))
-        if not e_next <= 0.5 * e:
-            return None
-        e, n = e_next, n + 1
-    return Disc(ci, c, radius, n + 1)  # one step more for the rounding of the trap test
-
-
-def certified_discs(f: RationalMap, cycles, trap_radius: float = DEFAULT_TRAP_RADIUS
-                    ) -> tuple:
-    """The certified Disc of each superattracting fixed point among cycles
-    that has one, in cycle order. Cycles of period >= 2 get none: their phase
-    is the first trap entered, which a disc about one point cannot tell."""
-    return _certified_discs(f, tuple(map(tuple, cycles)), trap_radius)
+def escape_disc(f: RationalMap, cycles, trap_radius: float = DEFAULT_TRAP_RADIUS
+                ) -> Optional[EscapeDisc]:
+    """The EscapeDisc where the first of cycles is the fixed point infinity
+    and a disc about it can be proved, else None. Cycles of period >= 2 get
+    none: their phase is the first trap entered, which a disc about one
+    point cannot tell. Cached, as classify_point asks for it once per point."""
+    return _escape_disc(f, tuple(map(tuple, cycles)), trap_radius)
 
 
 @lru_cache(maxsize=16)
-def _certified_discs(f: RationalMap, cycles: tuple, trap_radius: float) -> tuple:
-    points = [(ci, p) for ci, cyc in enumerate(cycles) for p in cyc]
-    discs = []
-    for ci, cyc in enumerate(cycles):
-        if len(cyc) == 1:
-            others = [p for cj, p in points if cj != ci]
-            disc = _certify(f, ci, cyc[0], others, trap_radius)
-            if disc is not None:
-                discs.append(disc)
-    return tuple(discs)
+def _escape_disc(f: RationalMap, cycles: tuple, trap_radius: float) -> Optional[EscapeDisc]:
+    """escape_disc, uncached.
+
+    In u = 1/z, f is g(u) = N(u) / M(u) with N_k = b_(d-k), M_k = a_(d-k),
+    the map's own coefficients reversed, so the chart is exact. Over
+    |u| <= e, |g(u)| <= h(e) = sum |N_k| e^k / (|M_0| - sum_(k>=1) |M_k| e^k),
+    which grows with e. A radius r = 1/R passes when h(r) plus a rounding
+    slack is at most r / 2, the disc misses every other trap disk, and it is
+    larger than the trap disk at infinity. K follows from iterating
+    e -> h(e) + slack from r until |u| <= e is inside the trap disk; an
+    iteration that stops halving first gives no disc.
+    """
+    if not (len(cycles[0]) == 1 and cycles[0][0].is_infinity):
+        return None
+    a, b = (np.abs(np.array(p, dtype=complex)) for p in f.pair)
+    num, den = b[::-1], a[::-1]
+    d = f.degree
+    scale = float(a.sum() + b.sum())  # bounds the terms one step adds up
+
+    def bound(r):
+        powers = np.power.outer(r, np.arange(d + 1))
+        top = powers @ num
+        bottom = den[0] - powers[..., 1:] @ den[1:]
+        with np.errstate(divide="ignore", invalid="ignore"):  # where bottom <= 0
+            h = np.where(bottom > 0, top * (1.0 + 1e-9) / np.maximum(bottom, 0.0), np.inf)
+            slack = 1e-12 * ((d + 1) * scale * (1.0 + r) / np.maximum(bottom, 0.0) + r)
+        return h + slack
+
+    r = DISC_LADDER ** -np.arange(DISC_RUNGS, dtype=float)
+    gap = min((cycles[0][0].chordal(p) for cyc in cycles[1:] for p in cyc), default=math.inf)
+    chord = 2.0 * r / np.sqrt(1.0 + r * r)  # the chordal radius of |u| <= r
+    ok = bound(r) <= 0.5 * r
+    ok &= (chord + trap_radius) * (1.0 + 1e-9) < gap
+    ok &= chord > trap_radius
+    if not ok.any():
+        return None
+    r0 = float(r[np.argmax(ok)])
+    # |u| <= e is inside the chordal disc of radius 2e about infinity
+    target = 0.5 * trap_radius * (1.0 - 1e-6)
+    e, n = r0, 0
+    while e > target:
+        e_next = float(bound(e))
+        if not e_next <= 0.5 * e:
+            return None
+        e, n = e_next, n + 1
+    return EscapeDisc(1.0 / r0, n + 1)  # one step more for the rounding of the trap test
 
 
 def classify_point(f: RationalMap, cycles, z0, trap_radius: float = DEFAULT_TRAP_RADIUS,
@@ -307,18 +241,18 @@ def classify_point(f: RationalMap, cycles, z0, trap_radius: float = DEFAULT_TRAP
     """(cycle_id, phase, steps) for one starting point, or None if unresolved.
 
     The scalar form of classify_grid's rule: the first step n at which the
-    iterate is in a trap disk, or in a certified disc with n <= max_iter - K.
+    iterate is in a trap disk, or in the escape disc with n <= max_iter - K.
     """
     x = as_sphere(z0)
     flat = [(ci, pi, p) for ci, cyc in enumerate(cycles) for pi, p in enumerate(cyc)]
-    discs = certified_discs(f, cycles, trap_radius)
+    disc = escape_disc(f, cycles, trap_radius)
+    last = -1 if disc is None else max_iter - disc.steps
     for n in range(max_iter + 1):
         for ci, pi, p in flat:
             if x.chordal(p) <= trap_radius:
                 return ci, pi, n
-        for disc in discs:
-            if n <= max_iter - disc.steps and disc.contains(x):
-                return disc.cycle_id, 0, n
+        if n <= last and disc.contains(x):
+            return 0, 0, n
         if n < max_iter:
             x = eval_sphere(f, x)
     return None
@@ -381,12 +315,12 @@ def classify_grid(f: RationalMap, portrait: CriticalPortrait, bounds: Bounds,
     only for the cells in its _band, which the normalization finds from the
     moduli it takes anyway.
 
-    A cell in the certified disc of a fixed point at step n <= max_iter - K
-    resolves there as (cycle, 0, n): its orbit stays in the disc, which
-    misses every other trap, and enters the point's trap within K steps, so
-    the exact loop would give the same cycle and phase. The disc at infinity
-    is a threshold on the same rho^2, with no distance taken. Within the last
-    K steps, and for cycles of period >= 2, only the trap disks decide.
+    A cell in the escape disc at step n <= max_iter - K resolves there as
+    (0, 0, n): its orbit stays in the disc, which misses every other trap,
+    and enters the trap at infinity within K steps, so the exact loop would
+    give the same cycle and phase. The disc is a threshold on the same rho^2,
+    with no distance taken. Within the last K steps, for finite fixed points
+    and for cycles of period >= 2, only the trap disks decide.
 
     A trap_radius that is not a finite number > 0 or makes two trap disks
     overlap, a max_iter outside 1..MAX_ITER, or more than MAX_CELLS cells is
@@ -409,17 +343,17 @@ def classify_grid(f: RationalMap, portrait: CriticalPortrait, bounds: Bounds,
     cycle_id = np.full(n_cells, -1, dtype=np.int16)
     phase = np.full(n_cells, -1, dtype=np.int16)
     steps = np.full(n_cells, -1, dtype=np.int32)
-    # (cycle, phase, centre z, w and norm, band, exact radius or None, last step)
+    # (cycle, phase, band, last step, trap centre z, w and norm); the escape
+    # disc is its rho^2 threshold alone, with no centre and no distance
     tests = []
-    for disc in certified_discs(f, cycles, trap_radius):
-        c = disc.center
-        tests.append((disc.cycle_id, 0, c.z, c.w, math.hypot(abs(c.z), abs(c.w)),
-                      *disc.membership(), max_iter - disc.steps))
     for ci, cyc in enumerate(cycles):
         for pi, p in enumerate(cyc):
             cn = math.hypot(abs(p.z), abs(p.w))
-            tests.append((ci, pi, p.z, p.w, cn, _band(abs(p.z) / cn, trap_radius),
-                          trap_radius, max_iter))
+            tests.append((ci, pi, _band(abs(p.z) / cn, trap_radius), max_iter, (p.z, p.w, cn)))
+    disc = escape_disc(f, cycles, trap_radius)
+    if disc is not None:
+        lo = disc.rho2_min
+        tests.insert(0, (0, 0, lambda rho2: rho2 >= lo, max_iter - disc.steps, None))
 
     for start in range(0, n_cells, TILE_CELLS):
         cells = np.arange(start, min(start + TILE_CELLS, n_cells))
@@ -429,7 +363,7 @@ def classify_grid(f: RationalMap, portrait: CriticalPortrait, bounds: Bounds,
         rho2 = _normalize(np.abs(z), np.abs(w))
         for n in range(max_iter + 1):
             hit = None
-            for ci, pi, cz, cw, cn, band, radius, last in tests:
+            for ci, pi, band, last, centre in tests:
                 if n > last:
                     continue
                 near = band(rho2)
@@ -438,10 +372,11 @@ def classify_grid(f: RationalMap, portrait: CriticalPortrait, bounds: Bounds,
                 k = np.flatnonzero(near)
                 if k.size == 0:
                     continue
-                if radius is not None:
+                if centre is not None:
+                    cz, cw, cn = centre
                     zk, wk = z[k], w[k]
                     norm = np.hypot(np.abs(zk), np.abs(wk))
-                    k = k[2.0 * np.abs(zk * cw - wk * cz) / (norm * cn) <= radius]
+                    k = k[2.0 * np.abs(zk * cw - wk * cz) / (norm * cn) <= trap_radius]
                 if k.size:
                     idx = cells[k]
                     cycle_id[idx] = ci

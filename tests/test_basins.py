@@ -521,35 +521,30 @@ def test_labels_match_bfs_and_scipy_on_catalog_maps(name):
 
 
 def _reference_grid(f, cycles, bounds: Bounds, resolution, trap_radius: float,
-                    max_iter: int = 200, discs=()) -> tuple:
+                    max_iter: int = 200, disc=None) -> tuple:
     """(cycle_id, phase, steps) of every cell, shape (3, h, w), by the exact
     trap loop without a band or a disc: each step takes every live cell's
     chordal distance to every trap, and evaluates the map out of place and
     divides by the max modulus. The reference classify_grid must reproduce.
 
-    Alongside, shape (len(discs), h, w): the first step at which each cell
-    was in each of the given certified discs, by the disc's own membership
-    test, or -1."""
+    Alongside, shape (h, w): the first step at which each cell was in the
+    given escape disc, by its rho^2 threshold, or -1."""
     width, height = resolution
     cells = np.arange(width * height)
     x, y = fatou.basins._center_coords(bounds, width, height, *np.divmod(cells, width))
     z, w = x + 1j * y, np.ones(cells.size, dtype=complex)
     out = np.full((3, cells.size), -1)
-    entered = np.full((len(discs), cells.size), -1)
+    entered = np.full(cells.size, -1)
     traps = [(ci, pi, p.z, p.w, math.hypot(abs(p.z), abs(p.w)))
              for ci, cyc in enumerate(cycles) for pi, p in enumerate(cyc)]
-    members = [(disc.center, *disc.membership()) for disc in discs]
     d, (a, b) = f.degree, f.pair
     for n in range(max_iter + 1):
         norm = np.hypot(np.abs(z), np.abs(w))
         with np.errstate(invalid="ignore"):  # 0/0 on an indeterminate cell
             rho2 = np.abs(z) ** 2 / norm ** 2
-        for first, (c, band, radius) in zip(entered, members):
-            inside = band(rho2) & (first[cells] < 0)
-            if radius is not None:
-                inside &= 2.0 * np.abs(z * c.w - w * c.z) / (norm * math.hypot(
-                    abs(c.z), abs(c.w))) <= radius
-            first[cells[inside]] = n
+        if disc is not None:
+            inside = (rho2 >= disc.rho2_min) & (entered[cells] < 0)
+            entered[cells[inside]] = n
         hit = np.zeros(cells.size, dtype=bool)
         for ci, pi, cz, cw, cn in traps:
             m = (~hit) & (2.0 * np.abs(z * cw - w * cz) / (norm * cn) <= trap_radius)
@@ -566,12 +561,12 @@ def _reference_grid(f, cycles, bounds: Bounds, resolution, trap_radius: float,
         s = np.maximum(np.abs(p), np.abs(q))
         s[s == 0] = 1.0
         z, w = p / s, q / s
-    return out.reshape(3, height, width), entered.reshape(len(discs), height, width)
+    return out.reshape(3, height, width), entered.reshape(height, width)
 
 
 def _disc_rule_steps(trap_step: int, entry_step: int, k: int, max_iter: int) -> int:
-    """The step at which a cell of a fixed point with a certified disc
-    resolves: its disc entry where at least k steps of the budget are left,
+    """The step at which a cell of the fixed point infinity with an escape
+    disc resolves: its disc entry where at least k steps of the budget are left,
     else its trap entry (-1 if it never traps)."""
     if 0 <= entry_step <= max_iter - k and (trap_step < 0 or entry_step <= trap_step):
         return entry_step
@@ -581,20 +576,20 @@ def _disc_rule_steps(trap_step: int, entry_step: int, k: int, max_iter: int) -> 
 def _assert_grid_matches_reference(f, bounds, resolution, trap_radius, max_iter=200):
     """cycle_id and phase equal the all-cells trap loop's. steps equals its
     trap-entry step on cells of cycles without a disc and on unresolved
-    cells, and the disc rule on the cells of a certified fixed point, whose
-    trap entry follows its disc entry within K steps."""
+    cells, and the disc rule on the cells of infinity where it has an escape
+    disc, whose trap entry follows its disc entry within K steps."""
     grid = classify_grid(f, critical_portrait(f), bounds, resolution,
                          trap_radius=trap_radius, max_iter=max_iter)
-    discs = fatou.basins.certified_discs(f, grid.cycles, trap_radius)
-    want, entered = _reference_grid(f, grid.cycles, bounds, resolution, trap_radius,
-                                    max_iter, discs)
+    disc = fatou.basins.escape_disc(f, grid.cycles, trap_radius)
+    want, first = _reference_grid(f, grid.cycles, bounds, resolution, trap_radius,
+                                  max_iter, disc)
     assert np.array_equal(grid.cycle_id, want[0]), ("cycle_id", trap_radius)
     assert np.array_equal(grid.phase, want[1]), ("phase", trap_radius)
     steps = want[2].copy()
-    for disc, first in zip(discs, entered):
+    if disc is not None:
         inside = first >= 0
-        mine = want[0] == disc.cycle_id
-        # an orbit in the disc enters its centre's trap within K steps, or
+        mine = want[0] == 0
+        # an orbit in the disc enters the trap at infinity within K steps, or
         # runs out of budget, and never enters another trap
         assert (mine | (want[0] < 0))[inside].all()
         assert (want[2] - first < disc.steps)[inside & mine].all()
@@ -699,60 +694,47 @@ def test_an_indeterminate_cell_stays_unresolved_without_a_warning():
     grid = classify_grid(f, portrait, Bounds(0.0, 2.0, -1.0, 1.0), (3, 1), max_iter=5)
     assert grid.cell_center(0, 1) == 1.0
     assert grid.cycle_id.tolist() == [[1, -1, 0]]
-    # also where both fixed points have a certified disc in use: z = w = 0
-    # has no rho^2, so no disc admits it
-    discs = fatou.basins.certified_discs(f, superattracting_cycles(portrait))
-    assert len(discs) == 2 and max(d.steps for d in discs) < 200
+    # also where the escape disc is in use: z = w = 0 has no rho^2, so the
+    # disc does not admit it
+    disc = fatou.basins.escape_disc(f, superattracting_cycles(portrait))
+    assert disc is not None and disc.steps < 200
     grid = classify_grid(f, portrait, Bounds(0.0, 2.0, -1.0, 1.0), (3, 1), max_iter=200)
     assert grid.cycle_id.tolist() == [[1, -1, 0]]
     assert grid.steps[0, 1] == -1
 
 
-# --- certified discs at superattracting fixed points --------------------------
+# --- the escape disc at a superattracting fixed point at infinity -------------
 
 
-def _chart_point(disc, u: complex) -> SpherePoint:
-    """The point with chart coordinate u about the disc's centre."""
-    if disc.center.is_infinity:
-        return SpherePoint(1.0, u)  # z = 1 / u
-    return SpherePoint.of(disc.center.to_complex() + u)
-
-
-def _chart_coordinate(disc, x: SpherePoint) -> complex:
-    if disc.center.is_infinity:
-        return x.w / x.z
-    return x.to_complex() - disc.center.to_complex()
-
-
-@pytest.mark.parametrize("name", CATALOG_NAMES + ("finite", "rotated"))
-def test_certified_disc_maps_into_itself_with_the_stated_growth(name):
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("rotated",))
+def test_escape_disc_maps_into_itself_with_the_stated_growth(name):
     f = by_name(name) if name in CATALOG_NAMES else _conjugates()[name]
     cycles = superattracting_cycles(critical_portrait(f))
-    discs = fatou.basins.certified_discs(f, cycles)
-    # every catalog map and both conjugates have one superattracting fixed
-    # point, the image of infinity, and it is certified
-    assert [d.cycle_id for d in discs] == [ci for ci, cyc in enumerate(cycles) if len(cyc) == 1]
-    assert len(discs) == 1
-    disc = discs[0]
-    others = [p for ci, cyc in enumerate(cycles) if ci != disc.cycle_id for p in cyc]
+    # infinity is a superattracting fixed point of every catalog map and of
+    # the rotated conjugate, and its disc is certified
+    assert len(cycles[0]) == 1 and cycles[0][0].is_infinity
+    disc = fatou.basins.escape_disc(f, cycles)
+    assert disc is not None
+    others = [p for cyc in cycles[1:] for p in cyc]
     rng = np.random.default_rng(41)
+    r = 1.0 / disc.radius
     s = np.concatenate([np.ones(64), 10.0 ** rng.uniform(-6, 0, 448)])
-    for u in disc.radius * s * np.exp(1j * rng.uniform(0, 2 * np.pi, s.size)):
-        x = _chart_point(disc, u)
-        if disc.center.is_infinity and abs(u) <= disc.radius * (1 - 1e-6):
-            assert disc.contains(x)  # the test at infinity is all of D but its rim
+    for u in r * s * np.exp(1j * rng.uniform(0, 2 * np.pi, s.size)):
+        x = SpherePoint(1.0, u)  # z = 1 / u
+        if abs(u) <= r * (1 - 1e-6):
+            assert disc.contains(x)  # the threshold is all of D but its rim
         assert all(x.chordal(p) > 1e-6 for p in others)
         image = eval_sphere(f, x)
-        assert abs(_chart_coordinate(disc, image)) <= 0.5 * abs(u)
+        assert abs(image.w / image.z) <= 0.5 * abs(u)
         # the orbit enters the trap disk within K steps of the disc
         for _ in range(disc.steps - 1):
-            if x.chordal(disc.center) <= 1e-6:
+            if x.chordal(SpherePoint.infinity()) <= 1e-6:
                 break
             x = eval_sphere(f, x)
-        assert x.chordal(disc.center) <= 1e-6
-    # what the membership test admits lies in the disc
-    for u in disc.radius * rng.uniform(0.5, 2.0, 512) * np.exp(1j * rng.uniform(0, 7, 512)):
-        assert not disc.contains(_chart_point(disc, u)) or abs(u) <= disc.radius
+        assert x.chordal(SpherePoint.infinity()) <= 1e-6
+    # what the threshold admits lies in the disc
+    for u in r * rng.uniform(0.5, 2.0, 512) * np.exp(1j * rng.uniform(0, 7, 512)):
+        assert not disc.contains(SpherePoint(1.0, u)) or abs(u) <= r
 
 
 def test_escape_disc_radii_on_the_ladder():
@@ -760,18 +742,17 @@ def test_escape_disc_radii_on_the_ladder():
     # (sum |b_k| R^(k-e)) >= 2
     for name, big in (("paper-g", 4.32), ("paper-degree4", 6.39), ("pseudo-basilica:2", 2.53)):
         f = by_name(name)
-        (disc,) = fatou.basins.certified_discs(f, superattracting_cycles(critical_portrait(f)))
-        assert disc.center.is_infinity
-        assert round(1.0 / disc.radius, 2) == big
-        k = round(math.log(1.0 / disc.radius) / math.log(fatou.basins.DISC_LADDER))
-        assert math.isclose(1.0 / disc.radius, fatou.basins.DISC_LADDER ** k)
+        disc = fatou.basins.escape_disc(f, superattracting_cycles(critical_portrait(f)))
+        assert round(disc.radius, 2) == big
+        k = round(math.log(disc.radius) / math.log(fatou.basins.DISC_LADDER))
+        assert math.isclose(disc.radius, fatou.basins.DISC_LADDER ** k)
     # a larger trap disk is reached in fewer steps; one past the disc's size
     # needs no disc
     f = paper_g()
     cycles = superattracting_cycles(critical_portrait(f))
-    ks = [fatou.basins.certified_discs(f, cycles, t)[0].steps for t in (1e-6, 1e-3, 0.2)]
+    ks = [fatou.basins.escape_disc(f, cycles, t).steps for t in (1e-6, 1e-3, 0.2)]
     assert ks == sorted(ks, reverse=True)
-    assert fatou.basins.certified_discs(f, cycles, 0.5) == ()
+    assert fatou.basins.escape_disc(f, cycles, 0.5) is None
 
 
 def _fixed_point_portrait(*points):
@@ -779,18 +760,21 @@ def _fixed_point_portrait(*points):
         types.SimpleNamespace(classification="superattracting", cycle=(p,)) for p in points))
 
 
-def test_maps_without_a_certifiable_disc_give_the_trap_grid_bit_for_bit():
+def test_maps_without_an_escape_disc_give_the_trap_grid_bit_for_bit():
     # 1 / z^2 swaps 0 and infinity: no superattracting fixed point
     swap = normalize(Polynomial((1.0,)), Polynomial((0.0, 0.0, 1.0)))
     assert [len(c) for c in superattracting_cycles(critical_portrait(swap))] == [2]
-    # z / 2 + z^2 fixes 0 with local degree 1 and multiplier 1/2, which no
-    # disc about 0 halves; the portrait claims it superattracting
+    # z / 2 + z^2 fixes 0 with local degree 1 and multiplier 1/2; the portrait
+    # claims it superattracting, and it is finite
     linear = normalize(Polynomial((0.0, 0.5, 1.0)), Polynomial((1.0,)))
+    # paper-g's basin of infinity moved to a finite fixed point
+    finite = _conjugates()["finite"]
     cases = [(swap, critical_portrait(swap), Bounds(-2, 2, -1.5, 1.5), 60),
-             (linear, _fixed_point_portrait(SpherePoint.of(0.0)), Bounds(-1, 1, -1, 1), 80)]
+             (linear, _fixed_point_portrait(SpherePoint.of(0.0)), Bounds(-1, 1, -1, 1), 80),
+             (finite, critical_portrait(finite), Bounds(-3.1, 3.3, -2.4, 2.2), 200)]
     for f, portrait, bounds, max_iter in cases:
         cycles = superattracting_cycles(portrait)
-        assert fatou.basins.certified_discs(f, cycles) == ()
+        assert fatou.basins.escape_disc(f, cycles) is None
         grid = classify_grid(f, portrait, bounds, (41, 31), max_iter=max_iter)
         want, _ = _reference_grid(f, cycles, bounds, (41, 31), 1e-6, max_iter)
         assert (want[0] >= 0).any()
@@ -803,10 +787,10 @@ def test_disc_rule_at_the_max_iter_boundary(name):
     # with max_iter a few steps above K, cells that enter the disc late are
     # left to the trap test, and exactly the reference's cells stay unresolved
     f = by_name(name)
-    (disc,) = fatou.basins.certified_discs(f, superattracting_cycles(critical_portrait(f)))
+    disc = fatou.basins.escape_disc(f, superattracting_cycles(critical_portrait(f)))
     used = 0
     for max_iter in (disc.steps, disc.steps + 1, disc.steps + 3):
         grid = _assert_grid_matches_reference(f, WIDE, (61, 47), 1e-6, max_iter)
         assert (grid.cycle_id < 0).any()
-        used += ((grid.cycle_id == disc.cycle_id) & (grid.steps <= max_iter - disc.steps)).sum()
+        used += ((grid.cycle_id == 0) & (grid.steps <= max_iter - disc.steps)).sum()
     assert used > 0
