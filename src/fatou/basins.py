@@ -17,15 +17,16 @@ changes when a cell resolves (its steps) but never how.
 from __future__ import annotations
 
 import colorsys
+import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .sphere import ParameterError, SpherePoint, as_sphere
-from .ratmap import RationalMap, eval_sphere, hom_eval
+from .sphere import ParameterError, SpherePoint
+from .ratmap import RationalMap, hom_eval
 from .orbits import CriticalPortrait
 
 DEFAULT_TRAP_RADIUS = 1e-6
@@ -145,14 +146,6 @@ def superattracting_cycles(portrait: CriticalPortrait) -> list[tuple]:
     return cycles
 
 
-def _check_trap_disjoint(cycles, trap_radius: float):
-    pts = [p for cyc in cycles for p in cyc]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if pts[i].chordal(pts[j]) <= 2.0 * trap_radius:
-                raise ParameterError("trap_radius", "trap disks overlap; reduce it")
-
-
 @dataclass(frozen=True)
 class EscapeDisc:
     """A certified disc D = {|z| >= radius} about a superattracting fixed
@@ -173,23 +166,13 @@ class EscapeDisc:
         big = self.radius
         return big * big / (1.0 + big * big) * (1.0 + 1e-9)
 
-    def contains(self, x: SpherePoint) -> bool:
-        az2, aw2 = abs(x.z) ** 2, abs(x.w) ** 2
-        return az2 / (az2 + aw2) >= self.rho2_min
-
 
 def escape_disc(f: RationalMap, cycles, trap_radius: float = DEFAULT_TRAP_RADIUS
                 ) -> Optional[EscapeDisc]:
     """The EscapeDisc where the first of cycles is the fixed point infinity
     and a disc about it can be proved, else None. Cycles of period >= 2 get
     none: their phase is the first trap entered, which a disc about one
-    point cannot tell. Cached, as classify_point asks for it once per point."""
-    return _escape_disc(f, tuple(map(tuple, cycles)), trap_radius)
-
-
-@lru_cache(maxsize=16)
-def _escape_disc(f: RationalMap, cycles: tuple, trap_radius: float) -> Optional[EscapeDisc]:
-    """escape_disc, uncached.
+    point cannot tell.
 
     In u = 1/z, f is g(u) = N(u) / M(u) with N_k = b_(d-k), M_k = a_(d-k),
     the map's own coefficients reversed, so the chart is exact. Over
@@ -234,28 +217,6 @@ def _escape_disc(f: RationalMap, cycles: tuple, trap_radius: float) -> Optional[
             return None
         e, n = e_next, n + 1
     return EscapeDisc(1.0 / r0, n + 1)  # one step more for the rounding of the trap test
-
-
-def classify_point(f: RationalMap, cycles, z0, trap_radius: float = DEFAULT_TRAP_RADIUS,
-                   max_iter: int = 200) -> Optional[tuple[int, int, int]]:
-    """(cycle_id, phase, steps) for one starting point, or None if unresolved.
-
-    The scalar form of classify_grid's rule: the first step n at which the
-    iterate is in a trap disk, or in the escape disc with n <= max_iter - K.
-    """
-    x = as_sphere(z0)
-    flat = [(ci, pi, p) for ci, cyc in enumerate(cycles) for pi, p in enumerate(cyc)]
-    disc = escape_disc(f, cycles, trap_radius)
-    last = -1 if disc is None else max_iter - disc.steps
-    for n in range(max_iter + 1):
-        for ci, pi, p in flat:
-            if x.chordal(p) <= trap_radius:
-                return ci, pi, n
-        if n <= last and disc.contains(x):
-            return 0, 0, n
-        if n < max_iter:
-            x = eval_sphere(f, x)
-    return None
 
 
 def _band(rho_c: float, trap_radius: float):
@@ -303,46 +264,35 @@ def _normalize(ap, aq, z=None, w=None):
     return ap
 
 
-def classify_grid(f: RationalMap, portrait: CriticalPortrait, bounds: Bounds,
-                  resolution: tuple[int, int], trap_radius: float = DEFAULT_TRAP_RADIUS,
-                  max_iter: int = 200) -> BasinGrid:
-    """Classify every cell center of the grid.
+def _classifier(f: RationalMap, cycles, trap_radius: float, max_iter: int):
+    """The classification rule of classify_grid and classify_points, as
+    classify(z, w, cycle_id, phase, steps): iterate the points (z : w),
+    leaving z and w as they are, and write the cycle, phase and step at
+    which each resolves into the arrays the caller filled with -1.
 
-    Vectorized over tiles of TILE_CELLS cells in homogeneous coordinates,
-    renormalized every step so poles and the point at infinity need no
-    special casing. A tile's iterates shrink to its unresolved cells as they
-    are trapped. Each step, the exact chordal distance to a trap is taken
-    only for the cells in its _band, which the normalization finds from the
-    moduli it takes anyway.
-
-    A cell in the escape disc at step n <= max_iter - K resolves there as
+    A point resolves at the first step n at which it is in a trap disk, or
+    in the escape disc with n <= max_iter - K. In the disc it resolves as
     (0, 0, n): its orbit stays in the disc, which misses every other trap,
-    and enters the trap at infinity within K steps, so the exact loop would
-    give the same cycle and phase. The disc is a threshold on the same rho^2,
-    with no distance taken. Within the last K steps, for finite fixed points
-    and for cycles of period >= 2, only the trap disks decide.
+    and enters the trap at infinity within K steps, so the trap alone would
+    give the same cycle and phase. Within the last K steps, for finite fixed
+    points and for cycles of period >= 2, only the trap disks decide.
+
+    Each step renormalizes the iterates, so poles and the point at infinity
+    need no special casing, and drops the points that resolved. The exact
+    chordal distance to a trap is taken only for the points in its _band,
+    read from the moduli the normalization takes anyway; the disc is a
+    threshold on the same rho^2, with no distance taken.
 
     A trap_radius that is not a finite number > 0 or makes two trap disks
-    overlap, a max_iter outside 1..MAX_ITER, or more than MAX_CELLS cells is
-    a ParameterError, raised before any cell steps.
+    overlap, or a max_iter outside 1..MAX_ITER, is a ParameterError.
     """
     if not (math.isfinite(trap_radius) and trap_radius > 0):
         raise ParameterError("trap_radius", "must be a finite number > 0")
     if not 1 <= max_iter <= MAX_ITER:
         raise ParameterError("max_iter", f"must be between 1 and {MAX_ITER}")
-    width, height = resolution
-    if width < 1 or height < 1:
-        raise ParameterError("resolution", "must be positive")
-    if width * height > MAX_CELLS:
-        raise ParameterError("resolution", f"{width}x{height} is {width * height} cells; "
-                             f"at most {MAX_CELLS} fit")
-    cycles = superattracting_cycles(portrait)
-    _check_trap_disjoint(cycles, trap_radius)
-
-    n_cells = width * height
-    cycle_id = np.full(n_cells, -1, dtype=np.int16)
-    phase = np.full(n_cells, -1, dtype=np.int16)
-    steps = np.full(n_cells, -1, dtype=np.int32)
+    pts = [p for cyc in cycles for p in cyc]
+    if any(p.chordal(q) <= 2.0 * trap_radius for p, q in itertools.combinations(pts, 2)):
+        raise ParameterError("trap_radius", "trap disks overlap; reduce it")
     # (cycle, phase, band, last step, trap centre z, w and norm); the escape
     # disc is its rho^2 threshold alone, with no centre and no distance
     tests = []
@@ -355,11 +305,8 @@ def classify_grid(f: RationalMap, portrait: CriticalPortrait, bounds: Bounds,
         lo = disc.rho2_min
         tests.insert(0, (0, 0, lambda rho2: rho2 >= lo, max_iter - disc.steps, None))
 
-    for start in range(0, n_cells, TILE_CELLS):
-        cells = np.arange(start, min(start + TILE_CELLS, n_cells))
-        x, y = _center_coords(bounds, width, height, *np.divmod(cells, width))
-        z = x + 1j * y
-        w = np.ones(cells.size, dtype=complex)
+    def classify(z, w, cycle_id, phase, steps):
+        cells = np.arange(z.size)
         rho2 = _normalize(np.abs(z), np.abs(w))
         for n in range(max_iter + 1):
             hit = None
@@ -393,6 +340,62 @@ def classify_grid(f: RationalMap, portrait: CriticalPortrait, bounds: Bounds,
             z, w = hom_eval(f, z, w)
             # max-modulus normalization keeps every Horner partial sum bounded
             rho2 = _normalize(np.abs(z), np.abs(w), z, w)
+
+    return classify
+
+
+def _unresolved(n: int) -> tuple:
+    """cycle_id, phase and steps of n points, all -1 (unresolved)."""
+    return (np.full(n, -1, dtype=np.int16), np.full(n, -1, dtype=np.int16),
+            np.full(n, -1, dtype=np.int32))
+
+
+def classify_points(f: RationalMap, cycles, z, w, trap_radius: float = DEFAULT_TRAP_RADIUS,
+                    max_iter: int = 200) -> tuple:
+    """(cycle_id, phase, steps) arrays of the points (z : w) by classify_grid's
+    rule (_classifier), -1 where unresolved. cycles are the map's
+    superattracting_cycles. z and w broadcast to one shape, which the arrays
+    take; infinity is w = 0, and the grid's cell centres are (x + iy, 1).
+    The first step reads the coordinates as given: they must be finite (else
+    ValueError) and not both 0 (else unresolved).
+    """
+    classify = _classifier(f, cycles, trap_radius, max_iter)
+    z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
+    if not (np.isfinite(z).all() and np.isfinite(w).all()):
+        raise ValueError("point coordinates must be finite")
+    out = _unresolved(z.size)
+    classify(z.ravel(), w.ravel(), *out)
+    return tuple(a.reshape(z.shape) for a in out)
+
+
+def classify_grid(f: RationalMap, portrait: CriticalPortrait, bounds: Bounds,
+                  resolution: tuple[int, int], trap_radius: float = DEFAULT_TRAP_RADIUS,
+                  max_iter: int = 200) -> BasinGrid:
+    """Classify every cell center of the grid by _classifier's rule.
+
+    The grid is iterated in flat tiles of TILE_CELLS cells, each classified
+    into its slice of the grid's own arrays.
+
+    More than MAX_CELLS cells, and the arguments _classifier refuses, are a
+    ParameterError, raised before any cell steps.
+    """
+    width, height = resolution
+    if width < 1 or height < 1:
+        raise ParameterError("resolution", "must be positive")
+    if width * height > MAX_CELLS:
+        raise ParameterError("resolution", f"{width}x{height} is {width * height} cells; "
+                             f"at most {MAX_CELLS} fit")
+    cycles = superattracting_cycles(portrait)
+    classify = _classifier(f, cycles, trap_radius, max_iter)
+
+    n_cells = width * height
+    cycle_id, phase, steps = _unresolved(n_cells)
+    for start in range(0, n_cells, TILE_CELLS):
+        cells = np.arange(start, min(start + TILE_CELLS, n_cells))
+        x, y = _center_coords(bounds, width, height, *np.divmod(cells, width))
+        tile = slice(start, start + cells.size)
+        classify(x + 1j * y, np.ones(cells.size, dtype=complex),
+                 cycle_id[tile], phase[tile], steps[tile])
 
     return BasinGrid(bounds, width, height, tuple(cycles),
                      cycle_id.reshape(height, width),

@@ -313,40 +313,28 @@ def check_basins(ctx: Context):
     cm2 = _basins.component_of(lab, -2.0 + 0.0j)
     distinct = c0.label != cm2.label
 
+    def image_classes(zs):
+        """classify_points at the images f(z), z in zs, evaluated one by one."""
+        pts = [eval_sphere(g, as_sphere(complex(z))) for z in zs]
+        return _basins.classify_points(g, grid.cycles, [x.z for x in pts], [x.w for x in pts])
+
     rng = np.random.default_rng(97)
     rows, cols = np.nonzero(grid.cycle_id >= 0)
     idx = rng.choice(len(rows), size=500, replace=False)
-    good = 0
-    for k in idx:
-        r, c = int(rows[k]), int(cols[k])
-        cid = int(grid.cycle_id[r, c])
-        period = len(grid.cycles[cid])
-        sync = (int(grid.phase[r, c]) - int(grid.steps[r, c])) % period
-        z = grid.cell_center(r, c)
-        w = eval_sphere(g, as_sphere(z))
-        res = _basins.classify_point(g, grid.cycles, w)
-        if res is None:
-            continue
-        cid2, ph2, st2 = res
-        if cid2 == cid and (ph2 - st2) % period == (sync + 1) % period:
-            good += 1
+    rows, cols = rows[idx], cols[idx]
+    cid = grid.cycle_id[rows, cols]
+    period = np.array([len(cyc) for cyc in grid.cycles])[cid]
+    sync = (grid.phase[rows, cols] - grid.steps[rows, cols]) % period
+    cid2, ph2, st2 = image_classes(map(grid.cell_center, rows, cols))
+    good = int(((cid2 == cid) & ((ph2 - st2) % period == (sync + 1) % period)).sum())
     frac = good / 500.0
 
     inf_id = next(i for i, cyc in enumerate(grid.cycles) if cyc[0].is_infinity)
-    checked = 0
-    escaped_ok = 0
-    tries = 0
-    while checked < 200 and tries < 4000:
-        tries += 1
-        z = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
-        res = _basins.classify_point(g, grid.cycles, z)
-        if res is None or res[0] != inf_id:
-            continue
-        checked += 1
-        w = eval_sphere(g, as_sphere(z))
-        res2 = _basins.classify_point(g, grid.cycles, w)
-        if res2 is not None and res2[0] == inf_id:
-            escaped_ok += 1
+    x, y = rng.uniform(-4, 4, size=(4000, 2)).T
+    starts = x + 1j * y
+    escaping = starts[_basins.classify_points(g, grid.cycles, starts, 1.0)[0] == inf_id][:200]
+    checked = escaping.size
+    escaped_ok = int((image_classes(escaping)[0] == inf_id).sum())
 
     ok = distinct and frac >= 0.95 and checked == 200 and escaped_ok == 200
     measured = (f"components of 0/-2: {c0.label}/{cm2.label}, phase-shift "

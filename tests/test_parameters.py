@@ -13,7 +13,8 @@ import fatou.catalog
 import fatou.lifting
 import fatou.orbits
 import fatou.rays
-from fatou.basins import MAX_CELLS, MAX_ITER, Bounds, classify_grid
+from fatou.basins import (MAX_CELLS, MAX_ITER, Bounds, classify_grid, classify_points,
+                          superattracting_cycles)
 from fatou.catalog import (FAMILY_MAX_DEGREE, RABBIT_MAX_DEGREE, paper_g, pseudo_basilica,
                            pseudo_rabbit_roots)
 from fatou.cli import build_parser, dispatch
@@ -40,6 +41,11 @@ def _ray(**kwargs):
 
 def _grid(resolution=(8, 8), **kwargs):
     return lambda: classify_grid(G, _portrait(), _BOX, resolution, **kwargs)
+
+
+def _points(**kwargs):
+    # 0.5 is in no trap disk, so classifying it takes a step
+    return lambda: classify_points(G, superattracting_cycles(_portrait()), 0.5, 1.0, **kwargs)
 
 
 def _lift(eps=1e-3, omega=1e6):
@@ -93,6 +99,11 @@ _CASES = [
     ("degree", lambda: pseudo_basilica(10 ** 6)),
     ("degree", lambda: pseudo_rabbit_roots(RABBIT_MAX_DEGREE + 1)),
     ("degree", lambda: pseudo_rabbit_roots(FAMILY_MAX_DEGREE + 1)),
+    ("trap_radius", _points(trap_radius=math.nan)),
+    ("trap_radius", _points(trap_radius=-1.0)),
+    ("trap_radius", _points(trap_radius=1e300)),  # the trap disks overlap
+    ("max_iter", _points(max_iter=0)),
+    ("max_iter", _points(max_iter=MAX_ITER + 1)),
 ]
 
 
