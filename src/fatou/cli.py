@@ -170,6 +170,8 @@ def cmd_ray(args) -> int:
             "angle": str(tr.angle),
             "landed": tr.landed,
             "landing": _jsonio.complex_pair(tr.landing) if tr.landed else None,
+            "certified": tr.certified,
+            "multiplier": tr.multiplier,
             "residual": tr.residual,
             "potential_sublevels": tr.sublevels,
         }
@@ -308,7 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exact fraction a/b; repeatable")
     p.add_argument("--basin", type=_point_type, default=SpherePoint.infinity(),
                    help="superattracting fixed point ('inf' or 're,im')")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH,
+                   help="maximum number of potential levels; tracing stops once "
+                        "every landing is certified")
     p.add_argument("--r0", type=float, default=DEFAULT_R0)
     p.add_argument("--samples", action="store_true",
                    help="include the full sample chain in the report")

@@ -76,6 +76,24 @@ def cycle_multiplier(f: RationalMap, cycle) -> complex:
     return lam
 
 
+def orbit_derivative(f: RationalMap, z: complex, n: int) -> tuple[complex, complex]:
+    """f^n(z) and (f^n)'(z) for a finite z whose first n images are finite.
+
+    Carries the homogeneous point x = (z, 1) and its derivative dx = (1, 0)
+    through x -> F(x), dx -> DF(x) dx with DF from hom_eval(partials=True),
+    and rescales all four by one power of two per step (exact, so the result
+    does not depend on the scaling). Raises ZeroDivisionError when f^n(z) is
+    infinity.
+    """
+    x, y, dx, dy = complex(z), 1.0 + 0j, 1.0 + 0j, 0j
+    for _ in range(n):
+        p, q, pz, pw, qz, qw = hom_eval(f, x, y, partials=True)
+        x, y, dx, dy = p, q, pz * dx + pw * dy, qz * dx + qw * dy
+        s = math.ldexp(1.0, -math.frexp(max(abs(x), abs(y)))[1])
+        x, y, dx, dy = x * s, y * s, dx * s, dy * s
+    return x / y, (dx * y - x * dy) / (y * y)
+
+
 def _walk(f: RationalMap, start, max_iter: int) -> tuple[list, int]:
     """The orbit of start up to its first revisit, within CYCLE_TOL of one of
     the CYCLE_WINDOW points before it, and the revisit's period; period 0

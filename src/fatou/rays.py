@@ -20,6 +20,7 @@ from typing import Optional
 import numpy as np
 
 from ._geom import point_polyline_distance, winding_number
+from .orbits import CYCLE_TOL, INDIFFERENT_BAND, orbit_derivative
 from .sphere import MoebiusTransform, ParameterError, SpherePoint, as_sphere
 from .ratmap import (RationalMap, _Ambiguous, critical_points, eval_sphere,
                      fibers, nearest, preimages)
@@ -33,8 +34,12 @@ MAX_R0 = 1e10
 MAX_ORBIT_ANGLES = 64
 DEFAULT_DEPTH = 96
 MAX_DEPTH = 1024  # potentials round to 1.0 long before; deeper adds no information
-LANDING_TOL = 1e-6
+LANDING_TOL = 1e-6  # tail diameter at which an uncertified ray lands
 LANDING_WINDOW = 8  # potential shells inspected for contraction
+STOP_RADIUS = 1e-3  # a certified landing is this close to the newest shells
+COLAND_TOL = 1e-12  # relative gap at which two certified landings are one point
+NEWTON_STEPS = 8
+NEWTON_TOL = 1e-12  # relative Newton step taken as converged
 _LIN_GUIDE_MIN = 4.0  # potential above which the linearized coordinate guides
 _MAX_SUBLEVELS = 64
 
@@ -93,8 +98,10 @@ class RayTrace:
     potentials: tuple  # float, same order
     landed: bool
     landing: Optional[complex]
-    residual: float
+    residual: float  # Newton distance of a certified landing, else tail diameter
     sublevels: int  # potential steps inserted per doubling level
+    certified: bool  # landing is a Newton-certified repelling (pre)periodic point
+    multiplier: Optional[float]  # |(f^k)'| on the cycle it lands on, k the angle's period
 
 
 def _as_angle(t) -> RayAngle:
@@ -162,11 +169,127 @@ def _finite_fiber(f: RationalMap, target: complex) -> list[complex]:
     return cands
 
 
+def _periods(orbit: list[RayAngle], m: int) -> dict:
+    """The period of each angle of a closed orbit under t -> mt; 0 for a
+    strictly preperiodic angle."""
+    image = {t: t.times(m) for t in orbit}
+    periods = {}
+    for t in orbit:
+        s, k = image[t], 1
+        while s != t and k < len(orbit):
+            s, k = image[s], k + 1
+        periods[t] = k if s == t else 0
+    return periods
+
+
+@dataclass(frozen=True)
+class _Landing:
+    point: complex  # in the chart the rays are traced in
+    multiplier: float  # |(f^k)'| on the cycle, k the angle's period
+    residual: float  # Newton distance
+
+
+def _newton(f: RationalMap, z: complex, k: int,
+            target: Optional[complex] = None) -> Optional[_Landing]:
+    """Newton on f^k(z) = z, or on f(z) = target, from z: the root, |(f^k)'|
+    there and its Newton distance, or None unless that distance comes within
+    NEWTON_TOL (1 + |root|). Steps while the steps shrink, at most
+    NEWTON_STEPS, and keeps the iterate with the shortest step."""
+    best = None
+    try:
+        for _ in range(NEWTON_STEPS):
+            fz, dfz = orbit_derivative(f, z, k)
+            step = (fz - z) / (dfz - 1.0) if target is None else (fz - target) / dfz
+            if best is not None and abs(step) >= best.residual:
+                break
+            best = _Landing(z, abs(dfz), abs(step))
+            z -= step
+    except (ZeroDivisionError, OverflowError):  # a pole or overflow: no root here
+        return None
+    if best is None or not best.residual <= NEWTON_TOL * (1.0 + abs(best.point)):
+        return None
+    return best
+
+
+def _periodic_root(f: RationalMap, z: complex, k: int) -> Optional[_Landing]:
+    """_newton on f^k(z) = z, polished again on f^j when the root's minimal
+    period is a proper divisor j of k (fewer roundings), with |(f^k)'| and the
+    Newton distance on f^k at the polished point."""
+    root = _newton(f, z, k)
+    if root is None:
+        return None
+    z = root.point
+    for j in range(1, k):
+        if k % j == 0 and abs(orbit_derivative(f, z, j)[0] - z) <= CYCLE_TOL * (1.0 + abs(z)):
+            sharper = _newton(f, z, j)
+            if sharper is not None:
+                z = sharper.point
+                fz, dfz = orbit_derivative(f, z, k)
+                root = _Landing(z, abs(dfz), abs((fz - z) / (dfz - 1.0)))
+            break
+    return root
+
+
+def _shells(chain: list, sub: int) -> Optional[list]:
+    """The newest LANDING_WINDOW samples sub apart (one level of the map),
+    oldest first; None while the chain is shorter."""
+    start = len(chain) - 1 - (LANDING_WINDOW - 1) * sub
+    return chain[start::sub] if start >= 0 else None
+
+
+def _approaches(shells: list, z: complex) -> bool:
+    """Whether the shells lie within STOP_RADIUS of z and strictly approach it."""
+    d = [abs(s - z) for s in shells]
+    return d[0] <= STOP_RADIUS and all(a > b for a, b in zip(d, d[1:]))
+
+
+def _certify(f: RationalMap, m: int, periods: dict, chains: dict, sub: int,
+             landings: dict) -> None:
+    """Adds to landings (keyed by angle) each ray not yet in it whose newest
+    shells approach a certified landing.
+
+    A periodic angle of period k lands at z* when Newton on f^k(z) = z from
+    its newest sample converges, |(f^k)'(z*)| > 1 + INDIFFERENT_BAND and its
+    shells approach z*. A preperiodic angle t lands at the point of the fiber
+    of f over the landing of mt nearest its newest sample, under the same
+    approach test, once mt is certified.
+    """
+    shells = {t: _shells(chains[t], sub) for t in periods if t not in landings}
+    # the approach test needs every shell within 2 STOP_RADIUS of the newest
+    pending = [t for t, sh in shells.items()
+               if sh is not None and max(abs(s - sh[-1]) for s in sh) <= 2.0 * STOP_RADIUS]
+    for t in pending:
+        root = _periodic_root(f, shells[t][-1], periods[t]) if periods[t] else None
+        if (root is not None and root.multiplier > 1.0 + INDIFFERENT_BAND
+                and _approaches(shells[t], root.point)):
+            landings[t] = root
+    pending = [t for t in pending if not periods[t]]
+    while True:
+        ready = [t for t in pending if t.times(m) in landings]
+        if not ready:
+            return
+        pending = [t for t in pending if t not in ready]
+        targets = [landings[t.times(m)].point for t in ready]
+        roots, ok = fibers(f, targets)
+        for t, target, row, good in zip(ready, targets, roots.tolist(), ok.tolist()):
+            cands = row if good else _finite_fiber(f, target)
+            if not cands:
+                continue
+            root = _newton(f, min(cands, key=lambda c: abs(c - shells[t][-1])), 1, target)
+            if root is not None and _approaches(shells[t], root.point):
+                landings[t] = _Landing(root.point, landings[t.times(m)].multiplier,
+                                       root.residual)
+
+
 def _trace_at_infinity(f: RationalMap, m: int, orbit: list[RayAngle], potentials: tuple,
-                       sublevels: int) -> dict:
-    """The sample chain of every angle of the orbit, one sample per potential,
-    keyed in orbit order; raises _Ambiguous where continuation is unclear."""
+                       sublevels: int) -> tuple[dict, dict]:
+    """The sample chain of every angle of the orbit, one sample per potential
+    down to the first block after which every angle is certified, keyed in
+    orbit order, and the certified landings (of every angle, or of those
+    certified when the chains reach the last potential); raises _Ambiguous
+    where continuation is unclear."""
     a, shift = _leading_data(f, m)
+    periods = _periods(orbit, m)
 
     def lin_inverse(rho: float, t: RayAngle) -> complex:
         psi = rho * cmath.exp(2j * math.pi * t.value())
@@ -176,6 +299,7 @@ def _trace_at_infinity(f: RationalMap, m: int, orbit: list[RayAngle], potentials
     chains = list(samples.values())
     images = [samples[t.times(m)] for t in orbit]
     warm = None
+    landings: dict = {}
     for q0 in range(sublevels, len(potentials), sublevels):
         # level q pulls back level q - sublevels, so the block of sublevels
         # levels from q0 depends only on the block above: one solve for the
@@ -199,12 +323,21 @@ def _trace_at_infinity(f: RationalMap, m: int, orbit: list[RayAngle], potentials
                 if not cands:
                     raise RayTraceError("empty finite fiber while tracing")
                 chain.append(cands[nearest(cands, guide)])
-    return samples
+        _certify(f, m, periods, samples, sublevels, landings)
+        if len(landings) == len(orbit):
+            break
+    return samples, landings
 
 
 def trace_orbit(f: RationalMap, basin_fixed_point, angles, depth: int = DEFAULT_DEPTH,
                 r0: float = DEFAULT_R0) -> dict:
     """Traces of every ray in the forward angle orbit of the given angles.
+
+    The orbit is traced jointly, block by block of potential levels, and stops
+    after the first block at which every landing is certified, or at depth
+    levels (see _certify and the README). Certified rays report their
+    (pre)periodic landing, its Newton distance as residual and |(f^k)'| as
+    multiplier; the others land when their tail is narrower than LANDING_TOL.
 
     Keys of the returned dict are RayAngle instances. Raises ParameterError
     when depth is outside 1..MAX_DEPTH or r0 outside MIN_R0..MAX_R0, and
@@ -234,7 +367,7 @@ def trace_orbit(f: RationalMap, basin_fixed_point, angles, depth: int = DEFAULT_
         step = (1.0 / m) ** (1.0 / sub)
         potentials = tuple(r0 ** (step ** q) for q in range(depth * sub + 1))
         try:
-            chains = _trace_at_infinity(work, m, orbit, potentials, sub)
+            chains, landings = _trace_at_infinity(work, m, orbit, potentials, sub)
             break
         except _Ambiguous:
             sub *= 2
@@ -250,14 +383,20 @@ def trace_orbit(f: RationalMap, basin_fixed_point, angles, depth: int = DEFAULT_
 
     traces = {}
     for t, chain in chains.items():
-        # landing is decided in the chart the rays were traced in
-        residual = tail_diameter(chain)
-        landed = residual < LANDING_TOL
+        lnd = landings.get(t)
+        # an uncertified landing is decided in the chart the rays were traced in
+        landed = lnd is not None or tail_diameter(chain) < LANDING_TOL
         if back is not None:
             chain = [back + 1.0 / u for u in chain]
-            residual = tail_diameter(chain)
-        traces[t] = RayTrace(t, tuple(chain), potentials, landed,
-                             chain[-1] if landed else None, residual, sub)
+        if lnd is None:
+            landing, residual = (chain[-1] if landed else None), tail_diameter(chain)
+        elif back is None:
+            landing, residual = lnd.point, lnd.residual
+        else:  # z = back + 1/u scales distances by |dz/du| = 1/|u|^2
+            landing, residual = back + 1.0 / lnd.point, lnd.residual / abs(lnd.point) ** 2
+        traces[t] = RayTrace(t, tuple(chain), potentials[:len(chain)], landed, landing,
+                             residual, sub, lnd is not None,
+                             None if lnd is None else lnd.multiplier)
     return traces
 
 
@@ -283,13 +422,21 @@ def _landed_pair(f: RationalMap, basin_fixed_point, t1, t2, depth: int,
 
 def coland(f: RationalMap, basin_fixed_point, t1, t2, depth: int = DEFAULT_DEPTH,
            r0: float = DEFAULT_R0) -> bool:
-    """Whether the two rays land at the same point (within LANDING_TOL).
+    """Whether the two rays land at the same point: two certified landings
+    within COLAND_TOL (1 + |z|), else within LANDING_TOL.
 
     Raises RayLandingError if either ray fails to land; an unlanded ray is
     never reported as not co-landing.
     """
     tr1, tr2 = _landed_pair(f, basin_fixed_point, t1, t2, depth, r0)
-    return abs(tr1.landing - tr2.landing) < LANDING_TOL
+    return _colanded(tr1, tr2)
+
+
+def _colanded(tr1: RayTrace, tr2: RayTrace) -> bool:
+    gap = abs(tr1.landing - tr2.landing)
+    if tr1.certified and tr2.certified:
+        return gap <= COLAND_TOL * (1.0 + abs(tr1.landing))
+    return gap < LANDING_TOL
 
 
 def separation_test(f: RationalMap, basin_fixed_point, t1, t2, a: complex,
@@ -298,15 +445,18 @@ def separation_test(f: RationalMap, basin_fixed_point, t1, t2, a: complex,
     """Whether the closed curve R_t1 + landing + R_t2, closed up across the
     basin's fixed point, separates a from b. Decided by winding parity.
 
-    Preconditions: both rays land at a common point; neither a nor b sits on
-    the curve (within a relative 1e-9).
+    Preconditions: both rays land at a common point, as coland decides;
+    neither a nor b sits on the curve (within a relative 1e-9). The curve
+    closes at the certified landing of R_t1 when both are certified, else at
+    the midpoint of the two landings.
     """
     a, b = complex(a), complex(b)
     tr1, tr2 = _landed_pair(f, basin_fixed_point, t1, t2, depth, r0)
-    gap = abs(tr1.landing - tr2.landing)
-    if gap > LANDING_TOL:
-        raise RayLandingError(f"rays do not co-land (gap {gap:.3g})")
-    joint = 0.5 * (tr1.landing + tr2.landing)
+    if not _colanded(tr1, tr2):
+        raise RayLandingError(
+            f"rays do not co-land (gap {abs(tr1.landing - tr2.landing):.3g})")
+    joint = (tr1.landing if tr1.certified and tr2.certified
+             else 0.5 * (tr1.landing + tr2.landing))
 
     if not as_sphere(basin_fixed_point).is_infinity:
         raise NotImplementedError("separation closure only implemented across infinity")

@@ -114,10 +114,10 @@ def check_rays(ctx: Context):
     gap_co = abs(p13 - p23)
     fixed_err = chordal(eval_sphere(g, as_sphere(p13)), p13)
     gap_16 = abs(ctx.landing(1, 6) - ctx.landing(5, 6))
-    ok = e0 < 1e-6 and gap_co < 1e-6 and fixed_err < 1e-6 and gap_16 > 1e-2
+    ok = e0 < 1e-12 and gap_co < 1e-12 and fixed_err < 1e-12 and gap_16 > 1e-2
     measured = (f"|R_0 - 2| {e0:.2e}, gap(1/3,2/3) {gap_co:.2e}, "
                 f"fixed-point err {fixed_err:.2e}, gap(1/6,5/6) {gap_16:.3g}")
-    return ok, measured, "landings 1e-6, distinctness gap > 1e-2"
+    return ok, measured, "landings 1e-12, distinctness gap > 1e-2"
 
 
 def check_preimages(ctx: Context):
@@ -126,9 +126,9 @@ def check_preimages(ctx: Context):
     pre = [p, ctx.landing(1, 6), ctx.landing(5, 6)]
     min_sep = min(abs(a - b) for i, a in enumerate(pre) for b in pre[i + 1:])
     img_err = max(chordal(eval_sphere(g, as_sphere(z)), p) for z in pre)
-    ok = min_sep > 1e-3 and img_err < 1e-6
+    ok = min_sep > 1e-3 and img_err < 1e-12
     measured = f"3 preimages, min separation {min_sep:.3g}, image err {img_err:.2e}"
-    return ok, measured, "separation > 1e-3, images within 1e-6 of p"
+    return ok, measured, "separation > 1e-3, images within 1e-12 of p"
 
 
 def check_separation(ctx: Context):

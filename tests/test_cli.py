@@ -68,7 +68,15 @@ def test_ray_output_dedupes_angles(capsys):
         assert r["landed"] is True
         assert abs(r["landing"][0] + 1.2807764064044149) < 1e-6
         assert r["residual"] < 1e-6
+        assert r["certified"] is True
+        assert abs(r["multiplier"] - 1.7301234236026384) < 1e-12  # |g'(alpha)|^2
         assert "samples" not in r
+    # a depth too shallow to certify: the tail rule, and no multiplier
+    code, out, _ = _run(capsys, ["ray", "--map", "paper-g", "--angle", "1/3",
+                                 "--depth", "3"])
+    assert code == 0
+    r = json.loads(out)["rays"][0]
+    assert (r["landed"], r["certified"], r["multiplier"]) == (False, False, None)
 
 
 def test_dispatches_share_one_parser_and_no_state(capsys):

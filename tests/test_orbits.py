@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 import fatou.orbits
-from fatou.catalog import by_name, paper_g, pseudo_basilica
+from fatou.catalog import CATALOG_NAMES, by_name, paper_g, pseudo_basilica
 from fatou.orbits import (
     critical_portrait,
     cycle_multiplier,
     detect_cycle,
+    orbit_derivative,
     periodic_points,
 )
 from fatou.ratmap import Polynomial, critical_points, normalize
@@ -278,3 +279,21 @@ def test_random_conjugation_preserves_multiplier():
         for cyc, ref in zip(repelling, refs):
             lam = cycle_multiplier(h, [m.apply(z) for z in cyc])
             assert abs(lam - ref) <= 1e-9 * abs(ref)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_orbit_derivative_is_the_affine_chain_rule(name):
+    # f^n(z) and (f^n)'(z) against num/den and their derivatives, step by step
+    f = by_name(name)
+    dnum, dden = f.num.deriv(), f.den.deriv()
+    rng = np.random.default_rng(23)
+    starts = rng.uniform(-1.5, 1.5, 12) + 1j * rng.uniform(-1.5, 1.5, 12)
+    for z0 in starts.tolist():
+        z, dz = z0, 1.0
+        for n in (1, 2, 3):
+            p, q = f.num(z), f.den(z)
+            dz *= (dnum(z) * q - p * dden(z)) / (q * q)
+            z = p / q
+            got, dgot = orbit_derivative(f, z0, n)
+            assert abs(got - z) <= 1e-12 * (1.0 + abs(z))
+            assert abs(dgot - dz) <= 1e-11 * (1.0 + abs(dz))

@@ -159,8 +159,9 @@ def test_hom_eval_in_place_gives_the_out_of_place_bits(name):
     scalars cycle_multiplier passes, the cycle points among them. Against
     the scalar path the array path agrees to rounding only
     (test_hom_eval_matches_eval_sphere): numpy's vectorized complex product
-    may fuse a*c - b*d into one rounding, in its vector body but not for the
-    remainder of an array."""
+    may fuse a*c - b*d into one rounding, which its loop for one-element
+    arrays and Python's complex scalars do not
+    (test_hom_eval_bits_survive_compaction)."""
     f = by_name(name)
     pts = [p for rep in critical_portrait(f).orbits if rep is not None for p in rep.cycle]
     pts += _kernel_points(f, 13)
@@ -182,6 +183,32 @@ def test_hom_eval_in_place_gives_the_out_of_place_bits(name):
     p, q = hom_eval(f, x, y)
     assert x.tolist() == [0.5, -2.0] and y.tolist() == [1.0, 0.25]
     assert p.dtype == q.dtype == complex
+
+
+@pytest.mark.parametrize("name", ["paper-g", "paper-degree4", "pseudo-rabbit:3:0"])
+def test_hom_eval_bits_survive_compaction(name):
+    """The basin kernel compacts a tile to its unresolved cells every step, so
+    a cell's bits must not depend on which other cells are left: each slice
+    of 2 to 100 points and each boolean compaction of a batch gives the
+    batch's bits, signs of zeros included. A one-element array may differ
+    (numpy runs another loop for it), so none is compared."""
+    f = by_name(name)
+    rng = np.random.default_rng(19)
+    n = 4099
+    z = rng.uniform(-3.0, 3.0, n) + 1j * rng.uniform(-3.0, 3.0, n)
+    w = rng.uniform(-1.0, 1.0, n) + 1j * rng.uniform(-1.0, 1.0, n)
+    for partials in (False, True):
+        batch = hom_eval(f, z, w, partials=partials)
+
+        def same_bits(index) -> bool:
+            part = hom_eval(f, z[index], w[index], partials=partials)
+            return all(a.tobytes() == b[index].tobytes() for a, b in zip(part, batch))
+        for length in range(2, 101):
+            for start in rng.integers(0, n - length, 2).tolist():
+                assert same_bits(slice(start, start + length)), (length, start)
+        for _ in range(50):
+            keep = rng.random(n) < rng.random()
+            assert same_bits(keep)
 
 
 def test_evaluation_reads_the_cached_pair(monkeypatch):

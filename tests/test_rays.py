@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -9,13 +10,18 @@ from fatou.catalog import by_name, paper_g
 from fatou.ratmap import Polynomial, eval_sphere, nearest, normalize
 from fatou.rays import (
     DEFAULT_DEPTH,
+    LANDING_TOL,
+    LANDING_WINDOW,
     MAX_DEPTH,
     MAX_ORBIT_ANGLES,
     MAX_R0,
+    STOP_RADIUS,
     AngleOrbitError,
     RayAngle,
     RayLandingError,
+    RayTrace,
     RayTraceError,
+    _colanded,
     _finite_fiber,
     _leading_data,
     _orbit_angles,
@@ -69,25 +75,43 @@ def test_square_map_ray_traces_are_radial():
     traces = trace_orbit(f, SpherePoint.infinity(), ["0", "1/3"])
     assert sorted(str(a) for a in traces) == ["0/1", "1/3", "2/3"]
     for angle, tr in traces.items():
-        assert tr.landed
+        assert tr.landed and tr.certified
         w = cmath.exp(2j * math.pi * angle.value())
         err = max(abs(s - p * w) for s, p in zip(tr.samples, tr.potentials))
         assert err < 1e-12
-        assert abs(tr.landing - w) < 1e-9
-        assert tr.residual < 1e-9
+        # the landing is the repelling point e^(2 pi i t) of period 1 or 2,
+        # polished by Newton rather than read off the last sample
+        assert abs(tr.landing - w) < 1e-15
+        assert tr.residual < 1e-15
+        assert abs(tr.multiplier - 2.0 ** {1: 1, 3: 2}[angle.denominator]) < 1e-14
     # potentials decrease toward 1
     pots = traces[RayAngle(0, 1)].potentials
     assert pots[0] == 100.0
-    # decreasing toward 1, exactly 1.0 once the exponent underflows
-    assert all(a >= b for a, b in zip(pots, pots[1:]))
-    assert pots[0] > pots[40] > pots[-1]
-    assert abs(pots[-1] - 1.0) < 1e-2
+    assert all(a > b > 1.0 for a, b in zip(pots, pots[1:]))
+    # the trace stopped once every landing was certified, well before depth
+    sub = traces[RayAngle(0, 1)].sublevels
+    assert all(len(tr.samples) == len(pots) for tr in traces.values())
+    assert len(pots) < DEFAULT_DEPTH * sub // 2
 
 
 def test_square_map_rays_do_not_coland():
     f = _square()
     assert coland(f, SpherePoint.infinity(), "1/3", "2/3") is False
     assert coland(f, SpherePoint.infinity(), "0", "0") is True
+
+
+def _landed(landing, certified):
+    return RayTrace(RayAngle(0, 1), (landing,), (1.0,), True, landing, 0.0, 1, certified,
+                    2.0 if certified else None)
+
+
+def test_certified_landings_coland_only_when_they_agree_to_1e_12():
+    near, far = 1.0 + 1e-13, 1.0 + 1e-9
+    assert _colanded(_landed(1.0, True), _landed(near, True)) is True
+    assert _colanded(_landed(1.0, True), _landed(far, True)) is False
+    # LANDING_TOL stays for a pair with an uncertified landing
+    assert _colanded(_landed(1.0, True), _landed(far, False)) is True
+    assert _colanded(_landed(1.0, False), _landed(1.0 + 2 * LANDING_TOL, True)) is False
 
 
 def test_real_coefficients_give_conjugate_rays():
@@ -101,12 +125,16 @@ def test_real_coefficients_give_conjugate_rays():
 def test_paper_g_fixed_ray_and_coland():
     g = paper_g()
     tr = trace_ray(g, SpherePoint.infinity(), "0")
-    assert tr.landed
-    assert abs(tr.landing - 2.0) < 1e-10
+    assert tr.landed and tr.certified
+    assert abs(tr.landing - 2.0) < 1e-15
+    assert abs(tr.multiplier - 3.0) < 1e-14  # g'(2) = 3
     assert coland(g, SpherePoint.infinity(), "1/3", "2/3") is True
     assert coland(g, SpherePoint.infinity(), "1/6", "5/6") is False
     t13 = trace_ray(g, SpherePoint.infinity(), "1/3")
-    assert abs(t13.landing - (-1.0 - math.sqrt(17.0)) / 4.0) < 1e-10
+    alpha = (-1.0 - math.sqrt(17.0)) / 4.0
+    assert t13.certified
+    assert abs(t13.landing.real - alpha) <= 2 * math.ulp(alpha)
+    assert abs(t13.landing.imag) < 1e-15
 
 
 def test_ray_images_follow_angle_multiplication():
@@ -148,6 +176,7 @@ def test_unlanded_trace_reports_residual():
     tr = trace_ray(f, SpherePoint.infinity(), "1/3", depth=2)
     assert tr.landed is False
     assert tr.landing is None
+    assert (tr.certified, tr.multiplier) == (False, None)
     assert tr.residual > 1.0
     with pytest.raises(RayLandingError):
         coland(f, SpherePoint.infinity(), "1/3", "2/3", depth=2)
@@ -175,6 +204,50 @@ def test_separation_parity():
     assert separation_test(g, inf, "1/3", "2/3", 0.0, -2.0) is True
     assert separation_test(g, inf, "1/3", "2/3", 0.0, 5.0) is False
     assert separation_test(g, inf, "1/3", "2/3", -2.0, 5.0) is True
+
+
+def test_separation_curve_closes_at_the_certified_landing(monkeypatch):
+    curves = []
+    real_winding, real_trace = fatou.rays.winding_number, fatou.rays.trace_orbit
+
+    def spy(verts, p):
+        curves.append(verts)
+        return real_winding(verts, p)
+
+    def nudged(*args):
+        # R_2/3 lands 1e-13 off R_1/3: still one certified point, not a midpoint
+        traces = real_trace(*args)
+        t = RayAngle(2, 3)
+        traces[t] = dataclasses.replace(traces[t], landing=traces[t].landing + 1e-13)
+        return traces
+    monkeypatch.setattr(fatou.rays, "winding_number", spy)
+    monkeypatch.setattr(fatou.rays, "trace_orbit", nudged)
+    g, inf = paper_g(), SpherePoint.infinity()
+    assert separation_test(g, inf, "1/3", "2/3", 0.0, -2.0) is True
+    r13 = real_trace(g, inf, ["1/3"])[RayAngle(1, 3)]
+    assert r13.certified
+    # in along R_1/3, then the joint: its certified landing itself
+    assert curves[0][len(r13.samples)] == r13.landing
+
+
+def test_certify_accepts_only_repelling_points_the_shells_approach():
+    t = RayAngle(0, 1)
+
+    def certified(chain, f=_square()) -> dict:  # z^2 fixes 0 (multiplier 0) and 1 (2)
+        landings = {}
+        fatou.rays._certify(f, 2, {t: 1}, {t: chain}, 1, landings)
+        return landings
+    toward_one = [1.0 + 1e-4 * 0.5 ** j for j in range(LANDING_WINDOW)]
+    landing = certified(toward_one)[t]
+    assert landing.point == 1.0 and landing.multiplier == 2.0
+    # z^2 + z/2 fixes 0 with multiplier 1/2: refused although Newton converges
+    half = normalize(Polynomial((0.0, 0.5, 1.0)), Polynomial((1.0,)))
+    assert certified([1e-4 * 0.9 ** j for j in range(LANDING_WINDOW)], half) == {}
+    # shells that do not strictly approach, or start outside STOP_RADIUS
+    wobble = toward_one[:3] + [toward_one[4], toward_one[3]] + toward_one[5:]
+    assert certified(wobble) == {}
+    assert certified([1.0 + 1.5 * STOP_RADIUS * 0.8 ** j for j in range(LANDING_WINDOW)]) == {}
+    assert certified(toward_one[1:]) == {}  # fewer than LANDING_WINDOW shells
 
 
 def test_separation_preconditions():
@@ -232,9 +305,11 @@ def test_ray_trace_matches_the_preimages_path(monkeypatch):
     assert list(fallback) == list(batched)
     for t, a in batched.items():
         b = fallback[t]
-        assert (b.sublevels, b.landed) == (a.sublevels, a.landed) == (4, True)
-        assert len(b.samples) == len(a.samples)
+        assert (b.sublevels, b.landed, b.certified) == (a.sublevels, a.landed, a.certified) \
+            == (4, True, True)
+        assert len(b.samples) == len(a.samples) < DEFAULT_DEPTH * 4  # the same stop
         assert max(abs(u - v) / (1.0 + abs(u)) for u, v in zip(a.samples, b.samples)) < 1e-12
+        assert abs(a.landing - b.landing) <= 1e-12
 
 
 def test_angle_orbit_is_bounded_before_tracing():
@@ -248,9 +323,13 @@ def test_angle_orbit_is_bounded_before_tracing():
 
 def _reference_trace(f, m, orbit, potentials, sublevels):
     """The level-by-level loop: one fibers call per potential level, seeded
-    with the fibers of the level just above. The block solve of
-    fatou.rays._trace_at_infinity must continue the rays as this does."""
+    with the fibers of the level just above, and a certification attempt
+    after every sublevels levels. The block solve of
+    fatou.rays._trace_at_infinity must continue the rays as this does and
+    stop where it stops."""
     a, shift = _leading_data(f, m)
+    periods = fatou.rays._periods(orbit, m)
+    landings = {}
 
     def lin_inverse(rho, t):
         return rho * cmath.exp(2j * math.pi * t.value()) / a - shift
@@ -276,7 +355,11 @@ def _reference_trace(f, m, orbit, potentials, sublevels):
             if not cands:
                 raise RayTraceError("empty finite fiber while tracing")
             chain.append(cands[nearest(cands, guide)])
-    return samples
+        if (q + 1) % sublevels == 0 or q == len(potentials) - 1:
+            fatou.rays._certify(f, m, periods, samples, sublevels, landings)
+            if len(landings) == len(orbit):
+                break
+    return samples, landings
 
 
 _RAY_CASES = [pytest.param(name, angles, False, id=f"{name} {','.join(angles)}")
@@ -296,10 +379,12 @@ def test_block_solve_matches_the_level_by_level_reference(monkeypatch, name, ang
     assert list(blocked) == list(reference)
     for t, want in reference.items():
         got = blocked[t]
-        assert (got.sublevels, got.landed) == (want.sublevels, want.landed)
+        assert (got.sublevels, got.landed, got.certified) == (want.sublevels, True, True)
+        # both stop after the same block, long before the last potential
         assert got.potentials == want.potentials
-        assert len(got.samples) == len(want.samples)
+        assert len(got.samples) == len(want.samples) < DEFAULT_DEPTH * got.sublevels
         assert all(abs(u - v) <= 1e-12 * (1.0 + abs(v)) for u, v in zip(got.samples, want.samples))
+        assert abs(got.landing - want.landing) <= 1e-12 * (1.0 + abs(want.landing))
         assert abs(got.residual - want.residual) <= 1e-12
 
 
@@ -323,3 +408,81 @@ def test_one_fibers_call_per_block_of_sublevels(monkeypatch):
     sub = traces[RayAngle(1, 3)].sublevels
     assert sub == 4 and len(attempts) == 3  # 1 -> 2 -> 4 sublevels
     assert attempts[-1] <= DEFAULT_DEPTH + 1
+
+
+def _oracle(f, mp):
+    """z -> (f(z), f'(z)) in mpmath from the map's own coefficients."""
+    num = [mp.mpc(c.real, c.imag) for c in reversed(f.num.coeffs)]
+    den = [mp.mpc(c.real, c.imag) for c in reversed(f.den.coeffs)]
+
+    def step(z):
+        p, dp = mp.polyval(num, z, derivative=True)
+        q, dq = mp.polyval(den, z, derivative=True)
+        return p / q, (dp * q - p * dq) / (q * q)
+    return step
+
+
+@pytest.mark.parametrize("name, angles, basin_at_zero", _RAY_CASES)
+def test_certified_landings_against_an_mpmath_oracle(name, angles, basin_at_zero):
+    mp = pytest.importorskip("mpmath").mp
+    f, basin = by_name(name), SpherePoint.infinity()
+    if basin_at_zero:
+        f, basin = f.conjugate_by(MoebiusTransform(0.0, 1.0, 1.0, 0.0)), 0.0
+    traces = trace_orbit(f, basin, angles)
+    m = 2  # the local degree at the traced basin point of every catalog map
+    with mp.workdps(50):
+        step = _oracle(f, mp)
+        for t, tr in traces.items():
+            assert tr.landed and tr.certified, t
+            z = mp.mpc(tr.landing.real, tr.landing.imag)
+            bound = 1e-13 * (1.0 + abs(tr.landing))
+            k = next((k for k in range(1, len(traces) + 1)
+                      if (t.numerator * m ** k - t.numerator) % t.denominator == 0), 0)
+            if k:  # periodic angle: a repelling point of period dividing k
+                x, dx = z, mp.mpf(1)
+                for _ in range(k):
+                    x, d = step(x)
+                    dx *= d
+                assert abs(x - z) <= bound, (t, float(abs(x - z)))
+                assert abs(dx) > 1.0
+                assert abs(tr.multiplier - float(abs(dx))) <= 1e-12 * tr.multiplier
+            else:  # preperiodic angle: f maps the landing onto its image's
+                image = traces[t.times(m)].landing
+                fz, _ = step(z)
+                assert abs(fz - mp.mpc(image.real, image.imag)) <= bound, t
+                assert tr.multiplier == traces[t.times(m)].multiplier
+
+
+def test_parabolic_landing_stays_uncertified():
+    # z^2 + 1/4: R_0 lands at the parabolic fixed point 1/2 (multiplier 1),
+    # which is not certified, so the orbit runs to the last potential and R_0
+    # keeps the tail rule; R_1/3 lands on the repelling 2-cycle -1/2 +- i,
+    # multiplier 4 (1/4 + 1) = 5
+    f = normalize(Polynomial((0.25, 0.0, 1.0)), Polynomial((1.0,)))
+    traces = trace_orbit(f, SpherePoint.infinity(), ["0", "1/3"])
+    r0, r13 = traces[RayAngle(0, 1)], traces[RayAngle(1, 3)]
+    assert (r0.certified, r0.multiplier) == (False, None)
+    assert len(r0.samples) == DEFAULT_DEPTH * r0.sublevels + 1 == 385
+    assert r0.landed is False and r0.residual > LANDING_TOL
+    assert r13.landed and r13.certified
+    assert abs(r13.landing - (-0.5 + 1j)) < 1e-12
+    assert abs(r13.multiplier - 5.0) < 1e-12
+
+
+def test_certified_orbits_stop_within_45_fiber_solves(monkeypatch):
+    # a fixed 96 levels took about 100 solves per orbit (failed subdivision
+    # attempts included); the early stop makes it at most 45, and at most 300
+    # for the seven orbits of a benchmark round (700 before)
+    counts = []
+    real = fatou.rays.fibers
+
+    def counted(f, targets, warm=None):
+        counts[-1] += 1
+        return real(f, targets, warm)
+    monkeypatch.setattr(fatou.rays, "fibers", counted)
+    for name, angles, _ in RAYS:
+        counts.append(0)
+        traces = trace_orbit(by_name(name), SpherePoint.infinity(), angles)
+        assert all(tr.certified for tr in traces.values())
+    assert max(counts) <= 45, counts
+    assert sum(counts) <= 300, counts
