@@ -172,6 +172,7 @@ def cmd_ray(args) -> int:
             "landing": _jsonio.complex_pair(tr.landing) if tr.landed else None,
             "certified": tr.certified,
             "multiplier": tr.multiplier,
+            "disc_radius": tr.disc_radius,
             "residual": tr.residual,
             "potential_sublevels": tr.sublevels,
         }

@@ -110,6 +110,21 @@ def _walk(f: RationalMap, start, max_iter: int) -> tuple[list, int]:
     return orbit, 0
 
 
+def _sphere_cell(p: SpherePoint) -> tuple[int, int, int]:
+    """The cell of side 2 CYCLE_TOL holding p's point on the unit sphere. The
+    chordal distance is the distance between those points, so two points
+    closer than CYCLE_TOL lie in the same or adjacent cells, with a margin of
+    CYCLE_TOL for the rounding of the coordinates."""
+    n = abs(p.z) ** 2 + abs(p.w) ** 2
+    zw = p.z * p.w.conjugate()
+    side = 2.0 * CYCLE_TOL * n
+    return (math.floor(2.0 * zw.real / side), math.floor(2.0 * zw.imag / side),
+            math.floor((abs(p.z) ** 2 - abs(p.w) ** 2) / side))
+
+
+_NEAR_CELLS = [(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)]
+
+
 def _report(f: RationalMap, orbit: list, period: int) -> Optional[CycleReport]:
     """The cycle report of a walk, or None for a walk without a revisit."""
     if not period:
@@ -149,13 +164,17 @@ def critical_portrait(f: RationalMap) -> CriticalPortrait:
 
     post: list[SpherePoint] = []
     feeds: list[bool] = []  # aligned with post: on a walk into a critical cycle
+    cells: dict = {}  # _sphere_cell -> the points of post in it
     for (orbit, _), rep, in_q in zip(walks, reports, critical_cycle):
         # an unresolved walk still gives a bounded chunk of postcritical points
         stop = CYCLE_WINDOW if rep is None else rep.preperiod + rep.period
         for p in orbit[1:stop + 1]:
-            if not any(p.chordal(q) < CYCLE_TOL for q in post):
+            a, b, c = cell = _sphere_cell(p)
+            if not any(p.chordal(q) < CYCLE_TOL for i, j, k in _NEAR_CELLS
+                       for q in cells.get((a + i, b + j, c + k), ())):
                 post.append(p)
                 feeds.append(in_q)
+                cells.setdefault(cell, []).append(p)
 
     if any(rep is None for rep in reports):
         critically_finite = hyperbolic = all_periodic = None

@@ -12,15 +12,17 @@ jointly.
 from __future__ import annotations
 
 import cmath
+import decimal
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from ._geom import point_polyline_distance, winding_number
-from .orbits import CYCLE_TOL, INDIFFERENT_BAND, orbit_derivative
+from .orbits import INDIFFERENT_BAND, orbit_derivative
 from .sphere import MoebiusTransform, ParameterError, SpherePoint, as_sphere
 from .ratmap import (RationalMap, _Ambiguous, critical_points, eval_sphere,
                      fibers, nearest, preimages)
@@ -35,12 +37,20 @@ MAX_ORBIT_ANGLES = 64
 DEFAULT_DEPTH = 96
 MAX_DEPTH = 1024  # potentials round to 1.0 long before; deeper adds no information
 LANDING_TOL = 1e-6  # tail diameter at which an uncertified ray lands
-LANDING_WINDOW = 8  # potential shells inspected for contraction
-STOP_RADIUS = 1e-3  # a certified landing is this close to the newest shells
+LANDING_WINDOW = 8  # levels of the map in the tail an uncertified ray is judged by
 COLAND_TOL = 1e-12  # relative gap at which two certified landings are one point
 NEWTON_STEPS = 8
 NEWTON_TOL = 1e-12  # relative Newton step taken as converged
+POLISH_STEPS = 3  # Newton steps on the exact residual after convergence
+POLISH_DIGITS = 40  # of the decimal arithmetic of the exact residual
+# A landing disc about z is tried at the radii (1 + |z|) DISC_LADDER^(-j),
+# j = 0 .. DISC_RUNGS - 1, largest first (down to about 1e-9 (1 + |z|)).
+DISC_LADDER = 1.05
+DISC_RUNGS = 425
 _LIN_GUIDE_MIN = 4.0  # potential above which the linearized coordinate guides
+# Sublevels of the first attempt: with 1 or 2 the guide 2 s1 - s0 below
+# _LIN_GUIDE_MIN lands far from every candidate and the attempt fails.
+_FIRST_SUBLEVELS = 4
 _MAX_SUBLEVELS = 64
 
 
@@ -100,8 +110,9 @@ class RayTrace:
     landing: Optional[complex]
     residual: float  # Newton distance of a certified landing, else tail diameter
     sublevels: int  # potential steps inserted per doubling level
-    certified: bool  # landing is a Newton-certified repelling (pre)periodic point
+    certified: bool  # landing is a proved repelling (pre)periodic point
     multiplier: Optional[float]  # |(f^k)'| on the cycle it lands on, k the angle's period
+    disc_radius: Optional[float] = None  # of the proved disc about a certified landing
 
 
 def _as_angle(t) -> RayAngle:
@@ -116,9 +127,11 @@ def _local_degree_at(f: RationalMap, b: SpherePoint) -> int:
 
 
 def _check_superattracting_fixed(f: RationalMap, b: SpherePoint) -> int:
+    """The local degree m at the fixed point b; at infinity m = deg num - deg
+    den, read off the map without solving for its critical points."""
     if eval_sphere(f, b).chordal(b) > 1e-9:
         raise ValueError("basin point is not fixed")
-    m = _local_degree_at(f, b)
+    m = f.num.degree - f.den.degree if b.is_infinity else _local_degree_at(f, b)
     if m < 2:
         raise ValueError("basin point is not superattracting")
     return m
@@ -187,6 +200,33 @@ class _Landing:
     point: complex  # in the chart the rays are traced in
     multiplier: float  # |(f^k)'| on the cycle, k the angle's period
     residual: float  # Newton distance
+    radius: float = 0.0  # of the proved landing disc about point; 0.0 for none
+    start: int = 0  # the first sample of the chain's tail proved to lie in that disc
+
+
+def _exact_residual(f: RationalMap, z: complex, k: int, target: Optional[complex]) -> complex:
+    """f^k(z) - z, or f(z) - target, in POLISH_DIGITS-digit decimal arithmetic
+    from the exact values of z and the coefficients, rounded once at the end.
+    Raises ZeroDivisionError at a pole."""
+    dec = decimal.Decimal
+    num, den = ([(dec(c.real), dec(c.imag)) for c in reversed(p.coeffs)] for p in (f.num, f.den))
+
+    def horner(coeffs, xr, xi):
+        re, im = coeffs[0]
+        for cr, ci in coeffs[1:]:
+            re, im = re * xr - im * xi + cr, re * xi + im * xr + ci
+        return re, im
+    with decimal.localcontext() as ctx:
+        ctx.prec = POLISH_DIGITS
+        xr, xi = start = dec(z.real), dec(z.imag)
+        for _ in range(k):
+            (nr, ni), (dr, di) = horner(num, xr, xi), horner(den, xr, xi)
+            scale = dr * dr + di * di
+            if not scale:  # decimal's 0/0 would raise InvalidOperation
+                raise ZeroDivisionError("the orbit meets a pole")
+            xr, xi = (nr * dr + ni * di) / scale, (ni * dr - nr * di) / scale
+        gr, gi = start if target is None else (dec(target.real), dec(target.imag))
+        return complex(float(xr - gr), float(xi - gi))
 
 
 def _newton(f: RationalMap, z: complex, k: int,
@@ -194,7 +234,11 @@ def _newton(f: RationalMap, z: complex, k: int,
     """Newton on f^k(z) = z, or on f(z) = target, from z: the root, |(f^k)'|
     there and its Newton distance, or None unless that distance comes within
     NEWTON_TOL (1 + |root|). Steps while the steps shrink, at most
-    NEWTON_STEPS, and keeps the iterate with the shortest step."""
+    NEWTON_STEPS, and then polishes the iterate with the shortest step by at
+    most POLISH_STEPS steps on _exact_residual, until a step leaves it
+    unchanged. Those steps are exact to far below a rounding of the root, so
+    the root found does not depend on the start beyond the rounding of the
+    last step."""
     best = None
     try:
         for _ in range(NEWTON_STEPS):
@@ -204,81 +248,198 @@ def _newton(f: RationalMap, z: complex, k: int,
                 break
             best = _Landing(z, abs(dfz), abs(step))
             z -= step
+        if best is None or not best.residual <= NEWTON_TOL * (1.0 + abs(best.point)):
+            return None
+        z = best.point
+        for i in range(POLISH_STEPS):
+            dfz = orbit_derivative(f, z, k)[1]
+            step = _exact_residual(f, z, k, target) / (dfz - 1.0 if target is None else dfz)
+            if z - step == z or i == POLISH_STEPS - 1:
+                return _Landing(z, abs(dfz), abs(step))
+            z -= step
     except (ZeroDivisionError, OverflowError):  # a pole or overflow: no root here
         return None
-    if best is None or not best.residual <= NEWTON_TOL * (1.0 + abs(best.point)):
-        return None
-    return best
 
 
-def _periodic_root(f: RationalMap, z: complex, k: int) -> Optional[_Landing]:
-    """_newton on f^k(z) = z, polished again on f^j when the root's minimal
-    period is a proper divisor j of k (fewer roundings), with |(f^k)'| and the
-    Newton distance on f^k at the polished point."""
-    root = _newton(f, z, k)
+_UP, _DOWN = 1.0 + 1e-9, 1.0 - 1e-9  # cover the rounding of the bounds' own arithmetic
+
+
+def _taylor(coeffs, c) -> list:
+    """The coefficients of p(c + h) in h, ascending, for the polynomial p with
+    ascending coeffs, by repeated synthetic division."""
+    a = list(coeffs)
+    for j in range(len(a) - 1):
+        for i in range(len(a) - 2, j - 1, -1):
+            a[i] += c * a[i + 1]
+    return a
+
+
+class _LocalBound:
+    """Bounds on f over the discs |x - z| <= r, from its Taylor coefficients at z.
+
+    With N, D the numerator and denominator (padded to degree d), P = N - w D
+    and W = N' D - N D', f - w = P / D and f' = W / D^2. On the disc |P| and
+    |W - W(z)| are at most the sums of their coefficients' moduli times r^j,
+    |D - D(z)| likewise, and |D| >= |D(z)| - that. So bounds(r) gives
+    |f(x) - w| <= image and |f'(x) - W(z) / D(z)^2| <= deviation, both inf
+    where the lower bound on |D| is not positive; slope is |W(z) / D(z)^2|.
+
+    Rounding: the shifts, the products and the convolution are repeated on
+    the coefficients' moduli at |z|, and each coefficient is widened by
+    16 (d + 2) eps times its twin there, which bounds the rounding of a sum
+    of at most 2d + 2 rounded complex terms (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, §3.1 and §3.6).
+    """
+
+    def __init__(self, f: RationalMap, z: complex, w: complex):
+        (num, den), d = f.pair, f.degree
+        n, q = np.array(_taylor(num, z)), np.array(_taylor(den, z))
+        na = np.array(_taylor([abs(c) for c in num], abs(z)))
+        qa = np.array(_taylor([abs(c) for c in den], abs(z)))
+        j = np.arange(1, d + 1)
+        wr = np.convolve(j * n[1:], q) - np.convolve(n, j * q[1:])
+        wa = np.convolve(j * na[1:], qa) + np.convolve(na, j * qa[1:])
+        slack = 16 * (d + 2) * sys.float_info.epsilon
+        self.p = np.abs(n - w * q) + slack * (na + abs(w) * qa)
+        self.q = np.abs(q) + slack * qa
+        self.w = np.abs(wr) + slack * wa
+        self.q0, self.w0 = abs(q[0]), abs(wr[0])
+        self.q0_slack, self.w0_slack = slack * qa[0], slack * wa[0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.slope = self.w0 / (self.q0 * self.q0)
+
+    def bounds(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        def horner(coeffs):  # elementwise products and sums round alike on every SIMD target
+            acc = np.zeros_like(r)
+            for c in coeffs[::-1]:
+                acc = acc * r + c
+            return acc
+        with np.errstate(all="ignore"):  # inf radii and poles give inf or nan, refused later
+            dq = self.q0_slack + r * horner(self.q[1:])
+            dw = self.w0_slack + r * horner(self.w[1:])
+            low = self.q0 - dq * _UP
+            image = horner(self.p) / low
+            spread = self.w0 * dq * (2.0 * self.q0 + dq) / (self.q0 * self.q0)
+            deviation = (dw + spread) / (low * low)
+            good = low > 0
+            return (np.where(good, image * _UP, np.inf),
+                    np.where(good, deviation * _UP, np.inf))
+
+
+# by Python's pow, so the rungs have the same bits whatever numpy dispatches to
+_RUNGS = np.array([DISC_LADDER ** -j for j in range(DISC_RUNGS)])
+
+
+def _ladder(z: complex) -> np.ndarray:
+    return (1.0 + abs(z)) * _RUNGS
+
+
+def _cycle_disc(f: RationalMap, z: complex, k: int) -> float:
+    """The largest rung r of the ladder about a fixed point z of f^k such that
+    on D = D(z, r) f^k is injective, expands distances by at least
+    (|lambda| + 1) / 2 and covers D, else 0.0.
+
+    Walks the cycle z_0 = z, z_(i+1) = f(z_i) (the last step aimed back at
+    z), and carries D through it: f maps D(z_i, r_i) into D(z_(i+1),
+    r_(i+1)), r_(i+1) = image(r_i), and there |f' - a_i| <= A_i, a_i the
+    chain rule's factor at z_i (_LocalBound). So |(f^k)' - c| <= B =
+    prod(|a_i| + A_i) - |c| on D, c = prod(a_i). D passes when B <= (|c| -
+    1) / 2, which gives the expansion, and when |f^k(z) - z| (the same walk
+    from r = 0) is below r (|c| - 1 - B): by Rouche every point of D then has
+    exactly one f^k-preimage in D. That branch of f^(-k) maps D into itself
+    and contracts it onto the one fixed point of f^k in D.
+    """
+    cycle = [z]
+    for _ in range(k - 1):
+        cycle.append(orbit_derivative(f, cycle[-1], 1)[0])
+    rungs = _ladder(z)
+    r = np.concatenate(([0.0], rungs))
+    c, bound = 1.0, np.ones_like(r)
+    for i, zi in enumerate(cycle):
+        local = _LocalBound(f, zi, cycle[(i + 1) % k])
+        r, deviation = local.bounds(r)
+        c *= local.slope
+        bound = bound * (local.slope + deviation)
+    c_low = c * _DOWN
+    spread = bound[1:] * _UP - c_low
+    ok = (spread <= 0.5 * (c_low - 1.0)) & (r[0] < rungs * (c_low - 1.0 - spread) * _DOWN)
+    return float(rungs[np.argmax(ok)]) if ok.any() else 0.0
+
+
+def _fiber_disc(f: RationalMap, z: complex, image: _Landing) -> float:
+    """The largest rung r of the ladder about a preimage z of image.point such
+    that f is injective on D(z, r) and covers the disc of image, else 0.0.
+
+    With |f' - a| <= A on D(z, r) (_LocalBound), f expands D by at least
+    |a| - A, and by Rouche covers the disc of radius R about image.point
+    when (|a| - A) r > R + |f(z) - image.point|.
+    """
+    local = _LocalBound(f, z, image.point)
+    miss = local.bounds(np.zeros(1))[0][0]
+    rungs = _ladder(z)
+    _, deviation = local.bounds(rungs)
+    ok = (local.slope * _DOWN - deviation) * rungs * _DOWN > (image.radius + miss) * _UP
+    return float(rungs[np.argmax(ok)]) if ok.any() else 0.0
+
+
+def _candidate(f: RationalMap, z: complex, k: int,
+               image: Optional[_Landing]) -> Optional[_Landing]:
+    """The landing a ray whose newest sample is z may have, with its disc:
+    for period k, the root of f^k(z) = z (a disc only when repelling past
+    INDIFFERENT_BAND); for a preperiodic angle (k = 0), the root of f(z) =
+    image.point; None when Newton does not converge."""
+    if k:
+        root = _newton(f, z, k)
+        if root is None or not root.multiplier > 1.0 + INDIFFERENT_BAND:
+            return root
+        return replace(root, radius=_cycle_disc(f, root.point, k))
+    root = _newton(f, z, 1, image.point)
     if root is None:
         return None
-    z = root.point
-    for j in range(1, k):
-        if k % j == 0 and abs(orbit_derivative(f, z, j)[0] - z) <= CYCLE_TOL * (1.0 + abs(z)):
-            sharper = _newton(f, z, j)
-            if sharper is not None:
-                z = sharper.point
-                fz, dfz = orbit_derivative(f, z, k)
-                root = _Landing(z, abs(dfz), abs((fz - z) / (dfz - 1.0)))
-            break
-    return root
-
-
-def _shells(chain: list, sub: int) -> Optional[list]:
-    """The newest LANDING_WINDOW samples sub apart (one level of the map),
-    oldest first; None while the chain is shorter."""
-    start = len(chain) - 1 - (LANDING_WINDOW - 1) * sub
-    return chain[start::sub] if start >= 0 else None
-
-
-def _approaches(shells: list, z: complex) -> bool:
-    """Whether the shells lie within STOP_RADIUS of z and strictly approach it."""
-    d = [abs(s - z) for s in shells]
-    return d[0] <= STOP_RADIUS and all(a > b for a, b in zip(d, d[1:]))
+    return _Landing(root.point, image.multiplier, root.residual,
+                    _fiber_disc(f, root.point, image))
 
 
 def _certify(f: RationalMap, m: int, periods: dict, chains: dict, sub: int,
-             landings: dict) -> None:
-    """Adds to landings (keyed by angle) each ray not yet in it whose newest
-    shells approach a certified landing.
+             landings: dict, candidates: dict) -> None:
+    """Adds to landings (keyed by angle) each ray not yet in it whose tail is
+    proved to stay in its candidate's disc, and so to land at the candidate.
 
-    A periodic angle of period k lands at z* when Newton on f^k(z) = z from
-    its newest sample converges, |(f^k)'(z*)| > 1 + INDIFFERENT_BAND and its
-    shells approach z*. A preperiodic angle t lands at the point of the fiber
-    of f over the landing of mt nearest its newest sample, under the same
-    approach test, once mt is certified.
+    candidates keeps, across calls, each angle's candidate landing (see
+    _candidate) and the distance of the newest sample from it then; Newton
+    runs again only when the newest sample has stopped approaching it.
+    - Periodic angle of period k: certified once its newest k sub + 1
+      samples, one period of the ray, lie in the disc. The branch of f^(-k)
+      that maps the disc into itself maps each period of the ray onto the
+      next, so the tail stays in the disc and converges to the candidate.
+    - Preperiodic angle t, once mt is certified: certified at the first
+      sample, from start(mt) + sub on, in its disc. The branch of f^(-1)
+      onto that disc maps the tail of mt's ray from there onto t's.
+    The landing's start is the first sample of the tail so proved.
     """
-    shells = {t: _shells(chains[t], sub) for t in periods if t not in landings}
-    # the approach test needs every shell within 2 STOP_RADIUS of the newest
-    pending = [t for t, sh in shells.items()
-               if sh is not None and max(abs(s - sh[-1]) for s in sh) <= 2.0 * STOP_RADIUS]
-    for t in pending:
-        root = _periodic_root(f, shells[t][-1], periods[t]) if periods[t] else None
-        if (root is not None and root.multiplier > 1.0 + INDIFFERENT_BAND
-                and _approaches(shells[t], root.point)):
-            landings[t] = root
-    pending = [t for t in pending if not periods[t]]
+    pending = [t for t in periods if t not in landings]
     while True:
-        ready = [t for t in pending if t.times(m) in landings]
+        ready = [t for t in pending if periods[t] or t.times(m) in landings]
         if not ready:
             return
         pending = [t for t in pending if t not in ready]
-        targets = [landings[t.times(m)].point for t in ready]
-        roots, ok = fibers(f, targets)
-        for t, target, row, good in zip(ready, targets, roots.tolist(), ok.tolist()):
-            cands = row if good else _finite_fiber(f, target)
-            if not cands:
+        for t in ready:
+            k, chain = periods[t], chains[t]
+            image = None if k else landings[t.times(m)]
+            first = len(chain) - 1 - k * sub if k else image.start + sub
+            if not 0 <= first < len(chain):
                 continue
-            root = _newton(f, min(cands, key=lambda c: abs(c - shells[t][-1])), 1, target)
-            if root is not None and _approaches(shells[t], root.point):
-                landings[t] = _Landing(root.point, landings[t.times(m)].multiplier,
-                                       root.residual)
+            newest = chain[-1]
+            cand, gap = candidates.get(t, (None, math.inf))
+            if cand is None or not abs(newest - cand.point) < gap:
+                cand = _candidate(f, newest, k, image)
+            if cand is None:
+                candidates.pop(t, None)
+                continue
+            candidates[t] = (cand, abs(newest - cand.point))
+            inside = [abs(s - cand.point) < cand.radius for s in chain[first:]]
+            if all(inside) if k else any(inside):
+                landings[t] = replace(cand, start=first if k else first + inside.index(True))
 
 
 def _trace_at_infinity(f: RationalMap, m: int, orbit: list[RayAngle], potentials: tuple,
@@ -300,6 +461,7 @@ def _trace_at_infinity(f: RationalMap, m: int, orbit: list[RayAngle], potentials
     images = [samples[t.times(m)] for t in orbit]
     warm = None
     landings: dict = {}
+    candidates: dict = {}
     for q0 in range(sublevels, len(potentials), sublevels):
         # level q pulls back level q - sublevels, so the block of sublevels
         # levels from q0 depends only on the block above: one solve for the
@@ -323,7 +485,7 @@ def _trace_at_infinity(f: RationalMap, m: int, orbit: list[RayAngle], potentials
                 if not cands:
                     raise RayTraceError("empty finite fiber while tracing")
                 chain.append(cands[nearest(cands, guide)])
-        _certify(f, m, periods, samples, sublevels, landings)
+        _certify(f, m, periods, samples, sublevels, landings, candidates)
         if len(landings) == len(orbit):
             break
     return samples, landings
@@ -336,8 +498,9 @@ def trace_orbit(f: RationalMap, basin_fixed_point, angles, depth: int = DEFAULT_
     The orbit is traced jointly, block by block of potential levels, and stops
     after the first block at which every landing is certified, or at depth
     levels (see _certify and the README). Certified rays report their
-    (pre)periodic landing, its Newton distance as residual and |(f^k)'| as
-    multiplier; the others land when their tail is narrower than LANDING_TOL.
+    (pre)periodic landing, its Newton distance as residual, |(f^k)'| as
+    multiplier and the radius of a disc about the landing inside the proved
+    disc; the others land when their tail is narrower than LANDING_TOL.
 
     Keys of the returned dict are RayAngle instances. Raises ParameterError
     when depth is outside 1..MAX_DEPTH or r0 outside MIN_R0..MAX_R0, and
@@ -362,7 +525,7 @@ def trace_orbit(f: RationalMap, basin_fixed_point, angles, depth: int = DEFAULT_
         mo = MoebiusTransform(0.0, 1.0, 1.0, -z0)  # z -> 1/(z - z0)
         work, back = f.conjugate_by(mo), z0
 
-    sub = 1
+    sub = _FIRST_SUBLEVELS
     while True:
         step = (1.0 / m) ** (1.0 / sub)
         potentials = tuple(r0 ** (step ** q) for q in range(depth * sub + 1))
@@ -388,15 +551,20 @@ def trace_orbit(f: RationalMap, basin_fixed_point, angles, depth: int = DEFAULT_
         landed = lnd is not None or tail_diameter(chain) < LANDING_TOL
         if back is not None:
             chain = [back + 1.0 / u for u in chain]
+        radius = None
         if lnd is None:
             landing, residual = (chain[-1] if landed else None), tail_diameter(chain)
         elif back is None:
-            landing, residual = lnd.point, lnd.residual
-        else:  # z = back + 1/u scales distances by |dz/du| = 1/|u|^2
-            landing, residual = back + 1.0 / lnd.point, lnd.residual / abs(lnd.point) ** 2
+            landing, residual, radius = lnd.point, lnd.residual, lnd.radius
+        else:
+            # z = back + 1/u scales distances by |dz/du| = 1/|u|^2, and maps
+            # D(u, r) onto a region holding the disc of r / (|u| (|u| + r)) about z
+            u = abs(lnd.point)
+            landing, residual = back + 1.0 / lnd.point, lnd.residual / u ** 2
+            radius = lnd.radius / (u * (u + lnd.radius))
         traces[t] = RayTrace(t, tuple(chain), potentials[:len(chain)], landed, landing,
                              residual, sub, lnd is not None,
-                             None if lnd is None else lnd.multiplier)
+                             None if lnd is None else lnd.multiplier, radius)
     return traces
 
 

@@ -70,13 +70,15 @@ def test_ray_output_dedupes_angles(capsys):
         assert r["residual"] < 1e-6
         assert r["certified"] is True
         assert abs(r["multiplier"] - 1.7301234236026384) < 1e-12  # |g'(alpha)|^2
+        assert 0.0 < r["disc_radius"] < 0.1
         assert "samples" not in r
     # a depth too shallow to certify: the tail rule, and no multiplier
     code, out, _ = _run(capsys, ["ray", "--map", "paper-g", "--angle", "1/3",
                                  "--depth", "3"])
     assert code == 0
     r = json.loads(out)["rays"][0]
-    assert (r["landed"], r["certified"], r["multiplier"]) == (False, False, None)
+    assert (r["landed"], r["certified"], r["multiplier"], r["disc_radius"]) \
+        == (False, False, None, None)
 
 
 def test_dispatches_share_one_parser_and_no_state(capsys):

@@ -230,6 +230,52 @@ def test_portrait_flags_survive_moebius_conjugation(c, flags, n_post, n_q):
         assert (len(port.postcritical), len(port.q_subset)) == (n_post, n_q)
 
 
+def _all_pairs_postcritical(f) -> list:
+    """The reference dedupe: each new postcritical point is compared with
+    every point kept so far."""
+    post = []
+    for c in critical_points(f):
+        orbit, period = fatou.orbits._walk(f, c.point, fatou.orbits.WALK_STEPS)
+        rep = fatou.orbits._report(f, orbit, period)
+        stop = fatou.orbits.CYCLE_WINDOW if rep is None else rep.preperiod + rep.period
+        for p in orbit[1:stop + 1]:
+            if not any(p.chordal(q) < fatou.orbits.CYCLE_TOL for q in post):
+                post.append(p)
+    return post
+
+
+def _random_map(seed: int, degree: int):
+    rng = np.random.default_rng(seed)
+    num, den = (rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+                for _ in range(2))
+    return normalize(Polynomial(tuple(num)), Polynomial(tuple(den)))
+
+
+@pytest.mark.parametrize("f", [pytest.param(by_name(name), id=name) for name in CATALOG_NAMES]
+                         + [pytest.param(_chebyshev(), id="chebyshev")]
+                         + [pytest.param(_random_map(seed, d), id=f"random {d} seed {seed}")
+                            for seed, d in ((1, 3), (2, 5), (3, 8))])
+def test_postcritical_cells_keep_the_all_pairs_points(f):
+    assert list(critical_portrait(f).postcritical) == _all_pairs_postcritical(f)
+
+
+def test_points_closer_than_cycle_tol_share_or_neighbour_cells():
+    rng = np.random.default_rng(11)
+    tol = fatou.orbits.CYCLE_TOL
+    pairs = 0
+    for scale in (1e-3, 1.0, 1e3):
+        for z in scale * (rng.normal(size=400) + 1j * rng.normal(size=400)):
+            p = SpherePoint.of(complex(z))
+            # a step of chordal length just under tol: dz = step (1 + |z|^2) / 2
+            step = tol * (1.0 - 1e-6 * rng.random()) * cmath.exp(2j * math.pi * rng.random())
+            q = SpherePoint.of(complex(z) + step * (1.0 + abs(z) ** 2) / 2.0)
+            if p.chordal(q) < tol:
+                pairs += 1
+                a, b = fatou.orbits._sphere_cell(p), fatou.orbits._sphere_cell(q)
+                assert max(abs(i - j) for i, j in zip(a, b)) <= 1, (z, a, b)
+    assert pairs > 1000
+
+
 def test_portrait_unresolved_orbit_gives_none_flags():
     # Siegel-type map: the finite critical orbit never settles, so the
     # portrait leaves the global flags undecided

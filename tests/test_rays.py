@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,11 +12,9 @@ from fatou.ratmap import Polynomial, eval_sphere, nearest, normalize
 from fatou.rays import (
     DEFAULT_DEPTH,
     LANDING_TOL,
-    LANDING_WINDOW,
     MAX_DEPTH,
     MAX_ORBIT_ANGLES,
     MAX_R0,
-    STOP_RADIUS,
     AngleOrbitError,
     RayAngle,
     RayLandingError,
@@ -124,16 +123,18 @@ def test_real_coefficients_give_conjugate_rays():
 
 def test_paper_g_fixed_ray_and_coland():
     g = paper_g()
-    tr = trace_ray(g, SpherePoint.infinity(), "0")
-    assert tr.landed and tr.certified
-    assert abs(tr.landing - 2.0) < 1e-15
-    assert abs(tr.multiplier - 3.0) < 1e-14  # g'(2) = 3
+    # the landings are the doubles nearest the closed forms, alone or in an orbit
+    for tr in (trace_ray(g, SpherePoint.infinity(), "0"),
+               trace_orbit(g, SpherePoint.infinity(), ["0", "1/6", "5/6"])[RayAngle(0, 1)]):
+        assert tr.landed and tr.certified
+        assert tr.landing == 2.0
+        assert tr.multiplier == 3.0  # g'(2) = 3
     assert coland(g, SpherePoint.infinity(), "1/3", "2/3") is True
     assert coland(g, SpherePoint.infinity(), "1/6", "5/6") is False
     t13 = trace_ray(g, SpherePoint.infinity(), "1/3")
-    alpha = (-1.0 - math.sqrt(17.0)) / 4.0
+    alpha = (-1.0 - math.sqrt(17.0)) / 4.0  # -1.2807764064044151, correctly rounded
     assert t13.certified
-    assert abs(t13.landing.real - alpha) <= 2 * math.ulp(alpha)
+    assert t13.landing.real == alpha
     assert abs(t13.landing.imag) < 1e-15
 
 
@@ -230,24 +231,72 @@ def test_separation_curve_closes_at_the_certified_landing(monkeypatch):
     assert curves[0][len(r13.samples)] == r13.landing
 
 
-def test_certify_accepts_only_repelling_points_the_shells_approach():
+def test_certify_accepts_only_repelling_points_whose_samples_fill_the_disc():
     t = RayAngle(0, 1)
 
-    def certified(chain, f=_square()) -> dict:  # z^2 fixes 0 (multiplier 0) and 1 (2)
+    def certified(chain, f=_square(), sub=1) -> dict:  # z^2 fixes 0 (multiplier 0) and 1 (2)
         landings = {}
-        fatou.rays._certify(f, 2, {t: 1}, {t: chain}, 1, landings)
+        fatou.rays._certify(f, 2, {t: 1}, {t: chain}, sub, landings, {})
         return landings
-    toward_one = [1.0 + 1e-4 * 0.5 ** j for j in range(LANDING_WINDOW)]
+    # on D(1, r), |(z^2)' - 2| <= 2r, so the proved disc has radius at most 1/4
+    toward_one = [1.0 + 0.1 * 0.5 ** j for j in range(4)]
     landing = certified(toward_one)[t]
-    assert landing.point == 1.0 and landing.multiplier == 2.0
+    assert (landing.point, landing.multiplier, landing.start) == (1.0, 2.0, 2)
+    r = landing.radius
+    assert 0.2 < r <= 0.25
     # z^2 + z/2 fixes 0 with multiplier 1/2: refused although Newton converges
     half = normalize(Polynomial((0.0, 0.5, 1.0)), Polynomial((1.0,)))
-    assert certified([1e-4 * 0.9 ** j for j in range(LANDING_WINDOW)], half) == {}
-    # shells that do not strictly approach, or start outside STOP_RADIUS
-    wobble = toward_one[:3] + [toward_one[4], toward_one[3]] + toward_one[5:]
-    assert certified(wobble) == {}
-    assert certified([1.0 + 1.5 * STOP_RADIUS * 0.8 ** j for j in range(LANDING_WINDOW)]) == {}
-    assert certified(toward_one[1:]) == {}  # fewer than LANDING_WINDOW shells
+    assert certified([1e-4 * 0.9 ** j for j in range(4)], half) == {}
+    # one period of the ray (k sub + 1 samples) must lie in the disc
+    assert certified([1.0 + 0.99 * r, 1.0 + 0.5 * r])[t].start == 0
+    assert certified([1.0 + 1.01 * r, 1.0 + 0.5 * r]) == {}
+    assert certified([1.0 + 1.01 * r, 1.0 + 0.7 * r, 1.0 + 0.5 * r], sub=2) == {}
+    assert certified([1.0 + 0.5 * r]) == {}  # shorter than one period
+
+
+def test_exact_residual_rounds_once_and_refuses_poles():
+    # the residual of the doubles themselves, rounded once: against Fraction
+    f = normalize(Polynomial((0.3, -1.0, 1.0)), Polynomial((0.7, 0.0, 1.0)))
+    for z in (0.1, 1.0 / 3.0, -2.5):
+        x = Fraction(z)
+        for _ in range(2):
+            x = (Fraction(0.3) - x + x * x) / (Fraction(0.7) + x * x)
+        assert fatou.rays._exact_residual(f, complex(z), 2, None) == float(x - Fraction(z))
+        y = (Fraction(0.3) - Fraction(z) + Fraction(z) ** 2) / (Fraction(0.7) + Fraction(z) ** 2)
+        assert fatou.rays._exact_residual(f, complex(z), 1, 0.25) == float(y - Fraction(0.25))
+    pole = normalize(Polynomial((1.0, 0.0, 1.0)), Polynomial((0.0, 1.0)))  # (z^2 + 1) / z
+    with pytest.raises(ZeroDivisionError):
+        fatou.rays._exact_residual(pole, 0j, 1, None)
+
+
+def test_certify_runs_newton_once_per_candidate_and_chains_preimages(monkeypatch):
+    # 1/2 -> 0 under doubling: R_1/2 of z^2 lands at -1, the preimage of 1
+    half, zero = RayAngle(1, 2), RayAngle(0, 1)
+    periods = {zero: 1, half: 0}
+    calls = []
+    real = fatou.rays._newton
+
+    def counted(*args):
+        calls.append(args[2])
+        return real(*args)
+    monkeypatch.setattr(fatou.rays, "_newton", counted)
+    chains = {zero: [1.5, 1.4], half: [-1.5, -1.4]}
+    landings, candidates = {}, {}
+    fatou.rays._certify(_square(), 2, periods, chains, 1, landings, candidates)
+    assert landings == {} and calls == [1]  # 1.5 lies outside the disc about 1
+    # the newest sample approaches the candidate: no new Newton run
+    chains = {zero: [1.5, 1.4, 1.2, 1.1], half: [-1.5, -1.4, -1.2, -1.1]}
+    fatou.rays._certify(_square(), 2, periods, chains, 1, landings, candidates)
+    assert calls == [1, 1]  # R_1/2 now needs its one Newton run on f(z) = 1
+    assert landings[zero].point == 1.0 and landings[zero].start == 2
+    lnd = landings[half]
+    assert (lnd.point, lnd.multiplier) == (-1.0, 2.0)
+    # f is injective on the disc, so it misses the critical point 0
+    assert 0.0 < lnd.radius < 1.0 and lnd.start == 3  # from start(0) + sub on
+    # a newest sample moving away from the candidate runs Newton again
+    kept = {zero: (landings[zero], 0.05)}  # the candidate 1, last seen 0.05 away
+    fatou.rays._certify(_square(), 2, {zero: 1}, {zero: [1.2, 1.1]}, 1, {}, kept)
+    assert calls == [1, 1, 1]
 
 
 def test_separation_preconditions():
@@ -329,7 +378,7 @@ def _reference_trace(f, m, orbit, potentials, sublevels):
     stop where it stops."""
     a, shift = _leading_data(f, m)
     periods = fatou.rays._periods(orbit, m)
-    landings = {}
+    landings, candidates = {}, {}
 
     def lin_inverse(rho, t):
         return rho * cmath.exp(2j * math.pi * t.value()) / a - shift
@@ -356,7 +405,7 @@ def _reference_trace(f, m, orbit, potentials, sublevels):
                 raise RayTraceError("empty finite fiber while tracing")
             chain.append(cands[nearest(cands, guide)])
         if (q + 1) % sublevels == 0 or q == len(potentials) - 1:
-            fatou.rays._certify(f, m, periods, samples, sublevels, landings)
+            fatou.rays._certify(f, m, periods, samples, sublevels, landings, candidates)
             if len(landings) == len(orbit):
                 break
     return samples, landings
@@ -406,7 +455,7 @@ def test_one_fibers_call_per_block_of_sublevels(monkeypatch):
     monkeypatch.setattr(fatou.rays, "_trace_at_infinity", counted_trace)
     traces = trace_orbit(paper_g(), SpherePoint.infinity(), ["1/3", "2/3"])
     sub = traces[RayAngle(1, 3)].sublevels
-    assert sub == 4 and len(attempts) == 3  # 1 -> 2 -> 4 sublevels
+    assert sub == 4 and len(attempts) == 1  # the first attempt takes 4 sublevels
     assert attempts[-1] <= DEFAULT_DEPTH + 1
 
 
@@ -436,6 +485,9 @@ def test_certified_landings_against_an_mpmath_oracle(name, angles, basin_at_zero
             assert tr.landed and tr.certified, t
             z = mp.mpc(tr.landing.real, tr.landing.imag)
             bound = 1e-13 * (1.0 + abs(tr.landing))
+            # the polished root: the true one is within two roundings of |z|
+            # (one for the root, one for the chart change of a finite basin)
+            ulps = 2.0 ** -51 * abs(tr.landing)
             k = next((k for k in range(1, len(traces) + 1)
                       if (t.numerator * m ** k - t.numerator) % t.denominator == 0), 0)
             if k:  # periodic angle: a repelling point of period dividing k
@@ -444,12 +496,14 @@ def test_certified_landings_against_an_mpmath_oracle(name, angles, basin_at_zero
                     x, d = step(x)
                     dx *= d
                 assert abs(x - z) <= bound, (t, float(abs(x - z)))
+                assert abs((x - z) / (dx - 1)) <= ulps, (t, float(abs((x - z) / (dx - 1))))
                 assert abs(dx) > 1.0
                 assert abs(tr.multiplier - float(abs(dx))) <= 1e-12 * tr.multiplier
             else:  # preperiodic angle: f maps the landing onto its image's
                 image = traces[t.times(m)].landing
-                fz, _ = step(z)
+                fz, dfz = step(z)
                 assert abs(fz - mp.mpc(image.real, image.imag)) <= bound, t
+                assert abs((fz - mp.mpc(image.real, image.imag)) / dfz) <= ulps, t
                 assert tr.multiplier == traces[t.times(m)].multiplier
 
 
@@ -469,10 +523,11 @@ def test_parabolic_landing_stays_uncertified():
     assert abs(r13.multiplier - 5.0) < 1e-12
 
 
-def test_certified_orbits_stop_within_45_fiber_solves(monkeypatch):
+def test_certified_orbits_stop_within_20_fiber_solves(monkeypatch):
     # a fixed 96 levels took about 100 solves per orbit (failed subdivision
-    # attempts included); the early stop makes it at most 45, and at most 300
-    # for the seven orbits of a benchmark round (700 before)
+    # attempts included); the stop once one period of every ray lies in its
+    # proved disc, with the first attempt at 4 sublevels, makes it at most 20,
+    # and at most 120 for the seven orbits of a benchmark round (700 before)
     counts = []
     real = fatou.rays.fibers
 
@@ -484,5 +539,51 @@ def test_certified_orbits_stop_within_45_fiber_solves(monkeypatch):
         counts.append(0)
         traces = trace_orbit(by_name(name), SpherePoint.infinity(), angles)
         assert all(tr.certified for tr in traces.values())
-    assert max(counts) <= 45, counts
-    assert sum(counts) <= 300, counts
+    assert max(counts) <= 20, counts
+    assert sum(counts) <= 120, counts
+
+
+@pytest.mark.parametrize("name, angles", [
+    pytest.param(name, angles, id=f"{name} {','.join(angles)}") for name, angles, _ in RAYS])
+def test_landing_discs_against_an_mpmath_oracle(name, angles):
+    # at points of each reported disc, in 50 digits: for a periodic angle,
+    # |(f^k)' - lambda| <= (|lambda| - 1) / 2 and f^k expands distances by
+    # (|lambda| + 1) / 2; for a preperiodic angle, f maps the boundary circle
+    # once around the image's landing, outside the image's disc
+    mp = pytest.importorskip("mpmath").mp
+    f = by_name(name)
+    traces = trace_orbit(f, SpherePoint.infinity(), angles)
+    periods = fatou.rays._periods(list(traces), 2)
+    with mp.workdps(50):
+        step = _oracle(f, mp)
+
+        def orbit(x, k):
+            dx = mp.mpf(1)
+            for _ in range(k):
+                x, d = step(x)
+                dx *= d
+            return x, dx
+        for t, tr in traces.items():
+            assert tr.certified and tr.disc_radius > 0.0, t
+            z, r = mp.mpc(tr.landing.real, tr.landing.imag), mp.mpf(tr.disc_radius)
+            circle = [z + r * mp.expjpi(mp.mpf(j) / 32) for j in range(64)]
+            k = periods[t]
+            if k:
+                lam = abs(orbit(z, k)[1])
+                inner = [z + r * rho * mp.expjpi(mp.mpf(j) / 8) for rho in (0.25, 0.5, 0.75)
+                         for j in range(16)]
+                points = circle + inner
+                images = [orbit(x, k) for x in points]
+                dev = max(abs(dx - orbit(z, k)[1]) for _, dx in images)
+                assert dev <= (lam - 1) / 2, (t, float(dev), float(lam))
+                pairs = [(i, (i + 1) % 64) for i in range(64)] + [(i, i + 32) for i in range(32)]
+                worst = min(abs(images[i][0] - images[j][0]) / abs(points[i] - points[j])
+                            for i, j in pairs)
+                assert worst >= (lam + 1) / 2, (t, float(worst), float(lam))
+            else:
+                image = traces[t.times(2)]
+                w = mp.mpc(image.landing.real, image.landing.imag)
+                values = [step(x)[0] - w for x in circle]
+                assert min(abs(v) for v in values) > image.disc_radius, t
+                turns = sum(mp.arg(b / a) for a, b in zip(values, values[1:] + values[:1]))
+                assert abs(turns / (2 * mp.pi) - 1) < 1e-9, (t, float(turns))
