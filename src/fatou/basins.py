@@ -98,7 +98,9 @@ class BasinGrid:
     max_iter: int
 
     def cell_center(self, row: int, col: int) -> complex:
-        """The point classify_grid iterated for this cell, bit for bit."""
+        """The point classify_grid iterated for this cell, bit for bit; on the
+        rows a mirrored grid copies, the conjugate of the point it iterated
+        for the twin row."""
         return complex(*_center_coords(self.bounds, self.width, self.height, row, col))
 
     def cell_of(self, point: complex) -> tuple[int, int]:
@@ -112,9 +114,16 @@ class BasinGrid:
 
 
 def _center_coords(bounds: Bounds, width: int, height: int, row, col):
-    """(x, y) of cell centres; row and col are ints or index arrays."""
+    """(x, y) of cell centres; row and col are ints or index arrays.
+
+    y is written about the frame's middle line with the integer factor
+    height - 1 - 2 row, which changes sign between rows r and height - 1 - r.
+    Rounding to nearest commutes with negation, so where ymin == -ymax the
+    middle is 0.0 and those rows' y are exact negatives of each other.
+    """
     x = bounds.xmin + (col + 0.5) * (bounds.xmax - bounds.xmin) / width
-    y = bounds.ymax - (row + 0.5) * (bounds.ymax - bounds.ymin) / height
+    y = ((bounds.ymax + bounds.ymin) / 2
+         + ((height - 1 - 2 * row) * (bounds.ymax - bounds.ymin)) / (2 * height))
     return x, y
 
 
@@ -264,6 +273,13 @@ def _normalize(ap, aq, z=None, w=None):
     return ap
 
 
+def _two(*arrays) -> tuple:
+    """The arrays, each repeated twice over if it holds one element."""
+    if arrays[0].size != 1:
+        return arrays
+    return tuple(np.repeat(a, 2) for a in arrays)
+
+
 def _classifier(f: RationalMap, cycles, trap_radius: float, max_iter: int):
     """The classification rule of classify_grid and classify_points, as
     classify(z, w, cycle_id, phase, steps): iterate the points (z : w),
@@ -282,6 +298,12 @@ def _classifier(f: RationalMap, cycles, trap_radius: float, max_iter: int):
     chordal distance to a trap is taken only for the points in its _band,
     read from the moduli the normalization takes anyway; the disc is a
     threshold on the same rho^2, with no distance taken.
+
+    No array the kernel computes on holds one element: numpy rounds a
+    complex product of one-element arrays without the fused multiply-add it
+    may use on longer ones, so a lone live point, or a lone point in a band,
+    is carried as two copies. Every point then gets the bits it gets in a
+    batch, whatever else is in the call.
 
     A trap_radius that is not a finite number > 0 or makes two trap disks
     overlap, or a max_iter outside 1..MAX_ITER, is a ParameterError.
@@ -306,7 +328,7 @@ def _classifier(f: RationalMap, cycles, trap_radius: float, max_iter: int):
         tests.insert(0, (0, 0, lambda rho2: rho2 >= lo, max_iter - disc.steps, None))
 
     def classify(z, w, cycle_id, phase, steps):
-        cells = np.arange(z.size)
+        cells, z, w = _two(np.arange(z.size), z, w)
         rho2 = _normalize(np.abs(z), np.abs(w))
         for n in range(max_iter + 1):
             hit = None
@@ -321,6 +343,7 @@ def _classifier(f: RationalMap, cycles, trap_radius: float, max_iter: int):
                     continue
                 if centre is not None:
                     cz, cw, cn = centre
+                    k, = _two(k)
                     zk, wk = z[k], w[k]
                     norm = np.hypot(np.abs(zk), np.abs(wk))
                     k = k[2.0 * np.abs(zk * cw - wk * cz) / (norm * cn) <= trap_radius]
@@ -334,7 +357,7 @@ def _classifier(f: RationalMap, cycles, trap_radius: float, max_iter: int):
                     hit[k] = True
             if hit is not None:
                 keep = ~hit
-                cells, z, w = cells[keep], z[keep], w[keep]
+                cells, z, w = _two(cells[keep], z[keep], w[keep])
             if n == max_iter or cells.size == 0:
                 break
             z, w = hom_eval(f, z, w)
@@ -368,13 +391,33 @@ def classify_points(f: RationalMap, cycles, z, w, trap_radius: float = DEFAULT_T
     return tuple(a.reshape(z.shape) for a in out)
 
 
+def _mirrored(f: RationalMap, cycles, bounds: Bounds) -> bool:
+    """Whether classifying the grid commutes with conjugation, bit for bit:
+    every coefficient and every trap centre has an imaginary part of exactly
+    0, and ymin == -ymax, so row height - 1 - r holds the exact conjugates
+    of row r's centres (_center_coords).
+
+    With real coefficients and centres, each rounded operation of the kernel
+    on a conjugate pair of inputs gives a conjugate pair of results: complex
+    products and sums, fused or not, moduli, the max-modulus scaling and
+    rho^2, as rounding to nearest commutes with negation. Only the signs of
+    zeros may differ, and no modulus reads them. So a conjugate orbit
+    resolves at the same step, in the same cycle and phase.
+    """
+    return (bounds.ymin == -bounds.ymax
+            and all(c.imag == 0 for coeffs in f.pair for c in coeffs)
+            and all(p.z.imag == 0 and p.w.imag == 0 for cyc in cycles for p in cyc))
+
+
 def classify_grid(f: RationalMap, portrait: CriticalPortrait, bounds: Bounds,
                   resolution: tuple[int, int], trap_radius: float = DEFAULT_TRAP_RADIUS,
                   max_iter: int = 200) -> BasinGrid:
     """Classify every cell center of the grid by _classifier's rule.
 
     The grid is iterated in flat tiles of TILE_CELLS cells, each classified
-    into its slice of the grid's own arrays.
+    into its slice of the grid's own arrays. Where the classification
+    commutes with conjugation (_mirrored), only the upper ceil(height / 2)
+    rows are iterated, and row height - 1 - r is a copy of row r.
 
     More than MAX_CELLS cells, and the arguments _classifier refuses, are a
     ParameterError, raised before any cell steps.
@@ -388,8 +431,9 @@ def classify_grid(f: RationalMap, portrait: CriticalPortrait, bounds: Bounds,
     cycles = superattracting_cycles(portrait)
     classify = _classifier(f, cycles, trap_radius, max_iter)
 
-    n_cells = width * height
-    cycle_id, phase, steps = _unresolved(n_cells)
+    upper = (height + 1) // 2 if _mirrored(f, cycles, bounds) else height  # rows iterated
+    n_cells = width * upper
+    cycle_id, phase, steps = _unresolved(width * height)
     for start in range(0, n_cells, TILE_CELLS):
         cells = np.arange(start, min(start + TILE_CELLS, n_cells))
         x, y = _center_coords(bounds, width, height, *np.divmod(cells, width))
@@ -397,10 +441,10 @@ def classify_grid(f: RationalMap, portrait: CriticalPortrait, bounds: Bounds,
         classify(x + 1j * y, np.ones(cells.size, dtype=complex),
                  cycle_id[tile], phase[tile], steps[tile])
 
-    return BasinGrid(bounds, width, height, tuple(cycles),
-                     cycle_id.reshape(height, width),
-                     phase.reshape(height, width),
-                     steps.reshape(height, width), trap_radius, max_iter)
+    grids = [a.reshape(height, width) for a in (cycle_id, phase, steps)]
+    for a in grids:
+        a[upper:] = a[:height - upper][::-1]
+    return BasinGrid(bounds, width, height, tuple(cycles), *grids, trap_radius, max_iter)
 
 
 # --- component labeling -----------------------------------------------------

@@ -96,17 +96,27 @@ def orbit_derivative(f: RationalMap, z: complex, n: int) -> tuple[complex, compl
 
 def _walk(f: RationalMap, start, max_iter: int) -> tuple[list, int]:
     """The orbit of start up to its first revisit, within CYCLE_TOL of one of
-    the CYCLE_WINDOW points before it, and the revisit's period; period 0
-    when max_iter steps bring none."""
+    the CYCLE_WINDOW points before it, and the revisit's period, from the
+    latest such point; period 0 when max_iter steps bring none.
+
+    The points of the window are kept by _sphere_cell, so each step is
+    compared only with those in the 27 cells about its own."""
     x = as_sphere(start)
-    orbit = [x]
+    orbit, keys = [x], [_sphere_cell(x)]
+    cells = {keys[0]: [0]}  # _sphere_cell -> indices of window points in it
     for _ in range(max_iter):
         x = eval_sphere(f, x)
         k = len(orbit)
+        a, b, c = key = _sphere_cell(x)
+        near = [j for i, m, n in _NEAR_CELLS for j in cells.get((a + i, b + m, c + n), ())
+                if x.chordal(orbit[j]) < CYCLE_TOL]
         orbit.append(x)
-        for j in range(k - 1, max(0, k - CYCLE_WINDOW) - 1, -1):
-            if x.chordal(orbit[j]) < CYCLE_TOL:
-                return orbit, k - j
+        if near:
+            return orbit, k - max(near)
+        keys.append(key)
+        cells.setdefault(key, []).append(k)
+        if k >= CYCLE_WINDOW:  # the oldest point leaves the window
+            cells[keys[k - CYCLE_WINDOW]].remove(k - CYCLE_WINDOW)
     return orbit, 0
 
 

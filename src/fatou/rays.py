@@ -382,16 +382,26 @@ def _fiber_disc(f: RationalMap, z: complex, image: _Landing) -> float:
     return float(rungs[np.argmax(ok)]) if ok.any() else 0.0
 
 
-def _candidate(f: RationalMap, z: complex, k: int,
-               image: Optional[_Landing]) -> Optional[_Landing]:
+def _candidate(f: RationalMap, z: complex, k: int, image: Optional[_Landing],
+               proved=()) -> Optional[_Landing]:
     """The landing a ray whose newest sample is z may have, with its disc:
     for period k, the root of f^k(z) = z (a disc only when repelling past
     INDIFFERENT_BAND); for a preperiodic angle (k = 0), the root of f(z) =
-    image.point; None when Newton does not converge."""
+    image.point; None when Newton does not converge.
+
+    proved are landings of period k whose discs are proved already. A root
+    at distance g < r from the centre of one, r its radius, gets the disc of
+    radius r - g about it, which lies inside that proved disc: a ray that
+    reaches it lands at the proved disc's one fixed point of f^k, and
+    _cycle_disc does not run again for the same landing."""
     if k:
         root = _newton(f, z, k)
         if root is None or not root.multiplier > 1.0 + INDIFFERENT_BAND:
             return root
+        for disc in proved:
+            gap = abs(root.point - disc.point)
+            if gap < disc.radius:
+                return replace(root, radius=disc.radius - gap)
         return replace(root, radius=_cycle_disc(f, root.point, k))
     root = _newton(f, z, 1, image.point)
     if root is None:
@@ -407,7 +417,8 @@ def _certify(f: RationalMap, m: int, periods: dict, chains: dict, sub: int,
 
     candidates keeps, across calls, each angle's candidate landing (see
     _candidate) and the distance of the newest sample from it then; Newton
-    runs again only when the newest sample has stopped approaching it.
+    runs again only when the newest sample has stopped approaching it. The
+    proved discs of candidates of one period serve the others' roots.
     - Periodic angle of period k: certified once its newest k sub + 1
       samples, one period of the ray, lie in the disc. The branch of f^(-k)
       that maps the disc into itself maps each period of the ray onto the
@@ -432,7 +443,8 @@ def _certify(f: RationalMap, m: int, periods: dict, chains: dict, sub: int,
             newest = chain[-1]
             cand, gap = candidates.get(t, (None, math.inf))
             if cand is None or not abs(newest - cand.point) < gap:
-                cand = _candidate(f, newest, k, image)
+                proved = [c for s, (c, _) in candidates.items() if periods[s] == k and c.radius]
+                cand = _candidate(f, newest, k, image, proved)
             if cand is None:
                 candidates.pop(t, None)
                 continue

@@ -31,6 +31,10 @@ def _cube():
     return normalize(Polynomial((0.0, 0.0, 0.0, 1.0)), Polynomial((1.0,)))
 
 
+WIDE = Bounds(-2.8, 2.8, -2.1, 2.1)
+ZOOM = Bounds(-1.2908, -1.2708, -0.01, 0.01)  # at the landing point of R_1/3 on paper-g
+
+
 def test_bounds_validation():
     with pytest.raises(ValueError):
         Bounds(1.0, 1.0, 0.0, 2.0)
@@ -112,6 +116,25 @@ def test_grid_matches_pointwise_classification():
     want = (grid.cycle_id, grid.phase, grid.steps)
     for name, a, b in zip(("cycle_id", "phase", "steps"), got, want):
         assert np.array_equal(a, b[rows, cols]), name
+
+
+def test_each_cell_classified_alone_equals_its_grid_cell(monkeypatch):
+    g = paper_g()
+    grid = classify_grid(g, critical_portrait(g), WIDE, (40, 30))
+    sizes = []
+    hom_eval = fatou.basins.hom_eval
+
+    def spy(f, z, w):
+        sizes.append(z.size)
+        return hom_eval(f, z, w)
+    monkeypatch.setattr(fatou.basins, "hom_eval", spy)
+    for r in range(grid.height):
+        for c in range(grid.width):
+            got = classify_points(g, grid.cycles, grid.cell_center(r, c), 1.0)
+            want = grid.cycle_id[r, c], grid.phase[r, c], grid.steps[r, c]
+            assert tuple(map(int, got)) == tuple(map(int, want)), (r, c)
+    # a lone point is stepped as two copies, never as a one-element array
+    assert min(sizes) == 2
 
 
 def test_phase_advances_under_the_map():
@@ -252,9 +275,10 @@ def test_render_ppm_matches_a_pixel_by_pixel_reference():
 # --- cell centres and the resolution cap --------------------------------------
 
 
-def test_cell_center_is_the_point_the_grid_iterated(monkeypatch):
-    # record the starting points classify_grid hands to the map: with
-    # max_iter=1 every tile is evaluated once, in row-major order
+def _first_steps(f, bounds: Bounds, resolution, monkeypatch) -> tuple:
+    """The grid with max_iter=1 and the starting points classify_grid handed
+    to the map: every tile is evaluated once, so in row-major order the
+    centres of all its cells but those trapped at step 0."""
     seen = []
     hom_eval = fatou.basins.hom_eval
 
@@ -262,18 +286,31 @@ def test_cell_center_is_the_point_the_grid_iterated(monkeypatch):
         seen.append(z.copy())
         return hom_eval(f, z, w)
     monkeypatch.setattr(fatou.basins, "hom_eval", spy)
+    grid = classify_grid(f, critical_portrait(f), bounds, resolution, max_iter=1)
+    monkeypatch.undo()
+    return grid, np.concatenate(seen)
+
+
+def test_mirrored_grid_iterates_the_upper_rows_only(monkeypatch):
     g = paper_g()
-    grid = classify_grid(g, critical_portrait(g), Bounds(-2.8, 2.8, -2.1, 2.1), (800, 600),
-                         max_iter=1)
-    assert (grid.steps != 0).all()  # no cell left before its first step
-    iterated = np.concatenate(seen).reshape(600, 800)
-    centers = np.array([[grid.cell_center(r, c) for c in range(800)] for r in range(600)])
-    assert np.array_equal(centers, iterated)
-    # cell_of inverts cell_center on every column and every row
-    assert [grid.cell_of(grid.cell_center(0, c)) for c in range(800)] == \
-        [(0, c) for c in range(800)]
-    assert [grid.cell_of(grid.cell_center(r, 0)) for r in range(600)] == \
-        [(r, 0) for r in range(600)]
+    centres = {}
+    for bounds, rows in ((WIDE, 300), (Bounds(-2.8, 2.8, -2.1, 2.2), 600)):
+        grid, iterated = _first_steps(g, bounds, (800, 600), monkeypatch)
+        assert (grid.steps != 0).all()  # no cell left before its first step
+        c = np.array([[grid.cell_center(r, c) for c in range(800)] for r in range(600)])
+        # on the symmetric frame the upper 300 rows, else all 600
+        assert np.array_equal(iterated, c[:rows].ravel()), bounds
+        # cell_of inverts cell_center on every column and every row
+        assert [grid.cell_of(grid.cell_center(0, c)) for c in range(800)] == \
+            [(0, c) for c in range(800)]
+        assert [grid.cell_of(grid.cell_center(r, 0)) for r in range(600)] == \
+            [(r, 0) for r in range(600)]
+        centres[rows] = c
+    # row 599 - r holds the exact conjugates of row r's centres
+    c = centres[300]
+    assert np.array_equal(c[::-1].real, c.real)
+    assert np.array_equal(c[::-1].imag, -c.imag)
+    assert (c.imag != 0).all()
 
 
 def test_resolution_cap():
@@ -611,10 +648,6 @@ def _assert_grid_matches_reference(f, bounds, resolution, trap_radius, max_iter=
     return grid
 
 
-WIDE = Bounds(-2.8, 2.8, -2.1, 2.1)
-ZOOM = Bounds(-1.2908, -1.2708, -0.01, 0.01)  # at the landing point of R_1/3 on paper-g
-
-
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 @pytest.mark.parametrize("trap_radius", [1e-6, 1e-3, 0.2])
 def test_band_prefilter_keeps_every_trapping_decision(name, trap_radius):
@@ -647,6 +680,49 @@ def test_band_prefilter_without_a_trap_at_infinity_and_with_complex_coefficients
     assert all(c.imag != 0 for c in rotated.num.coeffs if c != 0)
     for f in (finite, rotated):
         _assert_grid_matches_reference(f, Bounds(-3.1, 3.3, -2.4, 2.2), (57, 43), trap_radius)
+
+
+def _quadratic(c: complex) -> RationalMap:
+    return normalize(Polynomial((c, 0.0, 1.0)), Polynomial((1.0,)))
+
+
+MIRRORED_MAPS = dict(
+    {name: (lambda name=name: by_name(name)) for name in CATALOG_NAMES},
+    basilica=lambda: _quadratic(-1.0),
+    airplane=lambda: _quadratic(-1.7548776662466927),  # 0 has period 3
+    no_infinity=lambda: normalize(Polynomial((0.0, 0.0, 0.0, 1.0)),
+                                  Polynomial((1.0, 0.0, 3.0))),  # z^3 / (3 z^2 + 1)
+)
+
+
+@pytest.mark.parametrize("name", MIRRORED_MAPS)
+@pytest.mark.parametrize("resolution", [(53, 40), (53, 41)])
+def test_mirrored_grids_equal_the_all_cells_reference(name, resolution):
+    # real coefficients, real trap centres and ymin == -ymax: classify_grid
+    # iterates the upper rows only, and must still give every cell of the
+    # reference, which iterates them all
+    f = MIRRORED_MAPS[name]()
+    assert fatou.basins._mirrored(f, superattracting_cycles(critical_portrait(f)), WIDE)
+    grid = _assert_grid_matches_reference(f, WIDE, resolution, 1e-6)
+    assert (grid.cycle_id >= 0).mean() > 0.5
+
+
+def test_inputs_that_break_the_symmetry_take_the_full_path(monkeypatch):
+    # Newton's map of z^2 + 1 is real, but its traps are +-i, whose basins
+    # are the two half planes: a mirrored copy would swap them
+    newton = normalize(Polynomial((-1.0, 0.0, 1.0)), Polynomial((0.0, 2.0)))
+    cases = [(newton, WIDE), (_quadratic(-1.0 + 0.05j), WIDE),  # one complex coefficient
+             (paper_g(), Bounds(-2.8, 2.8, -2.1, 2.2))]
+    for f, bounds in cases:
+        assert not fatou.basins._mirrored(f, superattracting_cycles(critical_portrait(f)),
+                                          bounds)
+        grid, iterated = _first_steps(f, bounds, (41, 31), monkeypatch)
+        assert iterated.size == 41 * 31
+        grid = _assert_grid_matches_reference(f, bounds, (41, 31), 1e-6)
+        if f is newton:  # the real axis is its Julia set
+            resolved = grid.cycle_id >= 0
+            assert resolved.mean() > 0.9
+            assert (grid.cycle_id[::-1][resolved] == 1 - grid.cycle_id[resolved]).all()
 
 
 def _points_at_chordal_distance(c: SpherePoint, dist: np.ndarray, rng) -> tuple:

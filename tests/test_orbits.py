@@ -13,8 +13,8 @@ from fatou.orbits import (
     orbit_derivative,
     periodic_points,
 )
-from fatou.ratmap import Polynomial, critical_points, normalize
-from fatou.sphere import MoebiusTransform, SpherePoint
+from fatou.ratmap import Polynomial, RationalMap, critical_points, eval_sphere, normalize
+from fatou.sphere import MoebiusTransform, SpherePoint, as_sphere
 
 
 def _poly(*coeffs):
@@ -257,6 +257,43 @@ def _random_map(seed: int, degree: int):
                             for seed, d in ((1, 3), (2, 5), (3, 8))])
 def test_postcritical_cells_keep_the_all_pairs_points(f):
     assert list(critical_portrait(f).postcritical) == _all_pairs_postcritical(f)
+
+
+def _window_walk(f, start, max_iter: int) -> tuple[list, int]:
+    """The reference revisit test: each new point against the CYCLE_WINDOW
+    points before it, latest first."""
+    x = as_sphere(start)
+    orbit = [x]
+    for _ in range(max_iter):
+        x = eval_sphere(f, x)
+        k = len(orbit)
+        orbit.append(x)
+        for j in range(k - 1, max(0, k - fatou.orbits.CYCLE_WINDOW) - 1, -1):
+            if x.chordal(orbit[j]) < fatou.orbits.CYCLE_TOL:
+                return orbit, k - j
+    return orbit, 0
+
+
+@pytest.mark.parametrize("f", [pytest.param(by_name(name), id=name) for name in CATALOG_NAMES]
+                         + [pytest.param(_random_map(seed, d), id=f"random {d} seed {seed}")
+                            for seed, d in ((1, 3), (2, 5), (3, 8))])
+def test_walk_cells_find_the_window_loops_revisit(f):
+    rng = np.random.default_rng(7)
+    starts = [c.point for c in critical_points(f)]
+    starts += [SpherePoint.of(complex(z)) for z in rng.normal(size=8) + 1j * rng.normal(size=8)]
+    for x in starts:
+        want = _window_walk(f, x, fatou.orbits.WALK_STEPS)
+        assert fatou.orbits._walk(f, x, fatou.orbits.WALK_STEPS) == want
+
+
+@pytest.mark.parametrize("turns, period", [(50, 50), (64, 64), (65, 0), (100, 0)])
+def test_walk_sees_only_the_window(turns, period):
+    # a rotation by 1/turns of a turn (built raw: degree 1) revisits its
+    # start after turns steps, which the walk sees only within the window
+    f = RationalMap(Polynomial((0.0, cmath.exp(2j * math.pi / turns))), Polynomial((1.0,)))
+    want = _window_walk(f, SpherePoint.of(0.5), 300)
+    assert want[1] == period
+    assert fatou.orbits._walk(f, SpherePoint.of(0.5), 300) == want
 
 
 def test_points_closer_than_cycle_tol_share_or_neighbour_cells():

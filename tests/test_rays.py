@@ -543,6 +543,45 @@ def test_certified_orbits_stop_within_20_fiber_solves(monkeypatch):
     assert sum(counts) <= 120, counts
 
 
+def test_one_cycle_disc_per_landing_in_a_benchmark_round(monkeypatch):
+    # R_1/3 and R_2/3 of the two-cycle family land on one fixed point, and
+    # their Newton roots differ by about 1e-48 in the imaginary part: the
+    # second root lies in the first one's proved disc and is served by it.
+    # The seven orbits of a round have 11 distinct landings (16 runs when
+    # each angle proved its own disc)
+    runs = []
+    real = fatou.rays._cycle_disc
+
+    def counted(f, z, k):
+        runs.append(z)
+        return real(f, z, k)
+    monkeypatch.setattr(fatou.rays, "_cycle_disc", counted)
+    found = []
+    for name, angles, _ in RAYS:
+        f = by_name(name)
+        traces = trace_orbit(f, SpherePoint.infinity(), angles)
+        periods = fatou.rays._periods(list(traces), 2)
+        found += [(f, tr, periods[t]) for t, tr in traces.items() if periods[t]]
+    assert len(runs) == 11
+    assert len(found) == 16
+    # each served root reports the radius its own disc would have had
+    for f, tr, k in found:
+        assert tr.certified and tr.disc_radius == real(f, tr.landing, k)
+
+
+def test_a_root_in_a_proved_disc_gets_the_disc_inside_it():
+    f = _square()  # R_0 lands at the repelling fixed point 1
+    first = fatou.rays._candidate(f, 1.1, 1, None)
+    assert first.point == 1.0 and first.radius > 0.1
+    moved = dataclasses.replace(first, point=1.0 + 0.05j)
+    again = fatou.rays._candidate(f, 1.1, 1, None, [moved])
+    assert again.point == 1.0 and again.radius == first.radius - 0.05
+    assert again.radius < first.radius
+    # outside every proved disc, the root gets its own
+    far = dataclasses.replace(first, point=5.0)
+    assert fatou.rays._candidate(f, 1.1, 1, None, [far]) == first
+
+
 @pytest.mark.parametrize("name, angles", [
     pytest.param(name, angles, id=f"{name} {','.join(angles)}") for name, angles, _ in RAYS])
 def test_landing_discs_against_an_mpmath_oracle(name, angles):
