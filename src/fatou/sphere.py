@@ -349,8 +349,8 @@ def _aberth(coeffs: np.ndarray) -> np.ndarray:
             dv = np.where(np.abs(dv) < 1e-300, 1e-300 + 0j, dv)
             newton = pv / dv
             diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            s = np.sum(1.0 / diff, axis=1)
+            diff.ravel()[::n + 1] = np.inf  # the diagonal
+            s = (1.0 / diff).sum(axis=1)
             denom = 1.0 - newton * s
             denom = np.where(np.abs(denom) < 1e-300, 1.0, denom)
             step = newton / denom
@@ -393,48 +393,88 @@ def _mult_estimates(cs: Sequence[complex], points: Sequence[complex]) -> list[in
     return out
 
 
+# Pair distances the first pass of _cluster holds at once: rows per block
+# times points. Every degree up to 256 is one all-pairs block.
+_PAIR_BLOCK = 1 << 16
+
+
 def _cluster(points: Sequence[complex],
              ests: Optional[Sequence[int]] = None) -> list[tuple[complex, int]]:
-    """Agglomerate approximations into (centroid, multiplicity) clusters.
+    """Agglomerate finite approximations into (centroid, multiplicity)
+    clusters, in the order of their first points.
 
-    Two clusters merge while their centroids sit within 3 * ROOT_TOL^(1/m) of
-    each other; the stall radius of the iteration near an m-fold root scales
-    like ROOT_TOL^(1/m), the factor 3 is slack. m is the merged size, or the
-    local multiplicity estimate when both sides agree it is larger: the
-    iterates of an m-fold root stall on a circle whose radius already reflects
-    m, so a size-based radius alone never starts the merge.
+    The closest pair of clusters merges (the first pair (i, j), i < j, in
+    row-major order on a tie) while their centroids sit within
+    3 * ROOT_TOL^(1/m) of each other; the stall radius of the iteration near
+    an m-fold root scales like ROOT_TOL^(1/m), the factor 3 is slack. m is
+    the merged size, or the local multiplicity estimate when both sides agree
+    it is larger: the iterates of an m-fold root stall on a circle whose
+    radius already reflects m, so a size-based radius alone never starts the
+    merge. The first pair that fails the test ends the pass.
+
+    Every live cluster k keeps nn[k], the first other live cluster at the
+    least distance dist[k]. The first k whose dist[k] is the least of all is
+    the i of the row-major first closest pair, and nn[k] its j: a closest
+    partner p < k would have put p first. One blockwise numpy pass finds
+    every nn[k] (np.hypot rounds as abs() of a complex number does). A merge
+    into i compares the new centroid with every live cluster, O(n) work:
+    a cluster takes i when i is nearer than its neighbour, or as near and
+    not after it. Only a cluster whose neighbour was i or j and that the new
+    centroid left farther away is rescanned. Centroids and thresholds are
+    Python scalars, as the merge rule defines them.
     """
-    if ests is None:
-        ests = [1] * len(points)
-    clusters = [[complex(p), 1, int(e)] for p, e in zip(points, ests)]
-    merged = True
-    while merged and len(clusters) > 1:
-        merged = False
-        best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                d = abs(clusters[i][0] - clusters[j][0])
-                if best is None or d < best[0]:
-                    best = (d, i, j)
-        d, i, j = best
-        m = clusters[i][1] + clusters[j][1]
-        m_eff = max(m, min(clusters[i][2], clusters[j][2]))
-        local = 1.0 + max(abs(clusters[i][0]), abs(clusters[j][0]))
-        if d <= 3.0 * (ROOT_TOL ** (1.0 / m_eff)) * local:
-            ci, mi, ei = clusters[i]
-            cj, mj, ej = clusters[j]
-            clusters[i] = [(ci * mi + cj * mj) / m, m, max(ei, ej)]
-            del clusters[j]
-            merged = True
-    return [(c, m) for c, m, _ in clusters]
+    z = np.asarray(points, dtype=complex)
+    cen = z.tolist()
+    n = len(cen)
+    if n < 2:
+        return [(c, 1) for c in cen]
+    mult = [1] * n
+    est = [1] * n if ests is None else [int(e) for e in ests]
+    nn: list[int] = []
+    step = max(1, _PAIR_BLOCK // n)
+    for s in range(0, n, step):
+        dz = z[s:s + step, None] - z
+        d = np.hypot(dz.real, dz.imag)
+        d.ravel()[s::n + 1] = np.inf  # the diagonal: no cluster is its own neighbour
+        nn += d.argmin(axis=1).tolist()
+    dist = [abs(cen[k] - cen[j]) for k, j in enumerate(nn)]
+    order = list(range(n))  # live clusters, ascending
+    for _ in range(n - 1):
+        d = min(dist)
+        i = dist.index(d)
+        j = nn[i]
+        m = mult[i] + mult[j]
+        m_eff = max(m, min(est[i], est[j]))
+        local = 1.0 + max(abs(cen[i]), abs(cen[j]))
+        if not d <= 3.0 * (ROOT_TOL ** (1.0 / m_eff)) * local:
+            break
+        ci = cen[i] = (cen[i] * mult[i] + cen[j] * mult[j]) / m
+        mult[i], est[i] = m, max(est[i], est[j])
+        order.remove(j)
+        dist[j] = math.inf
+        stale = []
+        nn[i], dist[i] = -1, math.inf
+        for k in order:
+            if k == i:
+                continue
+            dk = abs(cen[k] - ci)
+            if dk < dist[i]:
+                nn[i], dist[i] = k, dk
+            if dk < dist[k] or (dk == dist[k] and i <= nn[k]):
+                nn[k], dist[k] = i, dk
+            elif nn[k] == i or nn[k] == j:
+                stale.append(k)
+        for k in stale:
+            ck = cen[k]
+            ds = [abs(ck - cen[c]) if c != k else math.inf for c in order]
+            dist[k] = min(ds)
+            nn[k] = order[ds.index(dist[k])]
+    return [(cen[k], mult[k]) for k in order]
 
 
-def _polish(p: Polynomial, root: complex, mult: int) -> complex:
-    """Newton-polish a root of multiplicity m against the (m-1)th derivative."""
-    q = p
-    for _ in range(mult - 1):
-        q = q.deriv()
-    dq = q.deriv()
+def _polish(q: Polynomial, dq: Polynomial, root: complex) -> complex:
+    """Newton-polish a root of multiplicity m against q, the (m-1)th
+    derivative of the polynomial, with dq its derivative."""
     z = root
     for _ in range(30):
         qv = q(z)
@@ -471,14 +511,19 @@ def poly_roots(p: Polynomial) -> list[tuple[complex, int]]:
     if len(cs) > 1:
         approx = _aberth(np.asarray(cs, dtype=complex))
         ests = _mult_estimates(cs, list(approx))
-        found.extend(_cluster(list(approx), ests))
+        found.extend(_cluster(approx, ests))
     if k0:
         found.append((0j, k0))
         found = _cluster([r for r, m in found for _ in range(m)])
-    out = []
-    for r, m in found:
-        r = _polish(p, r, m)
-        out.append((r, m))
+    # the (m-1)th derivative and the mth for each multiplicity m, built once
+    # along one chain p, p', p'', ... that keeps only the pairs in use
+    chain = {}
+    q, dq, k = p, p.deriv(), 1
+    for m in sorted({m for _, m in found}):
+        while k < m:
+            q, dq, k = dq, dq.deriv(), k + 1
+        chain[m] = q, dq
+    out = [(_polish(*chain[m], r), m) for r, m in found]
     out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     # backward-error acceptance: |p(r)| small relative to sum |a_k| |r|^k
     for r, m in out:
