@@ -226,17 +226,27 @@ def test_cluster_blocks_of_rows_decide_as_one_block(monkeypatch):
         assert [_bits(fatou.sphere._cluster(p, e)) for p, e in inputs] == want
 
 
-def _roots_or_error(p):
+def _outcome(solve, *args):
+    """Bits of what solve(*args) returns, or the type, text and best iterate
+    of what it raises."""
     try:
-        return _bits(poly_roots(p))
-    except RootFindingError as exc:
-        return str(exc), [(r.real.hex(), r.imag.hex()) for r in exc.best]
+        got = solve(*args)
+    except (RootFindingError, OverflowError, ZeroDivisionError) as exc:
+        best = getattr(exc, "best", None) or []
+        return type(exc).__name__, str(exc), [(r.real.hex(), r.imag.hex()) for r in best]
+    if got is None or isinstance(got[0], int):
+        return got
+    return _bits(got)
 
 
-def test_poly_roots_decides_as_the_all_pairs_scan(monkeypatch):
-    # every catalog Wronskian, and the polynomial periodic_points solves for
-    # every distinct catalog map at every period with d^p <= 729: the same
-    # roots and multiplicities bit for bit, or the same RootFindingError
+def _roots_or_error(p):
+    return _outcome(poly_roots, p)
+
+
+@pytest.fixture(scope="module")
+def catalog_polys():
+    """Every catalog Wronskian, and the polynomial periodic_points solves for
+    every distinct catalog map at every period with d^p <= 729."""
     from fatou.catalog import CATALOG_NAMES, by_name
     from fatou.orbits import LEAD_TRIM
     from fatou.ratmap import compose_self
@@ -251,11 +261,223 @@ def test_poly_roots_decides_as_the_all_pairs_scan(monkeypatch):
             fp = compose_self(f, p)
             polys.append((fp.num - poly(0.0, 1.0) * fp.den).trimmed(LEAD_TRIM))
             p += 1
-    got = [_roots_or_error(p) for p in polys]
+    return polys
+
+
+def test_poly_roots_decides_as_the_all_pairs_scan(monkeypatch, catalog_polys):
+    # the same roots and multiplicities bit for bit, or the same
+    # RootFindingError
+    got = [_roots_or_error(p) for p in catalog_polys]
     monkeypatch.setattr(fatou.sphere, "_cluster", _reference_cluster)
-    want = [_roots_or_error(p) for p in polys]
+    want = [_roots_or_error(p) for p in catalog_polys]
     assert got == want
     assert sum(isinstance(g[0], str) for g in got) == 7  # the d^p >= 243 solves raise
+
+
+def _planted_polys():
+    """Seeded polynomials of degree 1 to 300 about the unit circle: distinct
+    roots at jittered angles, some repeated up to 4 times, times a random
+    leading coefficient; and real polynomials, products of conjugate pairs,
+    whose zero imaginary parts are given random signs."""
+    rng = np.random.default_rng(25)
+    out = []
+    for deg in (1, 2, 3, 5, 8, 13, 21, 40, 63, 64, 65, 66, 80, 120, 180, 300):
+        for _ in range(2 if deg <= 120 else 1):
+            mults = []
+            while sum(mults) < deg:
+                mults.append(min(deg - sum(mults), int(rng.choice([1, 1, 1, 1, 2, 3, 4]))))
+            k = len(mults)
+            turns = (np.arange(k) + 0.4 * rng.uniform(size=k)) / k
+            roots = (1.0 + rng.normal(size=k) / deg) * np.exp(2j * np.pi * turns)
+            p = poly(complex(rng.normal(), rng.normal()))
+            for m, r in zip(mults, roots.tolist()):
+                p = p * poly(-r, 1.0).pow(m)
+            out.append(p)
+        real = poly(rng.normal()) if deg % 2 == 0 else poly(rng.normal(), 1.0)
+        turns = (np.arange(deg // 2) + 0.5 + 0.4 * rng.uniform(size=deg // 2)) / (deg + 1)
+        for r in ((1.0 + rng.normal(size=deg // 2) / deg) * np.exp(2j * np.pi * turns)).tolist():
+            real = real * poly(abs(r) ** 2, -2.0 * r.real, 1.0)
+        signs = rng.choice([-0.0, 0.0], size=deg + 1)
+        out.append(Polynomial(tuple(complex(c.real, s) for c, s in zip(real.coeffs, signs))))
+    return out
+
+
+def test_poly_roots_arrays_decide_as_the_scalar_loops(monkeypatch, catalog_polys):
+    # every root in arrays (crossover 0) against every root in scalar loops:
+    # the same roots, multiplicities and order bit for bit, or the same error
+    polys = catalog_polys + _planted_polys()
+    assert max(p.degree for p in polys) >= 300
+    monkeypatch.setattr(fatou.sphere, "_ARRAY_DEGREE", 10 ** 9)
+    want = [_roots_or_error(p) for p in polys]
+    monkeypatch.setattr(fatou.sphere, "_ARRAY_DEGREE", 0)
+    got = [_roots_or_error(p) for p in polys]
+    assert got == want
+    solved = [w for w, p in zip(want, polys) if not isinstance(w[0], str) and p.degree > 64]
+    assert len(solved) >= 10  # large solves that reach the end, not only errors
+    assert any(m > 1 for w in solved for *_, m in w)
+
+
+def test_multiplicity_estimates_take_python_complex_points(monkeypatch, catalog_polys):
+    # the estimates poly_roots computes equal those of the numpy complex
+    # scalars it used to pass (without their warnings), in scalar loops and
+    # in arrays
+    scalar, planes = fatou.sphere._mult_estimates, fatou.sphere._mult_estimates_planes
+    seen = []
+
+    def spy(real):
+        def estimates(cs, points):
+            if real is scalar:
+                assert all(type(z) is complex for z in points)
+            seen.append((list(cs), np.array(points, dtype=complex)))
+            return real(cs, points)
+        return estimates
+    monkeypatch.setattr(fatou.sphere, "_mult_estimates", spy(scalar))
+    monkeypatch.setattr(fatou.sphere, "_mult_estimates_planes", spy(planes))
+    for p in catalog_polys:
+        _roots_or_error(p)
+    assert len(seen) == len(catalog_polys) - 1  # pseudo-basilica:2's Wronskian is 2z
+    for cs, z in seen:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            numpy_scalars = scalar(cs, list(z))
+        assert scalar(cs, z.tolist()) == planes(cs, z) == numpy_scalars
+
+
+def test_arrays_only_above_the_crossover(monkeypatch, catalog_polys):
+    # degree is the one input of the choice: nothing at or below
+    # _ARRAY_DEGREE reaches the array helpers, everything above does
+    calls = []
+    real = fatou.sphere._horner_planes
+
+    def spy(*args):
+        calls.append(len(args[1]))
+        return real(*args)
+    monkeypatch.setattr(fatou.sphere, "_horner_planes", spy)
+    cut = fatou.sphere._ARRAY_DEGREE
+    polys = catalog_polys + _planted_polys()
+    for p in polys:
+        del calls[:]
+        _roots_or_error(p)
+        degree = p.trimmed(fatou.sphere.ZERO_TOL).degree
+        assert bool(calls) == (degree > cut), degree
+    assert any(p.degree == cut for p in polys)
+
+
+INF, NAN = math.inf, math.nan
+
+
+def test_plane_arithmetic_rounds_as_cpython():
+    # quotients and moduli of the array passes against CPython's complex
+    # scalars, over signed zeros, subnormal and overflowing magnitudes,
+    # infinities and NaN; bits compare through float.hex
+    rng = np.random.default_rng(251)
+    parts = [0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 1e-300, -1e-170, 5e-324, 1e154, 1.3e308,
+             -1.7e308, INF, -INF, NAN] + rng.normal(size=6).tolist()
+    zs = [complex(a, b) for a in parts for b in parts]
+    a = np.array([x for x in zs for y in zs if y != 0])
+    b = np.array([y for x in zs for y in zs if y != 0])
+    want = [(x / y).real.hex() + (x / y).imag.hex() for x, y in zip(a.tolist(), b.tolist())]
+    with np.errstate(all="ignore"):
+        re, im = fatou.sphere._quot(a.real, a.imag, b.real, b.imag)
+    assert [x.hex() + y.hex() for x, y in zip(re.tolist(), im.tolist())] == want
+    for z in zs:
+        try:
+            want = abs(z).hex()
+        except OverflowError as exc:
+            want = str(exc)
+        try:
+            with np.errstate(all="ignore"):
+                got = fatou.sphere._modulus(np.array([z.real]), np.array([z.imag]))[0].hex()
+        except OverflowError as exc:
+            got = str(exc)
+        assert got == want, z
+
+
+def _scalar_polish(chain, found):
+    return [(fatou.sphere._polish(*chain[m], r), m) for r, m in found]
+
+
+def test_polish_edge_cases_in_arrays_as_in_scalar_loops():
+    q = poly(-1.0, 0.0, 1.0)
+    p = poly(-1.0, 1.0).pow(3) * poly(2.0, 1.0, 1.0)
+    huge = complex(1.3e308, 1.3e308)
+    signed = Polynomial((complex(-2.0, -0.0), complex(0.0, -0.0), complex(1.0, -0.0)))
+    # the signs of zero of the polished roots show whether Horner starts from
+    # 0j and keeps a product's -0.0
+    linear = Polynomial((complex(1.4, -0.0), complex(1.0, -0.0)))
+    turn = Polynomial((complex(-0.0, -0.0), complex(-0.0, 1.0)))
+    cases = [
+        # a zero derivative at the start (both signs of zero), roots that
+        # converge, a step that wanders past 1e-2, a start whose value
+        # overflows into NaN iterates, NaN and infinite starts
+        ({1: (q, q.deriv())},
+         [(0j, 1), (complex(-0.0, -0.0), 1), (0.9 + 0.01j, 1), (-1.0 + 1e-9j, 1), (1e-3j, 1),
+          (1e200, 1), (complex(NAN, 0.0), 1), (complex(INF, 0.0), 1), (complex(0.0, -INF), 1),
+          (3.0 + 4.0j, 1)]),
+        # two multiplicity classes, interleaved, against their own derivatives
+        ({1: (p, p.deriv()), 3: (p.deriv().deriv(), p.deriv().deriv().deriv())},
+         [(-0.5 + 1.3j, 1), (1.0 + 1e-5j, 3), (-0.5 - 1.3j, 1), (1.0 - 1e-5, 3), (0.2, 1)]),
+        # zero imaginary parts of both signs, in coefficients and roots
+        ({1: (signed, signed.deriv())},
+         [(complex(1.4, -0.0), 1), (complex(-1.4, 0.0), 1), (complex(1.5, 0.0), 1),
+          (complex(-1.5, -0.0), 1), (complex(0.0, -0.0), 1)]),
+        ({1: (linear, linear.deriv())}, [(complex(-1.4, -0.0), 1), (complex(-1.4, 0.0), 1)]),
+        ({1: (turn, turn.deriv())}, [(complex(-0.0, 0.0), 1), (complex(0.0, -0.0), 1)]),
+        # a step exactly at the stop bound 1e-16 (1 + |z|) stops there
+        ({1: (poly(1e-16, 1.0, 1.0), poly(1.0, 2.0))}, [(0j, 1)]),
+        # abs() overflows on a finite step, and on a finite derivative value
+        ({1: (poly(huge, 1.0), poly(1.0))}, [(1.0, 1), (0j, 1)]),
+        ({1: (poly(0.0, huge), poly(huge))}, [(1.0, 1)]),
+    ]
+    for chain, found in cases:
+        want = _outcome(_scalar_polish, chain, found)
+        assert _outcome(fatou.sphere._polish_planes, chain, found) == want
+    assert _outcome(_scalar_polish, *cases[-1])[0] == "OverflowError"
+
+
+def test_multiplicity_estimate_edge_cases_in_arrays_as_in_scalar_loops():
+    unit = [1.0 + 0j, 0j, 1.0 + 0j]  # z^2 + 1
+    tilted = [2.0 + 2.0j, 0j, 1.0 + 0j]
+    double = [1.0 + 0j, -2.0 + 0j, 1.0 + 0j]  # (z - 1)^2
+    tiny = 1e-170  # p'(z)^2 underflows to 0: CPython's division raises
+    big = complex(0.75e308, 0.75e308)  # abs() of p'(z) = 2z overflows
+    cases = [
+        (unit, [1j + 1e-9, -1j, 0.5, complex(-0.0, -0.0), 0j, 1e200, 1e154,
+                complex(NAN, 0.0), complex(INF, 1.0), complex(0.0, -INF)]),
+        (double, [1.0 + 1e-8j, 1.0 - 1e-8, 1.0, 3.0]),
+        ([complex(-2.0, -0.0), complex(0.0, -0.0), complex(1.0, -0.0)],
+         [complex(1.4, -0.0), complex(-1.4, 0.0), complex(0.0, -0.0), complex(-0.0, 0.0)]),
+        (unit, [0.5, tiny, big]),
+        (unit, [0.5, big, tiny]),
+        (tilted, [0.5, 7.461626139128733e-155]),  # abs(1 - p p'' / p'^2) overflows
+    ]
+    for cs, points in cases:
+        want = _outcome(fatou.sphere._mult_estimates, cs, points)
+        z = np.array(points, dtype=complex)
+        assert _outcome(fatou.sphere._mult_estimates_planes, cs, z) == want
+    raised = [_outcome(fatou.sphere._mult_estimates, cs, pts)[0] for cs, pts in cases[-3:]]
+    assert raised == ["ZeroDivisionError", "OverflowError", "OverflowError"]
+
+
+def test_residual_check_edge_cases_in_arrays_as_in_scalar_loops():
+    q = poly(-1.0, 0.0, 1.0)
+    huge = poly(0.0, complex(1e308, 1e308))
+    cases = [
+        (q, [(complex(NAN, 0.0), 1), (-1.0, 1), (0.5, 2), (1.0 + 1e-3, 1), (2.0, 1)]),
+        (q, [(-1.0, 1), (1.0, 1)]),
+        (huge, [(1e-300, 1), (1.3, 1)]),  # a failing root before abs(p(r)) overflows
+        (huge, [(1.3, 1), (1e-300, 1)]),
+        (poly(1.0, 1e-300), [(complex(1.5e308, 1.5e308), 2)]),  # abs(r) overflows
+        # sum |a_k| |r|^k below 1e-300 counts as 1e-300
+        (poly(-1e-305, 0.0, 1e-305), [(1.0 - 1e-6, 1), (complex(-1.0, -0.0), 1)]),
+    ]
+    got = []
+    for p, out in cases:
+        want = _outcome(fatou.sphere._check_residuals, p, out)
+        assert _outcome(fatou.sphere._check_residuals_planes, p, out) == want
+        got.append(want if want is None else want[0])
+    assert got == ["RootFindingError", None, "RootFindingError", "OverflowError",
+                   "OverflowError", None]
 
 
 @pytest.mark.xfail(strict=True, reason="the re-cluster after deflating the zeros "
