@@ -25,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .sphere import ParameterError, SpherePoint
+from ._bounds import _ladder, _walk
+from .sphere import ParameterError, Polynomial, SpherePoint
 from .ratmap import RationalMap, hom_eval
 from .orbits import CriticalPortrait
 
@@ -51,11 +52,6 @@ MAX_CELLS = MAX_GRID_BYTES // BYTES_PER_CELL
 # Steps a cell may take before it is left unresolved, derived in the README
 # from the time of a cell that never traps.
 MAX_ITER = 10_000
-# The escape disc (escape_disc) is tried at the radii |z| >= DISC_LADDER^k,
-# k = 0 .. DISC_RUNGS - 1, largest disc first; in u = 1/z it must map into
-# the disc of half its radius.
-DISC_LADDER = 1.05
-DISC_RUNGS = 700
 
 
 @dataclass(frozen=True)
@@ -184,34 +180,22 @@ def escape_disc(f: RationalMap, cycles, trap_radius: float = DEFAULT_TRAP_RADIUS
     point cannot tell.
 
     In u = 1/z, f is g(u) = N(u) / M(u) with N_k = b_(d-k), M_k = a_(d-k),
-    the map's own coefficients reversed, so the chart is exact. Over
-    |u| <= e, |g(u)| <= h(e) = sum |N_k| e^k / (|M_0| - sum_(k>=1) |M_k| e^k),
-    which grows with e. A radius r = 1/R passes when h(r) plus a rounding
-    slack is at most r / 2, the disc misses every other trap disk, and it is
-    larger than the trap disk at infinity. K follows from iterating
-    e -> h(e) + slack from r until |u| <= e is inside the trap disk; an
-    iteration that stops halving first gives no disc.
+    the map's own coefficients reversed, so the chart is exact, and u = 0 is
+    a fixed point of g. A rung r of the ladder about 0 passes when the walk
+    of that one-point cycle (_bounds._walk) maps |u| <= r into |u| <= r / 2,
+    the disc misses every other trap disk, and it is larger than the trap
+    disk at infinity. K follows from walking e -> image(e) from r until
+    |u| <= e is inside the trap disk; an iteration that stops halving first
+    gives no disc.
     """
     if not (len(cycles[0]) == 1 and cycles[0][0].is_infinity):
         return None
-    a, b = (np.abs(np.array(p, dtype=complex)) for p in f.pair)
-    num, den = b[::-1], a[::-1]
-    d = f.degree
-    scale = float(a.sum() + b.sum())  # bounds the terms one step adds up
-
-    def bound(r):
-        powers = np.power.outer(r, np.arange(d + 1))
-        top = powers @ num
-        bottom = den[0] - powers[..., 1:] @ den[1:]
-        with np.errstate(divide="ignore", invalid="ignore"):  # where bottom <= 0
-            h = np.where(bottom > 0, top * (1.0 + 1e-9) / np.maximum(bottom, 0.0), np.inf)
-            slack = 1e-12 * ((d + 1) * scale * (1.0 + r) / np.maximum(bottom, 0.0) + r)
-        return h + slack
-
-    r = DISC_LADDER ** -np.arange(DISC_RUNGS, dtype=float)
+    a, b = f.pair
+    chart = RationalMap(Polynomial(b[::-1]), Polynomial(a[::-1]))
+    r = _ladder(0j)
     gap = min((cycles[0][0].chordal(p) for cyc in cycles[1:] for p in cyc), default=math.inf)
     chord = 2.0 * r / np.sqrt(1.0 + r * r)  # the chordal radius of |u| <= r
-    ok = bound(r) <= 0.5 * r
+    ok = _walk(chart, [0j], r)[0] <= 0.5 * r
     ok &= (chord + trap_radius) * (1.0 + 1e-9) < gap
     ok &= chord > trap_radius
     if not ok.any():
@@ -221,7 +205,7 @@ def escape_disc(f: RationalMap, cycles, trap_radius: float = DEFAULT_TRAP_RADIUS
     target = 0.5 * trap_radius * (1.0 - 1e-6)
     e, n = r0, 0
     while e > target:
-        e_next = float(bound(e))
+        e_next = float(_walk(chart, [0j], np.array([e]))[0][0])
         if not e_next <= 0.5 * e:
             return None
         e, n = e_next, n + 1

@@ -14,13 +14,13 @@ from __future__ import annotations
 import cmath
 import decimal
 import math
-import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
+from ._bounds import _DOWN, _UP, _ladder, _walk
 from ._geom import point_polyline_distance, winding_number
 from .orbits import INDIFFERENT_BAND, orbit_derivative
 from .sphere import MoebiusTransform, ParameterError, SpherePoint, as_sphere
@@ -43,10 +43,6 @@ NEWTON_STEPS = 8
 NEWTON_TOL = 1e-12  # relative Newton step taken as converged
 POLISH_STEPS = 3  # Newton steps on the exact residual after convergence
 POLISH_DIGITS = 40  # of the decimal arithmetic of the exact residual
-# A landing disc about z is tried at the radii (1 + |z|) DISC_LADDER^(-j),
-# j = 0 .. DISC_RUNGS - 1, largest first (down to about 1e-9 (1 + |z|)).
-DISC_LADDER = 1.05
-DISC_RUNGS = 425
 _LIN_GUIDE_MIN = 4.0  # potential above which the linearized coordinate guides
 # Sublevels of the first attempt: with 1 or 2 the guide 2 s1 - s0 below
 # _LIN_GUIDE_MIN lands far from every candidate and the attempt fails.
@@ -119,21 +115,16 @@ def _as_angle(t) -> RayAngle:
     return t if isinstance(t, RayAngle) else RayAngle.parse(str(t))
 
 
-def _local_degree_at(f: RationalMap, b: SpherePoint) -> int:
-    for c in critical_points(f):
-        if c.point.chordal(b) < 1e-8:
-            return c.local_degree
-    raise ValueError("basin point is not a critical point of the map")
-
-
 def _check_superattracting_fixed(f: RationalMap, b: SpherePoint) -> int:
     """The local degree m at the fixed point b; at infinity m = deg num - deg
-    den, read off the map without solving for its critical points."""
+    den, read off the map without solving for its critical points. A b that
+    is not a superattracting fixed point is a ParameterError."""
     if eval_sphere(f, b).chordal(b) > 1e-9:
-        raise ValueError("basin point is not fixed")
-    m = f.num.degree - f.den.degree if b.is_infinity else _local_degree_at(f, b)
+        raise ParameterError("basin", "not a fixed point of the map")
+    m = f.num.degree - f.den.degree if b.is_infinity else next(
+        (c.local_degree for c in critical_points(f) if c.point.chordal(b) < 1e-8), 1)
     if m < 2:
-        raise ValueError("basin point is not superattracting")
+        raise ParameterError("basin", "a fixed point of the map, but not superattracting")
     return m
 
 
@@ -261,105 +252,24 @@ def _newton(f: RationalMap, z: complex, k: int,
         return None
 
 
-_UP, _DOWN = 1.0 + 1e-9, 1.0 - 1e-9  # cover the rounding of the bounds' own arithmetic
-
-
-def _taylor(coeffs, c) -> list:
-    """The coefficients of p(c + h) in h, ascending, for the polynomial p with
-    ascending coeffs, by repeated synthetic division."""
-    a = list(coeffs)
-    for j in range(len(a) - 1):
-        for i in range(len(a) - 2, j - 1, -1):
-            a[i] += c * a[i + 1]
-    return a
-
-
-class _LocalBound:
-    """Bounds on f over the discs |x - z| <= r, from its Taylor coefficients at z.
-
-    With N, D the numerator and denominator (padded to degree d), P = N - w D
-    and W = N' D - N D', f - w = P / D and f' = W / D^2. On the disc |P| and
-    |W - W(z)| are at most the sums of their coefficients' moduli times r^j,
-    |D - D(z)| likewise, and |D| >= |D(z)| - that. So bounds(r) gives
-    |f(x) - w| <= image and |f'(x) - W(z) / D(z)^2| <= deviation, both inf
-    where the lower bound on |D| is not positive; slope is |W(z) / D(z)^2|.
-
-    Rounding: the shifts, the products and the convolution are repeated on
-    the coefficients' moduli at |z|, and each coefficient is widened by
-    16 (d + 2) eps times its twin there, which bounds the rounding of a sum
-    of at most 2d + 2 rounded complex terms (Higham, *Accuracy and Stability
-    of Numerical Algorithms*, §3.1 and §3.6).
-    """
-
-    def __init__(self, f: RationalMap, z: complex, w: complex):
-        (num, den), d = f.pair, f.degree
-        n, q = np.array(_taylor(num, z)), np.array(_taylor(den, z))
-        na = np.array(_taylor([abs(c) for c in num], abs(z)))
-        qa = np.array(_taylor([abs(c) for c in den], abs(z)))
-        j = np.arange(1, d + 1)
-        wr = np.convolve(j * n[1:], q) - np.convolve(n, j * q[1:])
-        wa = np.convolve(j * na[1:], qa) + np.convolve(na, j * qa[1:])
-        slack = 16 * (d + 2) * sys.float_info.epsilon
-        self.p = np.abs(n - w * q) + slack * (na + abs(w) * qa)
-        self.q = np.abs(q) + slack * qa
-        self.w = np.abs(wr) + slack * wa
-        self.q0, self.w0 = abs(q[0]), abs(wr[0])
-        self.q0_slack, self.w0_slack = slack * qa[0], slack * wa[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            self.slope = self.w0 / (self.q0 * self.q0)
-
-    def bounds(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        def horner(coeffs):  # elementwise products and sums round alike on every SIMD target
-            acc = np.zeros_like(r)
-            for c in coeffs[::-1]:
-                acc = acc * r + c
-            return acc
-        with np.errstate(all="ignore"):  # inf radii and poles give inf or nan, refused later
-            dq = self.q0_slack + r * horner(self.q[1:])
-            dw = self.w0_slack + r * horner(self.w[1:])
-            low = self.q0 - dq * _UP
-            image = horner(self.p) / low
-            spread = self.w0 * dq * (2.0 * self.q0 + dq) / (self.q0 * self.q0)
-            deviation = (dw + spread) / (low * low)
-            good = low > 0
-            return (np.where(good, image * _UP, np.inf),
-                    np.where(good, deviation * _UP, np.inf))
-
-
-# by Python's pow, so the rungs have the same bits whatever numpy dispatches to
-_RUNGS = np.array([DISC_LADDER ** -j for j in range(DISC_RUNGS)])
-
-
-def _ladder(z: complex) -> np.ndarray:
-    return (1.0 + abs(z)) * _RUNGS
-
-
 def _cycle_disc(f: RationalMap, z: complex, k: int) -> float:
     """The largest rung r of the ladder about a fixed point z of f^k such that
     on D = D(z, r) f^k is injective, expands distances by at least
     (|lambda| + 1) / 2 and covers D, else 0.0.
 
-    Walks the cycle z_0 = z, z_(i+1) = f(z_i) (the last step aimed back at
-    z), and carries D through it: f maps D(z_i, r_i) into D(z_(i+1),
-    r_(i+1)), r_(i+1) = image(r_i), and there |f' - a_i| <= A_i, a_i the
-    chain rule's factor at z_i (_LocalBound). So |(f^k)' - c| <= B =
-    prod(|a_i| + A_i) - |c| on D, c = prod(a_i). D passes when B <= (|c| -
-    1) / 2, which gives the expansion, and when |f^k(z) - z| (the same walk
-    from r = 0) is below r (|c| - 1 - B): by Rouche every point of D then has
-    exactly one f^k-preimage in D. That branch of f^(-k) maps D into itself
-    and contracts it onto the one fixed point of f^k in D.
+    Walks D through the cycle z_0 = z, z_(i+1) = f(z_i) (_walk), so
+    |(f^k)' - c| <= B = prod(|a_i| + A_i) - |c| on D, c = prod(a_i). D
+    passes when B <= (|c| - 1) / 2, which gives the expansion, and when
+    |f^k(z) - z| (the same walk from r = 0) is below r (|c| - 1 - B): by
+    Rouche every point of D then has exactly one f^k-preimage in D. That
+    branch of f^(-k) maps D into itself and contracts it onto the one fixed
+    point of f^k in D.
     """
     cycle = [z]
     for _ in range(k - 1):
         cycle.append(orbit_derivative(f, cycle[-1], 1)[0])
     rungs = _ladder(z)
-    r = np.concatenate(([0.0], rungs))
-    c, bound = 1.0, np.ones_like(r)
-    for i, zi in enumerate(cycle):
-        local = _LocalBound(f, zi, cycle[(i + 1) % k])
-        r, deviation = local.bounds(r)
-        c *= local.slope
-        bound = bound * (local.slope + deviation)
+    r, c, _, bound = _walk(f, cycle, np.concatenate(([0.0], rungs)))
     c_low = c * _DOWN
     spread = bound[1:] * _UP - c_low
     ok = (spread <= 0.5 * (c_low - 1.0)) & (r[0] < rungs * (c_low - 1.0 - spread) * _DOWN)
@@ -370,15 +280,13 @@ def _fiber_disc(f: RationalMap, z: complex, image: _Landing) -> float:
     """The largest rung r of the ladder about a preimage z of image.point such
     that f is injective on D(z, r) and covers the disc of image, else 0.0.
 
-    With |f' - a| <= A on D(z, r) (_LocalBound), f expands D by at least
-    |a| - A, and by Rouche covers the disc of radius R about image.point
-    when (|a| - A) r > R + |f(z) - image.point|.
+    On D(z, r) |f'| >= |a| - A (_walk's one step from z to image.point), so
+    f expands D by at least that, and by Rouche covers the disc of radius R
+    about image.point when (|a| - A) r > R + |f(z) - image.point|.
     """
-    local = _LocalBound(f, z, image.point)
-    miss = local.bounds(np.zeros(1))[0][0]
     rungs = _ladder(z)
-    _, deviation = local.bounds(rungs)
-    ok = (local.slope * _DOWN - deviation) * rungs * _DOWN > (image.radius + miss) * _UP
+    r, _, expansion, _ = _walk(f, [z], np.concatenate(([0.0], rungs)), image.point)
+    ok = expansion[1:] * rungs * _DOWN > (image.radius + r[0]) * _UP
     return float(rungs[np.argmax(ok)]) if ok.any() else 0.0
 
 
@@ -515,9 +423,10 @@ def trace_orbit(f: RationalMap, basin_fixed_point, angles, depth: int = DEFAULT_
     disc; the others land when their tail is narrower than LANDING_TOL.
 
     Keys of the returned dict are RayAngle instances. Raises ParameterError
-    when depth is outside 1..MAX_DEPTH or r0 outside MIN_R0..MAX_R0, and
+    when depth is outside 1..MAX_DEPTH, r0 outside MIN_R0..MAX_R0 or the
+    basin point is not a superattracting fixed point of f, and
     AngleOrbitError (a ParameterError) when the orbit holds more than
-    MAX_ORBIT_ANGLES angles, before any work; RayTraceError when branch
+    MAX_ORBIT_ANGLES angles, before any tracing; RayTraceError when branch
     continuation stays ambiguous at the finest potential subdivision.
     """
     if not MIN_R0 <= r0 <= MAX_R0:

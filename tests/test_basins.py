@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import types
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fatou._bounds
 import fatou.basins
 from fatou.basins import (
     MAX_CELLS,
@@ -837,8 +842,8 @@ def test_escape_disc_radii_on_the_ladder():
         f = by_name(name)
         disc = fatou.basins.escape_disc(f, superattracting_cycles(critical_portrait(f)))
         assert round(disc.radius, 2) == big
-        k = round(math.log(disc.radius) / math.log(fatou.basins.DISC_LADDER))
-        assert math.isclose(disc.radius, fatou.basins.DISC_LADDER ** k)
+        k = round(math.log(disc.radius) / math.log(fatou._bounds.DISC_LADDER))
+        assert math.isclose(disc.radius, fatou._bounds.DISC_LADDER ** k)
     # a larger trap disk is reached in fewer steps; one past the disc's size
     # needs no disc
     f = paper_g()
@@ -846,6 +851,49 @@ def test_escape_disc_radii_on_the_ladder():
     ks = [fatou.basins.escape_disc(f, cycles, t).steps for t in (1e-6, 1e-3, 0.2)]
     assert ks == sorted(ks, reverse=True)
     assert fatou.basins.escape_disc(f, cycles, 0.5) is None
+
+
+# the escape disc's rung k (R = 1 / 1.05^-k) and K at the trap radii 1e-6,
+# 1e-3 and 0.2, None where no disc is proved
+ESCAPE_DISCS = {
+    "paper-g": (30, (6, 5, 3)),
+    "pseudo-basilica:3": (30, (6, 5, 3)),
+    "pseudo-rabbit:3:0": (30, (6, 5, 3)),
+    "paper-degree4": (38, (5, 4, 2)),
+    "pseudo-basilica:4": (38, (5, 4, 2)),
+    "pseudo-basilica:2": (19, (6, 5, 3)),
+    "pseudo-basilica:5": (43, (5, 4, 2)),
+    "pseudo-basilica:6": (47, (5, 4, None)),
+    "pseudo-basilica:7": (51, (5, 4, None)),
+    "pseudo-rabbit:3:1": (37, (6, 5, 2)),
+    "pseudo-rabbit:4:0": (39, (5, 4, 2)),
+}
+
+
+@pytest.mark.parametrize("name", ESCAPE_DISCS)
+def test_escape_disc_rung_and_steps_on_every_map(name):
+    k, steps = ESCAPE_DISCS[name]
+    f = by_name(name)
+    cycles = superattracting_cycles(critical_portrait(f))
+    for trap_radius, want in zip((1e-6, 1e-3, 0.2), steps):
+        disc = fatou.basins.escape_disc(f, cycles, trap_radius)
+        if want is None:
+            assert disc is None, trap_radius
+        else:
+            assert (disc.radius, disc.steps) == (1.0 / 1.05 ** -k, want), trap_radius
+
+
+def test_the_certificate_and_the_basin_kernel_load_without_the_ray_tracer():
+    # the basin kernel proves its discs with fatou._bounds; neither may pull
+    # in the ray tracer or its decimal residuals
+    code = ("import sys, fatou._bounds, fatou.basins\n"
+            "print(*sorted(m for m in sys.modules if m == 'decimal' or m.startswith('fatou')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "fatou.rays" not in loaded and "decimal" not in loaded, loaded
 
 
 def _fixed_point_portrait(*points):

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -454,11 +458,6 @@ def test_unknown_map_error_names_the_flag_and_catalog(capsys):
 
 
 def test_computational_failures_exit_one(capsys):
-    # repelling fixed point is not a valid basin
-    code, _, err = _run(capsys, ["ray", "--map", "paper-g", "--angle", "0",
-                                 "--basin", "2,0"])
-    assert code == 1
-    assert "error" in err
     # base curve passes through a critical value
     code, _, err = _run(capsys, ["lift", "--map", "paper-g",
                                  "--center=-1.9,0", "--radius", "0.1"])
@@ -486,3 +485,23 @@ def test_verify_detects_a_tampered_map(capsys, monkeypatch):
     assert code == 1
     assert "FAIL ray-landings" in out
     assert out.strip().endswith("0/1 checks passed")
+
+
+@pytest.mark.parametrize("name, radius", [("pseudo-basilica:7", 0.0182),
+                                          ("pseudo-rabbit:6:0", 0.0091)])
+def test_ray_render_and_lift_at_the_family_caps(name, radius, tmp_path):
+    # the largest members the degree caps admit, each command in a fresh
+    # interpreter that turns a numpy RuntimeWarning into an error: a landing
+    # disc and an escape disc at the top degrees
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def run(*argv):
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "fatou",
+                               *argv, "--map", name], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        return json.loads(proc.stdout)
+    ray, = run("ray", "--angle", "1/3")["rays"]
+    assert ray["certified"] and round(ray["disc_radius"], 4) == radius
+    assert run("render", "--resolution", "80x60", "--out", "out.ppm")["unresolved_cells"] == 0
+    assert run("lift", "--center=0.0,0", "--radius", "0.1")["total_degree"] == by_name(name).degree

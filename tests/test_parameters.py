@@ -28,6 +28,7 @@ from fatou.sphere import ParameterError, SpherePoint
 G = paper_g()
 INF = SpherePoint.infinity()
 _BOX = Bounds(-1, 1, -1, 1)
+REPELLING = (-1.0 - math.sqrt(17.0)) / 4.0  # the fixed point R_1/3 lands on
 
 
 @functools.cache
@@ -104,6 +105,10 @@ _CASES = [
     ("trap_radius", _points(trap_radius=1e300)),  # the trap disks overlap
     ("max_iter", _points(max_iter=0)),
     ("max_iter", _points(max_iter=MAX_ITER + 1)),
+    ("basin", lambda: trace_orbit(G, 0.0, ["1/3"])),  # on the two-cycle 0 <-> -2
+    ("basin", lambda: trace_orbit(G, 1.0, ["1/3"])),  # critical, mapped to 0
+    ("basin", lambda: trace_orbit(G, REPELLING, ["1/3"])),
+    ("basin", lambda: trace_orbit(G, 2.0, ["1/3"])),  # repelling too
 ]
 
 
@@ -122,6 +127,16 @@ def test_library_refuses_out_of_range_arguments_before_work(names, call, monkeyp
     want = (names,) if isinstance(names, str) else names
     assert refused.value.names == want
     assert str(refused.value) == f"{'/'.join(want)}: {refused.value.message}"
+
+
+@pytest.mark.parametrize("basin", ["0,0", "1,0", "2,0", f"{REPELLING!r},0"])
+def test_basin_points_that_are_not_superattracting_fixed_points_exit_two(
+        basin, capsys, monkeypatch):
+    monkeypatch.setattr(fatou.rays, "_trace_at_infinity", _no_work)
+    code = dispatch(["ray", "--map", "paper-g", f"--basin={basin}", "--angle", "1/3"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: --basin: ") and err.count("\n") == 1
 
 
 # a valid command per subcommand with numeric flags; a flag given again later

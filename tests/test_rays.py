@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import fatou.rays
-from fatou.catalog import by_name, paper_g
+from fatou.basins import escape_disc, superattracting_cycles
+from fatou.catalog import CATALOG_NAMES, by_name, paper_g
+from fatou.orbits import critical_portrait
 from fatou.ratmap import Polynomial, eval_sphere, nearest, normalize
 from fatou.rays import (
     DEFAULT_DEPTH,
@@ -626,3 +628,35 @@ def test_landing_discs_against_an_mpmath_oracle(name, angles):
                 assert min(abs(v) for v in values) > image.disc_radius, t
                 turns = sum(mp.arg(b / a) for a, b in zip(values, values[1:] + values[:1]))
                 assert abs(turns / (2 * mp.pi) - 1) < 1e-9, (t, float(turns))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("trap_radius", [1e-6, 1e-3, 0.2])
+def test_escape_discs_against_an_mpmath_oracle(name, trap_radius):
+    # at points of the escape disc |z| >= R, in 50 digits and the chart
+    # u = 1/z: g(u) = 1/f(1/u) maps each into |u| <= 1/(2R), and each orbit
+    # enters the trap disk at infinity within K - 1 steps (K counts one more
+    # for the rounding of the float trap test)
+    mp = pytest.importorskip("mpmath").mp
+    f = by_name(name)
+    disc = escape_disc(f, superattracting_cycles(critical_portrait(f)), trap_radius)
+    assert disc is not None
+    with mp.workdps(50):
+        step = _oracle(f, mp)
+        r = 1 / mp.mpf(disc.radius)
+        circle = [r * mp.expjpi(mp.mpf(j) / 32) for j in range(64)]
+        inner = [r * rho * mp.expjpi(mp.mpf(j) / 8) for rho in (0.25, 0.5, 0.75)
+                 for j in range(16)]
+
+        def chart(u):
+            return 1 / step(1 / u)[0]
+
+        def trapped(u):  # the chordal distance of 1/u from infinity
+            return 2 * abs(u) / mp.sqrt(1 + abs(u) ** 2) <= trap_radius
+        for u in circle + inner:
+            assert abs(chart(u)) <= r / 2, (u, float(abs(chart(u)) / r))
+            for _ in range(disc.steps - 1):
+                if trapped(u):
+                    break
+                u = chart(u)
+            assert trapped(u), u
