@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._bounds import _DOWN, _UP, _ladder, _walk
+from ._bounds import _rim_disc
 from ._geom import point_polyline_distance, winding_number
 from .orbits import INDIFFERENT_BAND, orbit_derivative
 from .sphere import MoebiusTransform, ParameterError, SpherePoint, as_sphere
@@ -193,6 +193,8 @@ class _Landing:
     residual: float  # Newton distance
     radius: float = 0.0  # of the proved landing disc about point; 0.0 for none
     start: int = 0  # the first sample of the chain's tail proved to lie in that disc
+    period: int = 0  # the least period j of the disc's one fixed point of f^j; 0 for a preimage
+    cover: Optional[tuple] = None  # of a preimage: (point, radius) of the disc its disc covers
 
 
 def _exact_residual(f: RationalMap, z: complex, k: int, target: Optional[complex]) -> complex:
@@ -252,42 +254,34 @@ def _newton(f: RationalMap, z: complex, k: int,
         return None
 
 
-def _cycle_disc(f: RationalMap, z: complex, k: int) -> float:
-    """The largest rung r of the ladder about a fixed point z of f^k such that
-    on D = D(z, r) f^k is injective, expands distances by at least
-    (|lambda| + 1) / 2 and covers D, else 0.0.
+def _cycle_disc(f: RationalMap, z: complex, k: int) -> tuple[float, int]:
+    """A rung r of the ladder about a fixed point z of f^k, and the least
+    period j dividing k, such that f^j maps D = D(z, r) once over itself, by
+    _bounds._rim on the cycle z_0 = z, z_(i+1) = f(z_i); (0.0, k) when no
+    rung passes. A period j < k is tried only where |f^j(z) - z| <=
+    NEWTON_TOL (1 + |z|).
 
-    Walks D through the cycle z_0 = z, z_(i+1) = f(z_i) (_walk), so
-    |(f^k)' - c| <= B = prod(|a_i| + A_i) - |c| on D, c = prod(a_i). D
-    passes when B <= (|c| - 1) / 2, which gives the expansion, and when
-    |f^k(z) - z| (the same walk from r = 0) is below r (|c| - 1 - B): by
-    Rouche every point of D then has exactly one f^k-preimage in D. That
-    branch of f^(-k) maps D into itself and contracts it onto the one fixed
-    point of f^k in D.
+    Every point of D then has exactly one f^j-preimage in D, so that branch
+    of f^(-j) maps D into itself. By Schwarz-Pick it has a single fixed
+    point, the one fixed point of f^j in D, and every orbit of the branch
+    in D converges to it.
     """
     cycle = [z]
     for _ in range(k - 1):
         cycle.append(orbit_derivative(f, cycle[-1], 1)[0])
-    rungs = _ladder(z)
-    r, c, _, bound = _walk(f, cycle, np.concatenate(([0.0], rungs)))
-    c_low = c * _DOWN
-    spread = bound[1:] * _UP - c_low
-    ok = (spread <= 0.5 * (c_low - 1.0)) & (r[0] < rungs * (c_low - 1.0 - spread) * _DOWN)
-    return float(rungs[np.argmax(ok)]) if ok.any() else 0.0
+    for j in range(1, k + 1):  # cycle[j] = f^j(z) for j < k
+        if k % j == 0 and (j == k or abs(cycle[j] - z) <= NEWTON_TOL * (1.0 + abs(z))):
+            r = _rim_disc(f, cycle[:j])
+            if r:
+                return r, j
+    return 0.0, k
 
 
 def _fiber_disc(f: RationalMap, z: complex, image: _Landing) -> float:
-    """The largest rung r of the ladder about a preimage z of image.point such
-    that f is injective on D(z, r) and covers the disc of image, else 0.0.
-
-    On D(z, r) |f'| >= |a| - A (_walk's one step from z to image.point), so
-    f expands D by at least that, and by Rouche covers the disc of radius R
-    about image.point when (|a| - A) r > R + |f(z) - image.point|.
-    """
-    rungs = _ladder(z)
-    r, _, expansion, _ = _walk(f, [z], np.concatenate(([0.0], rungs)), image.point)
-    ok = expansion[1:] * rungs * _DOWN > (image.radius + r[0]) * _UP
-    return float(rungs[np.argmax(ok)]) if ok.any() else 0.0
+    """A rung r of the ladder about a preimage z of image.point such that f
+    maps D(z, r) once over the disc of image, by _bounds._rim, else 0.0:
+    every point of that disc then has exactly one preimage in D(z, r)."""
+    return _rim_disc(f, [z], image.point, image.radius)
 
 
 def _candidate(f: RationalMap, z: complex, k: int, image: Optional[_Landing],
@@ -297,25 +291,61 @@ def _candidate(f: RationalMap, z: complex, k: int, image: Optional[_Landing],
     INDIFFERENT_BAND); for a preperiodic angle (k = 0), the root of f(z) =
     image.point; None when Newton does not converge.
 
-    proved are landings of period k whose discs are proved already. A root
-    at distance g < r from the centre of one, r its radius, gets the disc of
-    radius r - g about it, which lies inside that proved disc: a ray that
-    reaches it lands at the proved disc's one fixed point of f^k, and
-    _cycle_disc does not run again for the same landing."""
+    proved are landings of period k (or preimages) whose discs are proved
+    already. A root at distance g < r from the centre of one, r its radius,
+    gets the disc of radius r - g about it (_served), which lies inside that
+    proved disc: a ray that reaches it lands at the proved disc's one fixed
+    point of f^j (or preimage of the same disc's landing), and no disc is
+    proved again for the same landing."""
     if k:
         root = _newton(f, z, k)
         if root is None or not root.multiplier > 1.0 + INDIFFERENT_BAND:
             return root
-        for disc in proved:
-            gap = abs(root.point - disc.point)
-            if gap < disc.radius:
-                return replace(root, radius=disc.radius - gap)
-        return replace(root, radius=_cycle_disc(f, root.point, k))
+        point = _centre(f, root.point, None)
+        radius, j = _served(f, point, None, proved) or _cycle_disc(f, point, k)
+        return replace(root, point=point, radius=radius, period=j)
     root = _newton(f, z, 1, image.point)
     if root is None:
         return None
-    return _Landing(root.point, image.multiplier, root.residual,
-                    _fiber_disc(f, root.point, image))
+    point, cover = _centre(f, root.point, image.point), (image.point, image.radius)
+    served = _served(f, point, cover, proved)
+    radius = served[0] if served else _fiber_disc(f, point, image)
+    return _Landing(point, image.multiplier, root.residual, radius, cover=cover)
+
+
+def _served(f: RationalMap, point: complex, cover: Optional[tuple], proved) -> Optional[tuple]:
+    """(r - g, j) for the first proved disc, of radius r and least period j,
+    that covers the same disc (cover; None for a fixed point of f^j) and
+    whose centre lies at distance g < r from point, else None. A real map
+    proves the conjugate of each disc as well."""
+    for disc in proved:
+        mirrors = [(disc.point, disc.cover)]
+        if _real(f):
+            mirrors.append((disc.point.conjugate(),
+                            disc.cover and (disc.cover[0].conjugate(), disc.cover[1])))
+        for centre, covered in mirrors:
+            gap = abs(point - centre)
+            if covered == cover and gap < disc.radius:
+                return disc.radius - gap, disc.period
+    return None
+
+
+def _centre(f: RationalMap, z: complex, target: Optional[complex]) -> complex:
+    """The centre of the landing disc about the root z: its real part when f
+    has real coefficients, the target (None for a fixed point of f^j) is
+    real and z is real to within NEWTON_TOL; else z. A disc about a real
+    centre is its own conjugate, so its one fixed point of f^j (or preimage
+    of the real target) is its own conjugate: real, and reported with
+    imaginary part 0.0."""
+    if (z.imag != 0.0 and abs(z.imag) <= NEWTON_TOL * (1.0 + abs(z))
+            and (target is None or target.imag == 0.0) and _real(f)):
+        return complex(z.real, 0.0)
+    return z
+
+
+def _real(f: RationalMap) -> bool:
+    """Whether f has real coefficients, so that it commutes with conjugation."""
+    return all(c.imag == 0.0 for c in f.num.coeffs + f.den.coeffs)
 
 
 def _certify(f: RationalMap, m: int, periods: dict, chains: dict, sub: int,
@@ -326,11 +356,17 @@ def _certify(f: RationalMap, m: int, periods: dict, chains: dict, sub: int,
     candidates keeps, across calls, each angle's candidate landing (see
     _candidate) and the distance of the newest sample from it then; Newton
     runs again only when the newest sample has stopped approaching it. The
-    proved discs of candidates of one period serve the others' roots.
-    - Periodic angle of period k: certified once its newest k sub + 1
-      samples, one period of the ray, lie in the disc. The branch of f^(-k)
-      that maps the disc into itself maps each period of the ray onto the
-      next, so the tail stays in the disc and converges to the candidate.
+    proved discs of candidates of one period, or of preimages that cover one
+    disc, serve the others' roots, and for a real map so do their
+    conjugates (_served).
+    - Periodic angle t of period k whose disc holds one fixed point of f^j
+      (j the least period that _cycle_disc proved, dividing k): certified
+      once the newest k sub + 1 samples, one period of the ray, of each of
+      t, m^j t, m^2j t, ... lie in the disc. f^j maps the ray of each onto
+      the next one's, j sub levels up, so the branch of f^(-j) that maps the
+      disc into itself maps each piece of j sub levels of the next one's
+      ray onto the following piece of this one's: every tail stays in the
+      disc, and converges to its fixed point. For j = k that is t alone.
     - Preperiodic angle t, once mt is certified: certified at the first
       sample, from start(mt) + sub on, in its disc. The branch of f^(-1)
       onto that disc maps the tail of mt's ray from there onto t's.
@@ -357,7 +393,10 @@ def _certify(f: RationalMap, m: int, periods: dict, chains: dict, sub: int,
                 candidates.pop(t, None)
                 continue
             candidates[t] = (cand, abs(newest - cand.point))
-            inside = [abs(s - cand.point) < cand.radius for s in chain[first:]]
+            tails = [chain[first:]]
+            if k and cand.radius:
+                tails = [chains[t.times(m ** i)][first:] for i in range(0, k, cand.period)]
+            inside = [abs(s - cand.point) < cand.radius for tail in tails for s in tail]
             if all(inside) if k else any(inside):
                 landings[t] = replace(cand, start=first if k else first + inside.index(True))
 

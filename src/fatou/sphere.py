@@ -373,8 +373,9 @@ def _mult_estimates(cs: Sequence[complex], points: Sequence[complex]) -> list[in
 
     Near an m-fold root the ratio p p'' / p'^2 tends to (m-1)/m, so the
     reciprocal tends to m. Tightly converged simple roots give p ~ 0 and the
-    estimate collapses to 1. points are Python complex numbers: numpy
-    complex scalars divide differently and warn.
+    estimate collapses to 1, as does a point where p'(z)^2 underflows to 0.
+    points are Python complex numbers: numpy complex scalars divide
+    differently and warn.
     """
     p = Polynomial(tuple(cs))
     dp = p.deriv()
@@ -384,7 +385,7 @@ def _mult_estimates(cs: Sequence[complex], points: Sequence[complex]) -> list[in
     for z in points:
         est = 1
         dv = dp(z)
-        if abs(dv) > 0.0:
+        if abs(dv) > 0.0 and dv * dv:
             denom = 1.0 - (p(z) * ddp(z)) / (dv * dv)
             if abs(denom) > 1e-3:
                 m = (1.0 / denom).real
@@ -629,15 +630,13 @@ def _mult_estimates_planes(cs: Sequence[complex], z: np.ndarray) -> list[int]:
     pr, dr, ddr, pi, di, ddi = _horner_planes(_coeff_table([(p, dp, dp.deriv())]),
                                               z.real, z.imag, (0, len(z)))
     adv = np.hypot(dr, di)
-    go = adv > 0.0
     wr, wi = dr * dr - di * di, dr * di + di * dr
-    zero = go & (wr == 0.0) & (wi == 0.0)
+    go = (adv > 0.0) & ((wr != 0.0) | (wi != 0.0))  # else p'(z)^2 underflows: estimate 1
     xr, xi = _quot(pr * ddr - pi * ddi, pr * ddi + pi * ddr, wr, wi)
     er, ei = 1.0 - xr, 0.0 - xi
     ad = np.hypot(er, ei)
     _raise_first([(_overflows(dr, di, adv), OverflowError(_OVERFLOW)),
-                  (zero, ZeroDivisionError("complex division by zero")),
-                  (go & ~zero & _overflows(er, ei, ad), OverflowError(_OVERFLOW))])
+                  (go & _overflows(er, ei, ad), OverflowError(_OVERFLOW))])
     m = _quot(1.0, 0.0, er, ei)[0]
     ok = go & (ad > 1e-3) & np.isfinite(m)
     return np.where(ok, np.clip(np.rint(m), 1, n), 1).astype(int).tolist()

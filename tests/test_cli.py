@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -71,10 +72,11 @@ def test_ray_output_dedupes_angles(capsys):
     for r in doc["rays"]:
         assert r["landed"] is True
         assert abs(r["landing"][0] + 1.2807764064044149) < 1e-6
+        assert r["landing"][1] == 0.0  # a real landing of a real map
         assert r["residual"] < 1e-6
         assert r["certified"] is True
         assert abs(r["multiplier"] - 1.7301234236026384) < 1e-12  # |g'(alpha)|^2
-        assert 0.0 < r["disc_radius"] < 0.1
+        assert 0.3 < r["disc_radius"] < 0.5  # the rim-proved disc of f about alpha
         assert "samples" not in r
     # a depth too shallow to certify: the tail rule, and no multiplier
     code, out, _ = _run(capsys, ["ray", "--map", "paper-g", "--angle", "1/3",
@@ -487,8 +489,41 @@ def test_verify_detects_a_tampered_map(capsys, monkeypatch):
     assert out.strip().endswith("0/1 checks passed")
 
 
-@pytest.mark.parametrize("name, radius", [("pseudo-basilica:7", 0.0182),
-                                          ("pseudo-rabbit:6:0", 0.0091)])
+@pytest.mark.parametrize("angle, measured", [
+    ((0, 1), "|R_0 - 2| 1.00e-09"),
+    ((2, 3), "gap(1/3,2/3) 1.00e-09"),
+])
+def test_verify_fails_on_a_landing_moved_by_1e_9(capsys, monkeypatch, angle, measured):
+    # a planted fault: one landing of the traced orbit moved by 1e-9
+    import fatou.verify as verify_mod
+    real = verify_mod.trace_orbit
+
+    def moved(*args, **kw):
+        traces = real(*args, **kw)
+        t = fatou.rays.RayAngle(*angle)
+        traces[t] = dataclasses.replace(traces[t], landing=traces[t].landing + 1e-9)
+        return traces
+    monkeypatch.setattr(verify_mod, "trace_orbit", moved)
+    code, out, _ = _run(capsys, ["verify", "--only", "rays"])
+    assert code == 1
+    line, = [x for x in out.splitlines() if "ray-landings" in x]
+    assert line.startswith("FAIL ray-landings") and measured in line
+
+
+def test_verify_fails_on_a_flipped_separation(capsys, monkeypatch):
+    # a planted fault: the separation test answers the opposite
+    import fatou.verify as verify_mod
+    real = verify_mod.separation_test
+    monkeypatch.setattr(verify_mod, "separation_test", lambda *a, **kw: not real(*a, **kw))
+    code, out, _ = _run(capsys, ["verify", "--only", "separation"])
+    assert code == 1
+    line, = [x for x in out.splitlines() if "ray-separation" in x]
+    assert line.startswith("FAIL ray-separation")
+    assert "separates 0 from -2: False" in line
+
+
+@pytest.mark.parametrize("name, radius", [("pseudo-basilica:7", 0.3934),
+                                          ("pseudo-rabbit:6:0", 0.0611)])
 def test_ray_render_and_lift_at_the_family_caps(name, radius, tmp_path):
     # the largest members the degree caps admit, each command in a fresh
     # interpreter that turns a numpy RuntimeWarning into an error: a landing

@@ -7,7 +7,9 @@ Any change to it must be deliberate: regenerate it with
 
 and say why in CHANGES.md. Regenerating lists each changed entry as `text`
 (every line parses to the same values, floats compared bit for bit),
-`zero signs` (only the signs of zeros differ) or `values`. A `render` entry
+`zero signs` (only the signs of zeros differ) or `values`, and under each
+changed `ray` entry the old and new `disc_radius` and sample count of each
+ray whose values changed. A `render` entry
 is its stdout followed by a line with the sha256 of the PPM it wrote.
 `verify` is covered with its measured values, so a change in any check's
 figures shows here. `periodic` is left out because its output is known to
@@ -126,6 +128,20 @@ def test_stdout_matches_the_golden_fixture(tmp_path, monkeypatch):
                                  f"offset {at}: {got[at:at + 40]!r} vs {want[at:at + 40]!r}")
 
 
+def test_ray_changes_list_radii_and_sample_counts():
+    def entry(radius, samples, landing=(-1.28, 0.0)):
+        ray = {"angle": "1/3", "landing": list(landing), "disc_radius": radius}
+        if samples is not None:
+            ray["samples"] = [[1.0, 0.0]] * samples
+        return json.dumps({"rays": [ray, dict(ray, angle="2/3")]}) + "\n"
+    assert ray_changes(entry(0.0256, 80), entry(0.3938, 40)) == [
+        "1/3: disc_radius 0.0256 -> 0.3938, samples 80 -> 40",
+        "2/3: disc_radius 0.0256 -> 0.3938, samples 80 -> 40"]
+    assert ray_changes(entry(0.5, None), entry(0.5, None, (-1.28, -0.0))) == [
+        "1/3: disc_radius 0.5 -> 0.5", "2/3: disc_radius 0.5 -> 0.5"]
+    assert ray_changes(entry(0.5, 9), entry(0.5, 9)) == []
+
+
 def test_change_kind_tells_text_from_values():
     report = '{"radius": 0.10000000000000001, "landing": [0.0, 2]}\n'
     assert change_kind(report, '{"radius": 0.1, "landing": [0.0, 2]}\n') == "text"
@@ -208,6 +224,21 @@ def change_kind(old: str, new: str) -> str:
     return "values"
 
 
+def ray_changes(old: str, new: str) -> list:
+    """For a `ray` entry: `angle: disc_radius old -> new`, with `samples
+    old -> new` when the entry prints them, for each ray whose report
+    changed in any value."""
+    lines = []
+    for a, b in zip(json.loads(old)["rays"], json.loads(new)["rays"]):
+        if _exact(a, True) == _exact(b, True):
+            continue
+        line = f"{b['angle']}: disc_radius {a['disc_radius']!r} -> {b['disc_radius']!r}"
+        if "samples" in a and "samples" in b:
+            line += f", samples {len(a['samples'])} -> {len(b['samples'])}"
+        lines.append(line)
+    return lines
+
+
 def regenerate() -> None:
     old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
     golden = outputs()
@@ -224,6 +255,9 @@ def regenerate() -> None:
             kind = change_kind(old[label], golden[label])
         kinds[kind] = kinds.get(kind, 0) + 1
         print(f"{kind}: {label}", file=sys.stderr)
+        if label.startswith("ray ") and label in old and label in golden:
+            for line in ray_changes(old[label], golden[label]):
+                print(f"    {line}", file=sys.stderr)
     print(f"changed entries: {kinds or 'none'}", file=sys.stderr)
 
 

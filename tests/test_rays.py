@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import fatou._bounds
 import fatou.rays
 from fatou.basins import escape_disc, superattracting_cycles
 from fatou.catalog import CATALOG_NAMES, by_name, paper_g
@@ -240,12 +241,13 @@ def test_certify_accepts_only_repelling_points_whose_samples_fill_the_disc():
         landings = {}
         fatou.rays._certify(f, 2, {t: 1}, {t: chain}, sub, landings, {})
         return landings
-    # on D(1, r), |(z^2)' - 2| <= 2r, so the proved disc has radius at most 1/4
+    # z^2 maps the circle |z - 1| = r outside D(1, r), once around it,
+    # exactly when r < 1: from r = 1 on the disc holds the critical point 0
     toward_one = [1.0 + 0.1 * 0.5 ** j for j in range(4)]
     landing = certified(toward_one)[t]
-    assert (landing.point, landing.multiplier, landing.start) == (1.0, 2.0, 2)
+    assert (landing.point, landing.multiplier, landing.start, landing.period) == (1.0, 2.0, 2, 1)
     r = landing.radius
-    assert 0.2 < r <= 0.25
+    assert 0.8 < r < 1.0
     # z^2 + z/2 fixes 0 with multiplier 1/2: refused although Newton converges
     half = normalize(Polynomial((0.0, 0.5, 1.0)), Polynomial((1.0,)))
     assert certified([1e-4 * 0.9 ** j for j in range(4)], half) == {}
@@ -282,19 +284,21 @@ def test_certify_runs_newton_once_per_candidate_and_chains_preimages(monkeypatch
         calls.append(args[2])
         return real(*args)
     monkeypatch.setattr(fatou.rays, "_newton", counted)
-    chains = {zero: [1.5, 1.4], half: [-1.5, -1.4]}
+    chains = {zero: [2.5, 2.4], half: [-2.5, -2.4]}
     landings, candidates = {}, {}
     fatou.rays._certify(_square(), 2, periods, chains, 1, landings, candidates)
-    assert landings == {} and calls == [1]  # 1.5 lies outside the disc about 1
+    assert landings == {} and calls == [1]  # 2.5 lies outside the disc about 1
     # the newest sample approaches the candidate: no new Newton run
-    chains = {zero: [1.5, 1.4, 1.2, 1.1], half: [-1.5, -1.4, -1.2, -1.1]}
+    chains = {zero: [2.5, 2.4, 1.2, 1.1], half: [-2.5, -2.4, -1.2, -1.1]}
     fatou.rays._certify(_square(), 2, periods, chains, 1, landings, candidates)
     assert calls == [1, 1]  # R_1/2 now needs its one Newton run on f(z) = 1
     assert landings[zero].point == 1.0 and landings[zero].start == 2
     lnd = landings[half]
-    assert (lnd.point, lnd.multiplier) == (-1.0, 2.0)
-    # f is injective on the disc, so it misses the critical point 0
-    assert 0.0 < lnd.radius < 1.0 and lnd.start == 3  # from start(0) + sub on
+    assert (lnd.point, lnd.multiplier, lnd.period) == (-1.0, 2.0, 0)
+    # each point of the disc about 1 has one preimage in the disc about -1,
+    # which holds the critical point 0: its critical value 0 lies outside
+    assert 1.0 < lnd.radius < 2.0 and landings[zero].radius < 1.0
+    assert lnd.start == 3  # from start(0) + sub on
     # a newest sample moving away from the candidate runs Newton again
     kept = {zero: (landings[zero], 0.05)}  # the candidate 1, last seen 0.05 away
     fatou.rays._certify(_square(), 2, {zero: 1}, {zero: [1.2, 1.1]}, 1, {}, kept)
@@ -528,8 +532,9 @@ def test_parabolic_landing_stays_uncertified():
 def test_certified_orbits_stop_within_20_fiber_solves(monkeypatch):
     # a fixed 96 levels took about 100 solves per orbit (failed subdivision
     # attempts included); the stop once one period of every ray lies in its
-    # proved disc, with the first attempt at 4 sublevels, makes it at most 20,
-    # and at most 120 for the seven orbits of a benchmark round (700 before)
+    # proved disc, with the first attempt at 4 sublevels, made it at most 19,
+    # and 115 for the seven orbits of a benchmark round (700 before). The
+    # rim-proved discs, 5-30 times larger, make it at most 9 and 60
     counts = []
     real = fatou.rays.fibers
 
@@ -541,16 +546,17 @@ def test_certified_orbits_stop_within_20_fiber_solves(monkeypatch):
         counts.append(0)
         traces = trace_orbit(by_name(name), SpherePoint.infinity(), angles)
         assert all(tr.certified for tr in traces.values())
-    assert max(counts) <= 20, counts
-    assert sum(counts) <= 120, counts
+    assert max(counts) <= 9, counts
+    assert sum(counts) <= 60, counts
 
 
 def test_one_cycle_disc_per_landing_in_a_benchmark_round(monkeypatch):
     # R_1/3 and R_2/3 of the two-cycle family land on one fixed point, and
-    # their Newton roots differ by about 1e-48 in the imaginary part: the
-    # second root lies in the first one's proved disc and is served by it.
-    # The seven orbits of a round have 11 distinct landings (16 runs when
-    # each angle proved its own disc)
+    # their Newton roots differ by about 1e-48 in the imaginary part: both
+    # get their disc about the same real centre, proved once. The seven
+    # orbits of a round have 11 distinct landings (16 runs when each angle
+    # proved its own disc); on the rabbit, R_2/3 lands at the conjugate of
+    # R_1/3's landing, whose disc's conjugate is proved with it: 10 runs
     runs = []
     real = fatou.rays._cycle_disc
 
@@ -564,11 +570,11 @@ def test_one_cycle_disc_per_landing_in_a_benchmark_round(monkeypatch):
         traces = trace_orbit(f, SpherePoint.infinity(), angles)
         periods = fatou.rays._periods(list(traces), 2)
         found += [(f, tr, periods[t]) for t, tr in traces.items() if periods[t]]
-    assert len(runs) == 11
+    assert len(runs) == 10
     assert len(found) == 16
     # each served root reports the radius its own disc would have had
     for f, tr, k in found:
-        assert tr.certified and tr.disc_radius == real(f, tr.landing, k)
+        assert tr.certified and tr.disc_radius == real(f, tr.landing, k)[0]
 
 
 def test_a_root_in_a_proved_disc_gets_the_disc_inside_it():
@@ -584,43 +590,53 @@ def test_a_root_in_a_proved_disc_gets_the_disc_inside_it():
     assert fatou.rays._candidate(f, 1.1, 1, None, [far]) == first
 
 
+def _rim_oracle(mp, step, z, r, j, w, n=512):
+    """In mpmath: min |f^j(x) - w| over n points x of the circle |x - z| = r,
+    and the turns of their images about w."""
+    values = []
+    for i in range(n):
+        x = z + r * mp.expjpi(mp.mpf(2 * i) / n)
+        for _ in range(j):
+            x = step(x)[0]
+        values.append(x - w)
+    turns = sum(mp.arg(b / a) for a, b in zip(values, values[1:] + values[:1])) / (2 * mp.pi)
+    return min(abs(v) for v in values), turns
+
+
+def _least_period(mp, step, z, k):
+    """The least j dividing k with f^j(z) = z to 1e-12 (1 + |z|)."""
+    x = z
+    for j in range(1, k + 1):
+        x = step(x)[0]
+        if k % j == 0 and abs(x - z) <= 1e-12 * (1 + abs(z)):
+            return j
+    raise AssertionError(f"{z} is not fixed by f^{k}")
+
+
 @pytest.mark.parametrize("name, angles", [
     pytest.param(name, angles, id=f"{name} {','.join(angles)}") for name, angles, _ in RAYS])
 def test_landing_discs_against_an_mpmath_oracle(name, angles):
-    # at points of each reported disc, in 50 digits: for a periodic angle,
-    # |(f^k)' - lambda| <= (|lambda| - 1) / 2 and f^k expands distances by
-    # (|lambda| + 1) / 2; for a preperiodic angle, f maps the boundary circle
-    # once around the image's landing, outside the image's disc
+    # in 50 digits, on 512 points of the boundary circle of each reported
+    # disc: for a periodic angle, f^j (j the least period of the landing)
+    # maps them outside the disc and once around its centre, so every point
+    # of the disc has one f^j-preimage in it; for a preperiodic angle, f maps
+    # 64 of them once around the image's landing, outside the image's disc
     mp = pytest.importorskip("mpmath").mp
     f = by_name(name)
     traces = trace_orbit(f, SpherePoint.infinity(), angles)
     periods = fatou.rays._periods(list(traces), 2)
     with mp.workdps(50):
         step = _oracle(f, mp)
-
-        def orbit(x, k):
-            dx = mp.mpf(1)
-            for _ in range(k):
-                x, d = step(x)
-                dx *= d
-            return x, dx
         for t, tr in traces.items():
             assert tr.certified and tr.disc_radius > 0.0, t
             z, r = mp.mpc(tr.landing.real, tr.landing.imag), mp.mpf(tr.disc_radius)
             circle = [z + r * mp.expjpi(mp.mpf(j) / 32) for j in range(64)]
             k = periods[t]
             if k:
-                lam = abs(orbit(z, k)[1])
-                inner = [z + r * rho * mp.expjpi(mp.mpf(j) / 8) for rho in (0.25, 0.5, 0.75)
-                         for j in range(16)]
-                points = circle + inner
-                images = [orbit(x, k) for x in points]
-                dev = max(abs(dx - orbit(z, k)[1]) for _, dx in images)
-                assert dev <= (lam - 1) / 2, (t, float(dev), float(lam))
-                pairs = [(i, (i + 1) % 64) for i in range(64)] + [(i, i + 32) for i in range(32)]
-                worst = min(abs(images[i][0] - images[j][0]) / abs(points[i] - points[j])
-                            for i, j in pairs)
-                assert worst >= (lam + 1) / 2, (t, float(worst), float(lam))
+                j = _least_period(mp, step, z, k)
+                gap, turns = _rim_oracle(mp, step, z, r, j, z)
+                assert gap > r, (t, float(gap), float(r))
+                assert abs(turns - 1) < 1e-9, (t, float(turns))
             else:
                 image = traces[t.times(2)]
                 w = mp.mpc(image.landing.real, image.landing.imag)
@@ -660,3 +676,127 @@ def test_escape_discs_against_an_mpmath_oracle(name, trap_radius):
                     break
                 u = chart(u)
             assert trapped(u), u
+
+
+def test_the_rim_refuses_a_rung_past_the_largest_true_disc():
+    # z^2 maps |z - 1| = r outside D(1, r), once around 1, exactly when
+    # r < 1: at r = 1 the circle meets the critical point 0
+    f, one = _square(), 1.0 + 0j
+    assert fatou._bounds._rim(f, [one], one, 0.9, 0.9, 1024)
+    for r in (1.0, 1.05, 1.5):
+        assert not fatou._bounds._rim(f, [one], one, r, r, fatou._bounds.RIM_MAX_POINTS), r
+    r = fatou._bounds._rim_disc(f, [one])
+    assert 0.8 < r < 1.0 and r in fatou._bounds._ladder(one)
+
+
+def test_the_rim_refuses_a_circle_around_a_critical_point():
+    # z^2 maps |z| = 1/2 twice around 0, outside the disc of radius 1/8
+    # about 0: each point of that disc has two preimages in D(0, 1/2)
+    f = _square()
+    x = 0.5 * fatou._bounds._rim_points(1024)
+    assert fatou._bounds._winding(x * x, 0j) == 2
+    assert not fatou._bounds._rim(f, [0j], 0j, 0.5, 0.125, 1024)
+    assert fatou._bounds._rim_disc(f, [0j], 0j, 0.125) == 0.0
+
+
+def test_the_rim_refuses_a_circle_around_a_pole():
+    # f = (z^2 + 1) / z maps |z - 1| = 1.5 outside D(2.5, 0.4), once around
+    # 2.5, yet f - 2.5 has two zeros in the disc, 0.5 and 2: the argument
+    # principle counts the pole at 0 against them. Without a finite bound
+    # on f' over the disc the rim proves nothing
+    f = normalize(Polynomial((1.0, 0.0, 1.0)), Polynomial((0.0, 1.0)))
+    c, w = 1.0 + 0j, 2.5 + 0j
+    x = c + 1.5 * fatou._bounds._rim_points(1024)
+    y = fatou._bounds._image(f, x)[0]
+    assert np.abs(y - w).min() > 0.4 and fatou._bounds._winding(y, w) == 1
+    assert fatou._bounds._steps(f, [c], w, np.array([1.5]))[1][0][0] == math.inf
+    assert not fatou._bounds._rim(f, [c], w, 1.5, 0.3, fatou._bounds.RIM_MAX_POINTS)
+    assert fatou._bounds._rim_disc(f, [c], w, 0.3) < 1.0  # a disc that misses 0
+
+
+def test_the_rim_refuses_a_rim_too_coarse_for_its_slack():
+    # on D(1, 0.9), |(z^2)'| <= L = 3.8 (plus the bound's own slack), and the
+    # circle's images clear D(1, 0.9) by 0.09 (0.1 maps to 0.01, 0.99 from 1);
+    # the slack L pi r / n is 0.34 at 32 points and 0.011 at 1024
+    f, one = _square(), 1.0 + 0j
+    bound = float(fatou._bounds._steps(f, [one], one, np.array([0.9]))[1][0][0])
+    assert 3.8 <= bound < 4.0
+    assert not fatou._bounds._rim(f, [one], one, 0.9, 0.9, 8)  # fewer than 4 L points
+    assert not fatou._bounds._rim(f, [one], one, 0.9, 0.9, 32)
+    assert fatou._bounds._rim(f, [one], one, 0.9, 0.9, 1024)
+    with pytest.raises(ValueError, match="power of two"):
+        fatou._bounds._rim(f, [one], one, 0.9, 0.9, 1000)
+
+
+def test_cycle_discs_take_the_least_period():
+    # R_1/3 of paper-g has period 2 and lands on a fixed point: its disc is
+    # proved for f, and larger than f^2 proves; R_1/7 of pseudo-basilica:2
+    # lands on a point of least period 3
+    g, alpha = paper_g(), complex((-1.0 - math.sqrt(17.0)) / 4.0)
+    r1, j1 = fatou.rays._cycle_disc(g, alpha, 2)
+    assert j1 == 1 and r1 == fatou._bounds._rim_disc(g, [alpha])
+    assert r1 > fatou._bounds._rim_disc(g, [alpha, g.num(alpha) / g.den(alpha)]) > 0.0
+    f = by_name("pseudo-basilica:2")
+    t17 = trace_orbit(f, SpherePoint.infinity(), ["1/7"])[RayAngle(1, 7)]
+    assert fatou.rays._cycle_disc(f, t17.landing, 3) == (t17.disc_radius, 3)
+
+
+def test_a_landing_of_lower_period_wants_the_whole_group_in_its_disc():
+    # R_1/3 and R_2/3 of paper-g both land on the fixed point alpha: f maps
+    # each onto the other, so one period of R_1/3 in the disc of f proves
+    # nothing unless R_2/3 is there as well
+    g = paper_g()
+    t13, t23 = RayAngle(1, 3), RayAngle(2, 3)
+    alpha = (-1.0 - math.sqrt(17.0)) / 4.0
+    near = [alpha + 0.01 * 0.9 ** q * (1 + 1j) for q in range(9)]
+    far = [alpha + 3.0 + 0.1j * q for q in range(9)]
+
+    def certify(chain23):
+        landings = {}
+        fatou.rays._certify(g, 2, {t13: 2, t23: 2}, {t13: list(near), t23: chain23},
+                            4, landings, {})
+        return landings
+    assert certify(far) == {}
+    both = certify([z.conjugate() for z in near])
+    assert set(both) == {t13, t23}
+    assert {(lnd.point, lnd.period) for lnd in both.values()} == {(complex(alpha), 1)}
+
+
+def test_real_landings_of_real_maps_are_real():
+    # the disc of a landing real to within NEWTON_TOL is proved about its
+    # real part; it is its own conjugate, so its one fixed point is real
+    g = paper_g()
+    traces = trace_orbit(g, SpherePoint.infinity(), ["1/3", "2/3"])
+    alpha = (-1.0 - math.sqrt(17.0)) / 4.0
+    for tr in traces.values():
+        assert tr.landing == complex(alpha, 0.0) and math.copysign(1.0, tr.landing.imag) == 1.0
+    finite = trace_orbit(g.conjugate_by(MoebiusTransform(0.0, 1.0, 1.0, 0.0)), 0.0, ["1/3"])
+    assert finite[RayAngle(1, 3)].landing.imag == 0.0
+    # conjugate landings of the rabbit stay apart, each with its disc
+    rabbit = trace_orbit(by_name("pseudo-rabbit:3:0"), SpherePoint.infinity(), ["1/3"])
+    a, b = rabbit[RayAngle(1, 3)], rabbit[RayAngle(2, 3)]
+    assert a.landing.imag < -0.5 and b.landing == a.landing.conjugate()
+    assert a.disc_radius == b.disc_radius < 0.5
+
+
+def test_finite_basin_landing_discs_against_an_mpmath_oracle():
+    # a finite --basin traces in u = 1/(z - z0); its reported disc about the
+    # landing z is the largest about z inside the image of the proved disc
+    # D(u, r), r / (|u| (|u| + r)). Mapped back to u, that disc passes the
+    # same test as the others in 50 digits, on 512 points of its circle
+    mp = pytest.importorskip("mpmath").mp
+    h = paper_g().conjugate_by(MoebiusTransform(0.0, 1.0, 1.0, 0.0))  # basin of infinity at 0
+    traces = trace_orbit(h, 0.0, ["1/3", "2/3"])
+    chart = h.conjugate_by(MoebiusTransform(0.0, 1.0, 1.0, -0.0))  # as trace_orbit builds it
+    with mp.workdps(50):
+        step = _oracle(chart, mp)
+        for t, tr in traces.items():
+            assert tr.certified, t
+            z, rho = mp.mpc(tr.landing.real, tr.landing.imag), mp.mpf(tr.disc_radius)
+            u = 1 / z
+            r = rho * abs(u) ** 2 / (1 - rho * abs(u))  # rho = r / (|u| (|u| + r))
+            gap, turns = _rim_oracle(mp, step, u, r, _least_period(mp, step, u, 2), u)
+            assert gap > r and abs(turns - 1) < 1e-9, (t, float(gap), float(r), float(turns))
+            # the reported disc lies inside the proved one
+            edge = [1 / (z + rho * mp.expjpi(mp.mpf(i) / 64)) for i in range(128)]
+            assert max(abs(e - u) for e in edge) <= r * (1 + 1e-12), t

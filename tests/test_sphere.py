@@ -439,7 +439,7 @@ def test_multiplicity_estimate_edge_cases_in_arrays_as_in_scalar_loops():
     unit = [1.0 + 0j, 0j, 1.0 + 0j]  # z^2 + 1
     tilted = [2.0 + 2.0j, 0j, 1.0 + 0j]
     double = [1.0 + 0j, -2.0 + 0j, 1.0 + 0j]  # (z - 1)^2
-    tiny = 1e-170  # p'(z)^2 underflows to 0: CPython's division raises
+    tiny = 1e-170  # p'(z)^2 underflows to 0 while |p'(z)| > 0: estimate 1
     big = complex(0.75e308, 0.75e308)  # abs() of p'(z) = 2z overflows
     cases = [
         (unit, [1j + 1e-9, -1j, 0.5, complex(-0.0, -0.0), 0j, 1e200, 1e154,
@@ -447,6 +447,7 @@ def test_multiplicity_estimate_edge_cases_in_arrays_as_in_scalar_loops():
         (double, [1.0 + 1e-8j, 1.0 - 1e-8, 1.0, 3.0]),
         ([complex(-2.0, -0.0), complex(0.0, -0.0), complex(1.0, -0.0)],
          [complex(1.4, -0.0), complex(-1.4, 0.0), complex(0.0, -0.0), complex(-0.0, 0.0)]),
+        (unit, [0.5, tiny]),
         (unit, [0.5, tiny, big]),
         (unit, [0.5, big, tiny]),
         (tilted, [0.5, 7.461626139128733e-155]),  # abs(1 - p p'' / p'^2) overflows
@@ -455,8 +456,9 @@ def test_multiplicity_estimate_edge_cases_in_arrays_as_in_scalar_loops():
         want = _outcome(fatou.sphere._mult_estimates, cs, points)
         z = np.array(points, dtype=complex)
         assert _outcome(fatou.sphere._mult_estimates_planes, cs, z) == want
-    raised = [_outcome(fatou.sphere._mult_estimates, cs, pts)[0] for cs, pts in cases[-3:]]
-    assert raised == ["ZeroDivisionError", "OverflowError", "OverflowError"]
+    outcomes = [_outcome(fatou.sphere._mult_estimates, cs, pts) for cs, pts in cases[-4:]]
+    assert outcomes[0] == [1, 1]
+    assert [out[0] for out in outcomes[1:]] == ["OverflowError", "OverflowError", "OverflowError"]
 
 
 def test_residual_check_edge_cases_in_arrays_as_in_scalar_loops():
