@@ -14,9 +14,9 @@ from __future__ import annotations
 import cmath
 import decimal
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -186,8 +186,7 @@ def _periods(orbit: list[RayAngle], m: int) -> dict:
     return periods
 
 
-@dataclass(frozen=True)
-class _Landing:
+class _Landing(NamedTuple):  # a tuple class: cheaper to create at import than a dataclass
     point: complex  # in the chart the rays are traced in
     multiplier: float  # |(f^k)'| on the cycle, k the angle's period
     residual: float  # Newton distance
@@ -303,7 +302,7 @@ def _candidate(f: RationalMap, z: complex, k: int, image: Optional[_Landing],
             return root
         point = _centre(f, root.point, None)
         radius, j = _served(f, point, None, proved) or _cycle_disc(f, point, k)
-        return replace(root, point=point, radius=radius, period=j)
+        return root._replace(point=point, radius=radius, period=j)
     root = _newton(f, z, 1, image.point)
     if root is None:
         return None
@@ -398,7 +397,7 @@ def _certify(f: RationalMap, m: int, periods: dict, chains: dict, sub: int,
                 tails = [chains[t.times(m ** i)][first:] for i in range(0, k, cand.period)]
             inside = [abs(s - cand.point) < cand.radius for tail in tails for s in tail]
             if all(inside) if k else any(inside):
-                landings[t] = replace(cand, start=first if k else first + inside.index(True))
+                landings[t] = cand._replace(start=first if k else first + inside.index(True))
 
 
 def _trace_at_infinity(f: RationalMap, m: int, orbit: list[RayAngle], potentials: tuple,

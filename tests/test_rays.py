@@ -581,12 +581,12 @@ def test_a_root_in_a_proved_disc_gets_the_disc_inside_it():
     f = _square()  # R_0 lands at the repelling fixed point 1
     first = fatou.rays._candidate(f, 1.1, 1, None)
     assert first.point == 1.0 and first.radius > 0.1
-    moved = dataclasses.replace(first, point=1.0 + 0.05j)
+    moved = first._replace(point=1.0 + 0.05j)
     again = fatou.rays._candidate(f, 1.1, 1, None, [moved])
     assert again.point == 1.0 and again.radius == first.radius - 0.05
     assert again.radius < first.radius
     # outside every proved disc, the root gets its own
-    far = dataclasses.replace(first, point=5.0)
+    far = first._replace(point=5.0)
     assert fatou.rays._candidate(f, 1.1, 1, None, [far]) == first
 
 
