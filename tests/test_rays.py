@@ -800,3 +800,22 @@ def test_finite_basin_landing_discs_against_an_mpmath_oracle():
             # the reported disc lies inside the proved one
             edge = [1 / (z + rho * mp.expjpi(mp.mpf(i) / 64)) for i in range(128)]
             assert max(abs(e - u) for e in edge) <= r * (1 + 1e-12), t
+
+
+def test_maps_with_complex_coefficients_keep_their_own_discs():
+    # h(z) = rho g(z / rho) has complex coefficients and the rays rho R_t of
+    # paper-g: no real centre and no conjugate disc serves it, and its
+    # landings are still proved
+    rho = cmath.exp(0.3j)
+    h = paper_g().conjugate_by(MoebiusTransform(rho, 0.0, 0.0, 1.0))
+    assert not fatou.rays._real(h)
+    traces = trace_orbit(h, SpherePoint.infinity(), ["1/6", "5/6"])
+    alpha = (-1.0 - math.sqrt(17.0)) / 4.0
+    for t in (RayAngle(1, 3), RayAngle(2, 3)):
+        tr = traces[t]
+        assert tr.certified and tr.disc_radius > 0.3
+        assert abs(tr.landing - rho * alpha) < 1e-12
+    g_traces = trace_orbit(paper_g(), SpherePoint.infinity(), ["1/6", "5/6"])
+    for t in (RayAngle(1, 6), RayAngle(5, 6)):
+        assert traces[t].certified
+        assert abs(traces[t].landing - rho * g_traces[t].landing) < 1e-12
