@@ -47,8 +47,9 @@ class _LocalBound:
     and W = N' D - N D', f - w = P / D and f' = W / D^2. On the disc |P| and
     |W - W(z)| are at most the sums of their coefficients' moduli times r^j,
     |D - D(z)| likewise, and |D| >= |D(z)| - that. So bounds(r) gives
-    |f(x) - w| <= image and |f'(x) - W(z) / D(z)^2| <= deviation, both inf
-    where the lower bound on |D| is not positive; slope is |W(z) / D(z)^2|.
+    |f(x) - w| <= image and |f'(x)| <= H = |W(z) / D(z)^2| + deviation,
+    deviation bounding |f'(x) - W(z) / D(z)^2|; both are inf where the lower
+    bound on |D| is not positive.
 
     Rounding: the shifts, the products and the convolution are repeated on
     the coefficients' moduli at |z|, and each coefficient is widened by
@@ -85,7 +86,7 @@ class _LocalBound:
             deviation = (dw + spread) / (low * low)
             good = low > 0
             return (np.where(good, image * _UP, np.inf),
-                    np.where(good, deviation * _UP, np.inf))
+                    self.slope + np.where(good, deviation * _UP, np.inf))
 
 
 # by Python's pow, so the rungs have the same bits whatever numpy dispatches to
@@ -96,22 +97,18 @@ def _ladder(z: complex) -> np.ndarray:
     return (1.0 + abs(z)) * _RUNGS
 
 
-def _walk(f: RationalMap, cycle: list, r: np.ndarray, end: complex | None = None) -> tuple:
-    """Carries the radii r about z_0 through the steps z_i -> z_(i+1) of
-    cycle, the last one aimed at end (z_0 when None, closing the cycle): f
-    maps D(z_i, r_i) into D(z_(i+1), r_(i+1)), r_(i+1) = image(r_i), and
-    there |f' - a_i| <= A_i, a_i the chain rule's factor at z_i
-    (_LocalBound). Returns the radii about end, c = prod |a_i|, and lower
-    and upper bounds prod max(|a_i| _DOWN - A_i, 0) and prod(|a_i| + A_i)
-    on |(f^p)'| over D(z_0, r)."""
-    c, low, high = 1.0, np.ones_like(r), np.ones_like(r)
-    for zi, wi in zip(cycle, [*cycle[1:], cycle[0] if end is None else end]):
-        local = _LocalBound(f, zi, wi)
-        r, deviation = local.bounds(r)
-        c *= local.slope
-        low = low * np.maximum(local.slope * _DOWN - deviation, 0.0)
-        high = high * (local.slope + deviation)
-    return r, c, low, high
+def _walk(f: RationalMap, path: list, end: complex, r: np.ndarray) -> tuple[list, list]:
+    """Carries the radii r about z_0 = path[0] through the steps z_i ->
+    z_(i+1) of path, the last one aimed at end, one _LocalBound each: f maps
+    D(z_i, r_i) into D(z_(i+1), r_(i+1)), r_(i+1) = image(r_i), and there
+    |f'| <= H_i. Returns the radii about every point of path and about end,
+    and the H_i."""
+    radii, highs = [r], []
+    for z, w in zip(path, [*path[1:], end]):
+        r, high = _LocalBound(f, z, w).bounds(r)
+        radii.append(r)
+        highs.append(high)
+    return radii, highs
 
 
 # The rim test (_rim) reads a disc's boundary circle at a power of two of
@@ -153,17 +150,6 @@ def _winding(y: np.ndarray, w: complex) -> int:
     return round(turns) if math.isfinite(turns) else 0
 
 
-def _steps(f: RationalMap, path: list, end: complex, r: np.ndarray) -> tuple[list, list]:
-    """_walk one step at a time from D(path[0], r): the radii about each point
-    of path, and each step's bound on |f'| over its disc."""
-    radii, highs = [], []
-    for z, w in zip(path, [*path[1:], end]):
-        radii.append(r)
-        r, _, _, high = _walk(f, [z], r, w)
-        highs.append(high)
-    return radii, highs
-
-
 def _rounding(z: complex, r):
     """A bound on the distance of each computed rim point of D(z, r) from
     the circle: the roots of unity, the product by r and the sum with z."""
@@ -177,27 +163,19 @@ def _image(f: RationalMap, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _horner(num, x) / q, q
 
 
-def _twin(coeffs, t: float) -> float:
-    """The polynomial with the moduli of coeffs at t >= 0."""
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * t + abs(c)
-    return acc
-
-
 def _rim(f: RationalMap, path: list, end: complex, r: float, cover: float, n: int,
          walk: tuple | None = None) -> bool:
     """Whether every point of D(end, cover) has exactly one preimage in
     D = D(path[0], r) under g = f^j, j = len(path), carried along path to
     end, by the argument principle on n points of the boundary circle.
 
-    The walk (_steps, from (r + delta) _UP, delta the _rounding of the rim
+    The walk (_walk, from (r + delta) _UP, delta the _rounding of the rim
     points) bounds |f'| by H_i on the disc about path[i], and g' by
     L = prod H_i on D; L is finite only where no disc holds a pole. Each
     point of the circle lies within pi r / n + delta of a rim point x_k, so
-    g moves it by at most s = L (pi r / n + delta) from g(x_k). The x_k are carried through f with
-    a bound E on the rounding: each step's numerator and denominator err by
-    at most 16 (d + 2) eps times their twins on the coefficients' moduli at
+    g moves it by at most s = L (pi r / n + delta) from g(x_k). The x_k are
+    carried through f with a bound E on the rounding: each step's numerator
+    and denominator err by at most 16 (d + 2) eps times their eval_abs at
     max |x| (the allowance of _LocalBound), plus the quotient's rounding,
     plus H_i times the error carried in, which holds while every x stays in
     the disc about path[i]. The test passes when n >= 4 L, every image y_k
@@ -208,7 +186,7 @@ def _rim(f: RationalMap, path: list, end: complex, r: float, cover: float, n: in
     winds once about w, and g - w has one zero in D."""
     delta = _rounding(path[0], r)
     if walk is None:
-        walk = _steps(f, path, end, np.array([(r + delta) * _UP]))
+        walk = _walk(f, path, end, np.array([(r + delta) * _UP]))
     radii, highs = walk
     bound = float(functools.reduce(operator.mul, highs)[0])
     if not 4.0 * bound <= n:  # also refuses an infinite or nan bound
@@ -220,7 +198,7 @@ def _rim(f: RationalMap, path: list, end: complex, r: float, cover: float, n: in
         for i, (z, high) in enumerate(zip(path, highs)):
             if i and not (float(np.abs(x - z).max()) + err) * _UP <= float(radii[i][0]) * _DOWN:
                 return False
-            dp, dq = (slack * _twin(c, size) for c in f.pair)
+            dp, dq = (slack * p.eval_abs(size) for p in (f.num, f.den))
             x, q = _image(f, x)
             size, low = float(np.abs(x).max()), float(np.abs(q).min()) - dq * _UP
             if not low > 0.0:
@@ -249,7 +227,7 @@ def _rim_disc(f: RationalMap, path: list, end: complex | None = None,
     z = path[0]
     end = z if end is None else end
     rungs = _ladder(z)
-    radii, highs = _steps(f, path, end, (rungs + _rounding(z, rungs)) * _UP)
+    radii, highs = _walk(f, path, end, (rungs + _rounding(z, rungs)) * _UP)
     bound = functools.reduce(operator.mul, highs)
     usable = np.flatnonzero(4.0 * bound <= RIM_MAX_POINTS)[::_RIM_STRIDE]
     unit = _rim_points(RIM_POINTS)

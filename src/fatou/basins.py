@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._bounds import _ladder, _walk
+from ._bounds import _LocalBound, _ladder
 from .sphere import ParameterError, Polynomial, SpherePoint
 from .ratmap import RationalMap, hom_eval
 from .orbits import CriticalPortrait
@@ -181,12 +181,12 @@ def escape_disc(f: RationalMap, cycles, trap_radius: float = DEFAULT_TRAP_RADIUS
 
     In u = 1/z, f is g(u) = N(u) / M(u) with N_k = b_(d-k), M_k = a_(d-k),
     the map's own coefficients reversed, so the chart is exact, and u = 0 is
-    a fixed point of g. A rung r of the ladder about 0 passes when the walk
-    of that one-point cycle (_bounds._walk) maps |u| <= r into |u| <= r / 2,
-    the disc misses every other trap disk, and it is larger than the trap
-    disk at infinity. K follows from walking e -> image(e) from r until
-    |u| <= e is inside the trap disk; an iteration that stops halving first
-    gives no disc.
+    a fixed point of g. A rung r of the ladder about 0 passes when the
+    bound of g over |u| <= r aimed at 0 (one _bounds._LocalBound, which
+    serves every rung and step) maps it into |u| <= r / 2, the disc misses
+    every other trap disk, and it is larger than the trap disk at infinity.
+    K follows from stepping e -> image(e) from r until |u| <= e is inside
+    the trap disk; an iteration that stops halving first gives no disc.
     """
     if not (len(cycles[0]) == 1 and cycles[0][0].is_infinity):
         return None
@@ -195,7 +195,8 @@ def escape_disc(f: RationalMap, cycles, trap_radius: float = DEFAULT_TRAP_RADIUS
     r = _ladder(0j)
     gap = min((cycles[0][0].chordal(p) for cyc in cycles[1:] for p in cyc), default=math.inf)
     chord = 2.0 * r / np.sqrt(1.0 + r * r)  # the chordal radius of |u| <= r
-    ok = _walk(chart, [0j], r)[0] <= 0.5 * r
+    local = _LocalBound(chart, 0j, 0j)
+    ok = local.bounds(r)[0] <= 0.5 * r
     ok &= (chord + trap_radius) * (1.0 + 1e-9) < gap
     ok &= chord > trap_radius
     if not ok.any():
@@ -205,7 +206,7 @@ def escape_disc(f: RationalMap, cycles, trap_radius: float = DEFAULT_TRAP_RADIUS
     target = 0.5 * trap_radius * (1.0 - 1e-6)
     e, n = r0, 0
     while e > target:
-        e_next = float(_walk(chart, [0j], np.array([e]))[0][0])
+        e_next = float(local.bounds(np.array([e]))[0][0])
         if not e_next <= 0.5 * e:
             return None
         e, n = e_next, n + 1
@@ -389,7 +390,7 @@ def _mirrored(f: RationalMap, cycles, bounds: Bounds) -> bool:
     resolves at the same step, in the same cycle and phase.
     """
     return (bounds.ymin == -bounds.ymax
-            and all(c.imag == 0 for coeffs in f.pair for c in coeffs)
+            and f.real
             and all(p.z.imag == 0 and p.w.imag == 0 for cyc in cycles for p in cyc))
 
 

@@ -44,6 +44,12 @@ class RationalMap:
         n = self.degree + 1
         return tuple(p.coeffs + (0j,) * (n - len(p.coeffs)) for p in (self.num, self.den))
 
+    @cached_property
+    def real(self) -> bool:
+        """Whether every coefficient has imaginary part exactly 0, so that f
+        commutes with conjugation."""
+        return all(c.imag == 0.0 for p in (self.num, self.den) for c in p.coeffs)
+
     def __call__(self, x) -> SpherePoint:
         return eval_sphere(self, x)
 

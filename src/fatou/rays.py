@@ -33,6 +33,11 @@ MIN_R0 = 10.0  # smallest starting potential the linearized seed is trusted at
 # r0, and from 1 / LEAD_TRIM = 1e12 on preimages trims their fibers to
 # infinity (derived in the README).
 MAX_R0 = 1e10
+# separation_test closes its curve on the circle |z| = 1e6 max(1, |a|, |b|).
+# Keeping |a|, |b| <= SEPARATION_MAX_COORD holds that radius to 1e153, so the
+# squared edge lengths (at most (2e153)^2 = 4e306) and the products of two
+# coordinate differences in the winding test stay finite.
+SEPARATION_MAX_COORD = 1e147
 MAX_ORBIT_ANGLES = 64
 DEFAULT_DEPTH = 96
 MAX_DEPTH = 1024  # potentials round to 1.0 long before; deeper adds no information
@@ -276,13 +281,6 @@ def _cycle_disc(f: RationalMap, z: complex, k: int) -> tuple[float, int]:
     return 0.0, k
 
 
-def _fiber_disc(f: RationalMap, z: complex, image: _Landing) -> float:
-    """A rung r of the ladder about a preimage z of image.point such that f
-    maps D(z, r) once over the disc of image, by _bounds._rim, else 0.0:
-    every point of that disc then has exactly one preimage in D(z, r)."""
-    return _rim_disc(f, [z], image.point, image.radius)
-
-
 def _candidate(f: RationalMap, z: complex, k: int, image: Optional[_Landing],
                proved=()) -> Optional[_Landing]:
     """The landing a ray whose newest sample is z may have, with its disc:
@@ -308,7 +306,9 @@ def _candidate(f: RationalMap, z: complex, k: int, image: Optional[_Landing],
         return None
     point, cover = _centre(f, root.point, image.point), (image.point, image.radius)
     served = _served(f, point, cover, proved)
-    radius = served[0] if served else _fiber_disc(f, point, image)
+    # else a rung about point that f maps once over the disc of image: every
+    # point of that disc then has exactly one preimage in it
+    radius = served[0] if served else _rim_disc(f, [point], image.point, image.radius)
     return _Landing(point, image.multiplier, root.residual, radius, cover=cover)
 
 
@@ -319,7 +319,7 @@ def _served(f: RationalMap, point: complex, cover: Optional[tuple], proved) -> O
     proves the conjugate of each disc as well."""
     for disc in proved:
         mirrors = [(disc.point, disc.cover)]
-        if _real(f):
+        if f.real:
             mirrors.append((disc.point.conjugate(),
                             disc.cover and (disc.cover[0].conjugate(), disc.cover[1])))
         for centre, covered in mirrors:
@@ -337,14 +337,9 @@ def _centre(f: RationalMap, z: complex, target: Optional[complex]) -> complex:
     of the real target) is its own conjugate: real, and reported with
     imaginary part 0.0."""
     if (z.imag != 0.0 and abs(z.imag) <= NEWTON_TOL * (1.0 + abs(z))
-            and (target is None or target.imag == 0.0) and _real(f)):
+            and (target is None or target.imag == 0.0) and f.real):
         return complex(z.real, 0.0)
     return z
-
-
-def _real(f: RationalMap) -> bool:
-    """Whether f has real coefficients, so that it commutes with conjugation."""
-    return all(c.imag == 0.0 for c in f.num.coeffs + f.den.coeffs)
 
 
 def _certify(f: RationalMap, m: int, periods: dict, chains: dict, sub: int,
@@ -576,17 +571,25 @@ def separation_test(f: RationalMap, basin_fixed_point, t1, t2, a: complex,
     neither a nor b sits on the curve (within a relative 1e-9). The curve
     closes at the certified landing of R_t1 when both are certified, else at
     the midpoint of the two landings.
+
+    A non-finite a or b, or one past SEPARATION_MAX_COORD in modulus, is a
+    ParameterError, and a finite basin a NotImplementedError, both raised
+    before any ray is traced.
     """
     a, b = complex(a), complex(b)
+    for name, pt in (("a", a), ("b", b)):
+        if not cmath.isfinite(pt):
+            raise ParameterError(name, "must be finite")
+        if math.hypot(pt.real, pt.imag) > SEPARATION_MAX_COORD:
+            raise ParameterError(name, f"must be at most {SEPARATION_MAX_COORD:g} in modulus")
+    if not as_sphere(basin_fixed_point).is_infinity:
+        raise NotImplementedError("separation closure only implemented across infinity")
     tr1, tr2 = _landed_pair(f, basin_fixed_point, t1, t2, depth, r0)
     if not _colanded(tr1, tr2):
         raise RayLandingError(
             f"rays do not co-land (gap {abs(tr1.landing - tr2.landing):.3g})")
     joint = (tr1.landing if tr1.certified and tr2.certified
              else 0.5 * (tr1.landing + tr2.landing))
-
-    if not as_sphere(basin_fixed_point).is_infinity:
-        raise NotImplementedError("separation closure only implemented across infinity")
 
     tip1, tip2 = tr1.samples[0], tr2.samples[0]
     r_close = 1e6 * max(1.0, abs(a), abs(b))

@@ -871,12 +871,22 @@ ESCAPE_DISCS = {
 
 
 @pytest.mark.parametrize("name", ESCAPE_DISCS)
-def test_escape_disc_rung_and_steps_on_every_map(name):
+def test_escape_disc_rung_and_steps_on_every_map(name, monkeypatch):
+    # the ladder and every step of K read one _LocalBound
+    built = []
+
+    class Counted(fatou._bounds._LocalBound):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+    monkeypatch.setattr(fatou.basins, "_LocalBound", Counted)
     k, steps = ESCAPE_DISCS[name]
     f = by_name(name)
     cycles = superattracting_cycles(critical_portrait(f))
     for trap_radius, want in zip((1e-6, 1e-3, 0.2), steps):
+        built.clear()
         disc = fatou.basins.escape_disc(f, cycles, trap_radius)
+        assert len(built) == 1, trap_radius
         if want is None:
             assert disc is None, trap_radius
         else:

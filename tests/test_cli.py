@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fatou.basins
@@ -14,6 +15,7 @@ import fatou.rays
 from fatou.catalog import by_name, paper_g
 from fatou.cli import build_parser, dispatch
 from fatou.ratmap import map_to_jsonable
+from fatou.sphere import SpherePoint
 
 
 def _run(capsys, argv):
@@ -520,6 +522,60 @@ def test_verify_fails_on_a_flipped_separation(capsys, monkeypatch):
     line, = [x for x in out.splitlines() if "ray-separation" in x]
     assert line.startswith("FAIL ray-separation")
     assert "separates 0 from -2: False" in line
+
+
+def test_verify_fails_on_a_critical_point_moved_by_1e_8(capsys, monkeypatch):
+    # a planted fault: the portrait's critical point at 0 moved by 1e-8
+    import fatou.verify as verify_mod
+    real = verify_mod.critical_portrait
+
+    def moved(*args, **kw):
+        port = real(*args, **kw)
+        crit = tuple(dataclasses.replace(c, point=SpherePoint.of(c.point.to_complex() + 1e-8))
+                     if c.point.chordal(SpherePoint.of(0.0)) == 0.0 else c
+                     for c in port.critical_points)
+        return dataclasses.replace(port, critical_points=crit)
+    monkeypatch.setattr(verify_mod, "critical_portrait", moved)
+    code, out, _ = _run(capsys, ["verify", "--only", "portrait"])
+    assert code == 1
+    line, = [x for x in out.splitlines() if "critical-portrait" in x]
+    assert line.startswith("FAIL critical-portrait") and "crit err 2.00e-08" in line
+
+
+def test_verify_fails_on_two_lift_degrees_swapped(capsys, monkeypatch):
+    # a planted fault: the two lifts of the circle about 0 trade degrees
+    import fatou.verify as verify_mod
+    real = verify_mod.lift_curve
+
+    def swapped(*args, **kw):
+        ls = real(*args, **kw)
+        if len(ls.lifts) != 2:
+            return ls
+        a, b = ls.lifts
+        lifts = (dataclasses.replace(a, degree=b.degree), dataclasses.replace(b, degree=a.degree))
+        return dataclasses.replace(ls, lifts=lifts)
+    monkeypatch.setattr(verify_mod, "lift_curve", swapped)
+    code, out, _ = _run(capsys, ["verify", "--only", "lifting"])
+    assert code == 1
+    line, = [x for x in out.splitlines() if "lift-degrees" in x]
+    assert line.startswith("FAIL lift-degrees") and "enclosing -2:deg2, 1:deg1" in line
+
+
+def test_verify_fails_on_image_phases_shifted_by_one(capsys, monkeypatch):
+    # a planted fault: the classified images' phases shifted by one within
+    # their cycles, which only the 64 sampled cells of the 2-cycle's basin
+    # can show (the other 436 lie in the basin of infinity)
+    real = fatou.basins.classify_points
+
+    def shifted(f, cycles, *args, **kw):
+        cycle_id, phase, steps = real(f, cycles, *args, **kw)
+        period = np.array([len(cyc) for cyc in cycles])[cycle_id]
+        return cycle_id, np.where(cycle_id >= 0, (phase + 1) % period, phase), steps
+    monkeypatch.setattr(fatou.basins, "classify_points", shifted)
+    code, out, _ = _run(capsys, ["verify", "--only", "basins"])
+    assert code == 1
+    line, = [x for x in out.splitlines() if "basin-dynamics" in x]
+    assert line.startswith("FAIL basin-dynamics") and "phase-shift fraction 0.872" in line
 
 
 @pytest.mark.parametrize("name, radius", [("pseudo-basilica:7", 0.3934),

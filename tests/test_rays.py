@@ -18,6 +18,7 @@ from fatou.rays import (
     MAX_DEPTH,
     MAX_ORBIT_ANGLES,
     MAX_R0,
+    SEPARATION_MAX_COORD,
     AngleOrbitError,
     RayAngle,
     RayLandingError,
@@ -32,7 +33,7 @@ from fatou.rays import (
     trace_orbit,
     trace_ray,
 )
-from fatou.sphere import MoebiusTransform, SpherePoint
+from fatou.sphere import MoebiusTransform, ParameterError, SpherePoint
 from test_golden import RAYS
 
 # independent oracle: the two real roots of 2z^2 + z - 2 by interval
@@ -315,6 +316,38 @@ def test_separation_preconditions():
     hg = g.conjugate_by(MoebiusTransform(0.0, 1.0, 1.0, 0.0))
     with pytest.raises(NotImplementedError):
         separation_test(hg, 0.0, "1/3", "2/3", 2.0, 3.0)
+
+
+_PAST = math.nextafter(SEPARATION_MAX_COORD, math.inf)
+
+
+@pytest.mark.parametrize("basin, a, b, error, match", [
+    (None, math.nan, -2.0, ParameterError, "a: must be finite"),
+    (None, complex(math.inf, 0.0), -2.0, ParameterError, "a: must be finite"),
+    (None, 0.0, complex(0.0, -math.inf), ParameterError, "b: must be finite"),
+    (None, 1e300, -2.0, ParameterError, "a: must be at most 1e\\+147"),
+    (None, 0.0, _PAST * 1j, ParameterError, "b: must be at most 1e\\+147"),
+    (0.0, 2.0, 3.0, NotImplementedError, "across infinity"),
+], ids=["nan", "inf", "inf-imag", "1e300", "past-bound", "finite-basin"])
+def test_separation_refuses_before_tracing(monkeypatch, basin, a, b, error, match):
+    # each refusal comes before the two rays are traced
+    g, traced = paper_g(), []
+    if basin is not None:  # the basin of infinity of paper-g moved to 0
+        g = g.conjugate_by(MoebiusTransform(0.0, 1.0, 1.0, 0.0))
+    monkeypatch.setattr(fatou.rays, "trace_orbit", lambda *args: traced.append(args))
+    with pytest.raises(error, match=match):
+        separation_test(g, SpherePoint.infinity() if basin is None else basin,
+                        "1/3", "2/3", a, b)
+    assert traced == []
+
+
+def test_separation_at_the_coordinate_bound():
+    # |a| = SEPARATION_MAX_COORD closes the curve on |z| = 1e153 with every
+    # product finite (a RuntimeWarning fails the test); -2 lies inside the
+    # curve, the points at the bound outside it
+    g, inf = paper_g(), SpherePoint.infinity()
+    assert separation_test(g, inf, "1/3", "2/3", SEPARATION_MAX_COORD, -2.0) is True
+    assert separation_test(g, inf, "1/3", "2/3", -2.0, -SEPARATION_MAX_COORD * 1j) is True
 
 
 def test_trace_determinism():
@@ -709,7 +742,7 @@ def test_the_rim_refuses_a_circle_around_a_pole():
     x = c + 1.5 * fatou._bounds._rim_points(1024)
     y = fatou._bounds._image(f, x)[0]
     assert np.abs(y - w).min() > 0.4 and fatou._bounds._winding(y, w) == 1
-    assert fatou._bounds._steps(f, [c], w, np.array([1.5]))[1][0][0] == math.inf
+    assert fatou._bounds._walk(f, [c], w, np.array([1.5]))[1][0][0] == math.inf
     assert not fatou._bounds._rim(f, [c], w, 1.5, 0.3, fatou._bounds.RIM_MAX_POINTS)
     assert fatou._bounds._rim_disc(f, [c], w, 0.3) < 1.0  # a disc that misses 0
 
@@ -719,13 +752,60 @@ def test_the_rim_refuses_a_rim_too_coarse_for_its_slack():
     # circle's images clear D(1, 0.9) by 0.09 (0.1 maps to 0.01, 0.99 from 1);
     # the slack L pi r / n is 0.34 at 32 points and 0.011 at 1024
     f, one = _square(), 1.0 + 0j
-    bound = float(fatou._bounds._steps(f, [one], one, np.array([0.9]))[1][0][0])
+    bound = float(fatou._bounds._walk(f, [one], one, np.array([0.9]))[1][0][0])
     assert 3.8 <= bound < 4.0
     assert not fatou._bounds._rim(f, [one], one, 0.9, 0.9, 8)  # fewer than 4 L points
     assert not fatou._bounds._rim(f, [one], one, 0.9, 0.9, 32)
     assert fatou._bounds._rim(f, [one], one, 0.9, 0.9, 1024)
     with pytest.raises(ValueError, match="power of two"):
         fatou._bounds._rim(f, [one], one, 0.9, 0.9, 1000)
+
+
+def test_a_walk_along_a_path_is_its_one_step_walks_chained():
+    # each step of a walk along path to end gives, bit for bit, the radii
+    # and the bound on |f'| of a one-step walk from the radii carried to it
+    f, path, end = paper_g(), [0j, -2 + 0j, 0.5 + 0.25j], 1j
+    r = fatou._bounds._ladder(path[0])
+    radii, highs = fatou._bounds._walk(f, path, end, r)
+    assert len(radii) == len(path) + 1 and len(highs) == len(path)
+    assert radii[0] is r
+    for i, (z, w) in enumerate(zip(path, [*path[1:], end])):
+        (start, image), (high,) = fatou._bounds._walk(f, [z], w, radii[i])
+        assert start is radii[i]
+        assert image.tobytes() == radii[i + 1].tobytes() and high.tobytes() == highs[i].tobytes()
+
+
+@pytest.mark.parametrize("cycle, rung", [((0j, -2 + 0j), 0.3255713057967825),
+                                         ((-2 + 0j, 0j), 0.11984709625991916)])
+def test_the_walk_around_the_two_cycle_of_paper_g_halves_its_discs(cycle, rung):
+    # the largest rung about a point of the superattracting 2-cycle
+    # {0, -2} whose walk around the cycle maps it into half its radius
+    f = paper_g()
+    r = fatou._bounds._ladder(cycle[0])
+    halved = fatou._bounds._walk(f, list(cycle), cycle[0], r)[0][-1] <= 0.5 * r
+    assert float(r[np.argmax(halved)]) == rung
+
+
+def test_a_rays_round_walks_each_step_of_each_disc_once(monkeypatch):
+    # every _LocalBound of the orbits of the rays workload is one step of a
+    # disc's walk in _rim_disc: _rim reads that walk and does not walk again.
+    # 18 per round, as many as before the walks were merged
+    built, steps = [], []
+
+    class Counted(fatou._bounds._LocalBound):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+    real = fatou.rays._rim_disc
+
+    def rim_disc(f, path, *args):
+        steps.append(len(path))
+        return real(f, path, *args)
+    monkeypatch.setattr(fatou._bounds, "_LocalBound", Counted)
+    monkeypatch.setattr(fatou.rays, "_rim_disc", rim_disc)
+    for name, angles, _ in RAYS:
+        trace_orbit(by_name(name), SpherePoint.infinity(), list(angles))
+    assert len(built) == sum(steps) <= 18
 
 
 def test_cycle_discs_take_the_least_period():
@@ -808,7 +888,7 @@ def test_maps_with_complex_coefficients_keep_their_own_discs():
     # landings are still proved
     rho = cmath.exp(0.3j)
     h = paper_g().conjugate_by(MoebiusTransform(rho, 0.0, 0.0, 1.0))
-    assert not fatou.rays._real(h)
+    assert not h.real
     traces = trace_orbit(h, SpherePoint.infinity(), ["1/6", "5/6"])
     alpha = (-1.0 - math.sqrt(17.0)) / 4.0
     for t in (RayAngle(1, 3), RayAngle(2, 3)):
