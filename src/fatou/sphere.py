@@ -476,19 +476,28 @@ def _cluster(points: Sequence[complex],
 
 def _polish(q: Polynomial, dq: Polynomial, root: complex) -> complex:
     """Newton-polish a root of multiplicity m against q, the (m-1)th
-    derivative of the polynomial, with dq its derivative."""
+    derivative of the polynomial, with dq its derivative.
+
+    The polish stops before the first step that is not under half the step
+    before it: a step that no longer halves means the iteration has reached
+    its rounding floor, or converges only linearly, and more steps would
+    only bounce there."""
     z = root
+    last = math.inf
     for _ in range(30):
         qv = q(z)
         dv = dq(z)
         if abs(dv) == 0.0:
             break
         step = qv / dv
+        size = abs(step)
+        if size >= 0.5 * last:
+            break
         z_new = z - step
-        if abs(step) <= 1e-16 * (1.0 + abs(z)):
+        if size <= 1e-16 * (1.0 + abs(z)):
             z = z_new
             break
-        z = z_new
+        z, last = z_new, size
     # keep the polished value only if it did not wander off
     return z if abs(z - root) <= 1e-2 * (1.0 + abs(root)) else root
 
@@ -500,209 +509,18 @@ def _check_residuals(p: Polynomial, out: list[tuple[complex, int]]) -> None:
         res = abs(p(r))
         bound = ROOT_TOL * max(p.eval_abs(abs(r)), 1e-300)
         if res > bound and m == 1:
-            raise _residual_error(res, bound, r, out)
-
-
-def _residual_error(res: float, bound: float, r: complex, out) -> RootFindingError:
-    return RootFindingError(f"root residual {res:.3g} above {bound:.3g} at {r:.6g}",
-                            best=[r for r, _ in out])
-
-
-# ---------------------------------------------------------------------------
-# the same three per-root loops as array passes over all roots
-#
-# When the trimmed degree is above _ARRAY_DEGREE, poly_roots runs
-# _mult_estimates, _polish and _check_residuals as passes over all roots at
-# once; each returns or raises what the scalar loop does, bit for bit.
-# Complex numbers are real and imaginary float64 planes, and every operation
-# is the one CPython performs on a complex scalar, done by separate real
-# ufuncs: + - * / round correctly on every SIMD target and at every array
-# length, while numpy's complex multiply and complex abs may fuse. Products
-# are (ar xr - ai xi, ar xi + ai xr), quotients follow CPython's Smith
-# division (_quot), moduli are np.hypot, and abs()'s OverflowError is raised
-# where CPython would raise it.
-#
-# An array pass pays a fixed numpy cost per Horner step, which a scalar loop
-# does not, so small solves keep the scalar loops. Whole poly_roots calls,
-# scalar time over array time, two runs on a 2-vCPU x86-64 machine (Python
-# 3.11, numpy 2.4): the scalar loops win or tie up to degree 57 (random and
-# product-of-roots polynomials of degree 24-56: x0.60-1.07; the f^p solves
-# of the catalog of degree 27-57: x0.46-0.91), degree 64 splits (x0.95-1.26),
-# and the arrays win from 72 on (x1.06-1.83 at 72-128; f^p solves of degree
-# 75-175: x1.07-1.89).
-_ARRAY_DEGREE = 64
-_OVERFLOW = "absolute value too large"
-
-
-def _coeff_table(groups: Sequence[Sequence[Polynomial]]) -> np.ndarray:
-    """Coefficients for _horner_planes: entry [k, g] is the column of the
-    coefficients Horner adds at step k to the polynomials of group g (every
-    group holds as many), real parts above imaginary ones. A polynomial
-    below the largest degree gets leading +0.0 coefficients: at a finite
-    point they keep its accumulator at exactly 0j until its own leading
-    coefficient, as Polynomial.__call__ starts, and at a non-finite point
-    both give NaN. (The zero polynomial,
-    all padding, reads NaN there and not 0j; it only ever stands for p''
-    beside a constant p', whose NaN already decides the estimate.)"""
-    steps = max(q.degree for g in groups for q in g) + 1
-    c = np.zeros((len(groups), len(groups[0]), steps), dtype=complex)
-    for i, g in enumerate(groups):
-        for j, q in enumerate(g):
-            c[i, j, steps - 1 - q.degree:] = q.coeffs[::-1]
-    table = np.concatenate((c.real, c.imag), axis=1)  # (groups, 2 rows, steps)
-    return np.ascontiguousarray(table.transpose(2, 0, 1))[..., None]
-
-
-def _horner_planes(table: np.ndarray, xr: np.ndarray, xi: np.ndarray,
-                   starts: Sequence[int]) -> np.ndarray:
-    """Polynomial.__call__ (acc = acc*x + c from acc = 0) of the polynomials
-    of group g of table at the points starts[g]:starts[g + 1] of xr + i xi.
-    Row j of the result is the real part of the jth polynomial of the group,
-    row rows + j its imaginary part."""
-    steps, _, rows2, _ = table.shape
-    n = len(xr)
-    acc = np.zeros(rows2 * n)
-    t = np.empty_like(acc)
-    u = np.empty_like(acc)
-    x_re, x_im = np.tile(xr, rows2), np.tile(xi, rows2)
-    h = acc.size // 2
-    re, im, t_re, t_im, u_re, u_im = acc[:h], acc[h:], t[:h], t[h:], u[:h], u[h:]
-    planes = acc.reshape(rows2, n)
-    blocks = [(planes[:, s:e], table[:, g]) for g, (s, e) in enumerate(zip(starts, starts[1:]))
-              if e > s]
-    for k in range(steps):
-        np.multiply(acc, x_re, out=t)
-        np.multiply(acc, x_im, out=u)
-        np.subtract(t_re, u_im, out=re)
-        np.add(u_re, t_im, out=im)
-        for b, c in blocks:
-            np.add(b, c[k], out=b)
-    return planes
-
-
-def _quot(ar, ai, br, bi):
-    """(ar + i ai) / (br + i bi) as CPython divides complex numbers: Smith's
-    method, scaled by the part of b larger in modulus, the real one on a tie,
-    and NaN where a part of b is NaN. b = 0 raises in CPython; callers
-    exclude it."""
-    by_re = np.abs(br) >= np.abs(bi)
-    by_im = np.abs(bi) > np.abs(br)
-    ratio = bi / br
-    den = br + bi * ratio
-    re = np.where(by_re, (ar + ai * ratio) / den, np.nan)
-    im = np.where(by_re, (ai - ar * ratio) / den, np.nan)
-    ratio = br / bi
-    den = br * ratio + bi
-    re = np.where(by_im, (ar * ratio + ai) / den, re)
-    im = np.where(by_im, (ai * ratio - ar) / den, im)
-    return re, im
-
-
-def _overflows(re, im, h):
-    """Where abs() of re + i im, of modulus h, raises OverflowError: the
-    parts are finite and the modulus is not."""
-    return np.isinf(h) & np.isfinite(re) & np.isfinite(im)
-
-
-def _modulus(re, im, where=True):
-    """abs() of re + i im, raising its OverflowError where where holds."""
-    h = np.hypot(re, im)
-    if (_overflows(re, im, h) & where).any():
-        raise OverflowError(_OVERFLOW)
-    return h
-
-
-def _raise_first(events) -> None:
-    """Raise what a scalar loop over the points raises first. events holds
-    (mask, exception) pairs in the order the loop body meets them."""
-    at = [int(np.argmax(m)) if m.any() else len(m) for m, _ in events]
-    k = min(at)
-    if k < len(events[0][0]):
-        raise events[at.index(k)][1]
-
-
-@np.errstate(all="ignore")
-def _mult_estimates_planes(cs: Sequence[complex], z: np.ndarray) -> list[int]:
-    """_mult_estimates at every point of z at once."""
-    p = Polynomial(tuple(cs))
-    dp = p.deriv()
-    n = max(p.degree, 1)
-    pr, dr, ddr, pi, di, ddi = _horner_planes(_coeff_table([(p, dp, dp.deriv())]),
-                                              z.real, z.imag, (0, len(z)))
-    adv = np.hypot(dr, di)
-    wr, wi = dr * dr - di * di, dr * di + di * dr
-    go = (adv > 0.0) & ((wr != 0.0) | (wi != 0.0))  # else p'(z)^2 underflows: estimate 1
-    xr, xi = _quot(pr * ddr - pi * ddi, pr * ddi + pi * ddr, wr, wi)
-    er, ei = 1.0 - xr, 0.0 - xi
-    ad = np.hypot(er, ei)
-    _raise_first([(_overflows(dr, di, adv), OverflowError(_OVERFLOW)),
-                  (go & _overflows(er, ei, ad), OverflowError(_OVERFLOW))])
-    m = _quot(1.0, 0.0, er, ei)[0]
-    ok = go & (ad > 1e-3) & np.isfinite(m)
-    return np.where(ok, np.clip(np.rint(m), 1, n), 1).astype(int).tolist()
-
-
-@np.errstate(all="ignore")
-def _polish_planes(chain: dict, found: list[tuple[complex, int]]) -> list[tuple[complex, int]]:
-    """_polish of every (root, m) of found against its chain[m] at once. The
-    roots are held grouped by multiplicity; a root leaves the live set where
-    _polish would stop it."""
-    ms = sorted(chain)
-    order = sorted(range(len(found)), key=lambda k: found[k][1])
-    group = np.array([ms.index(found[k][1]) for k in order])
-    table = _coeff_table([chain[m] for m in ms])
-    roots = np.array([found[k][0] for k in order], dtype=complex)
-    r_re, r_im = roots.real.copy(), roots.imag.copy()
-    zr, zi = r_re.copy(), r_im.copy()
-    live = np.arange(len(order))
-    for _ in range(30):
-        if not live.size:
-            break
-        xr, xi = zr[live], zi[live]
-        starts = np.searchsorted(group[live], np.arange(len(ms) + 1)).tolist()
-        qr, dr, qi, di = _horner_planes(table, xr, xi, starts)
-        go = _modulus(dr, di) != 0.0
-        sr, si = _quot(qr, qi, dr, di)
-        done = _modulus(sr, si, go) <= 1e-16 * (1.0 + _modulus(xr, xi, go))
-        zr[live[go]] = (xr - sr)[go]
-        zi[live[go]] = (xi - si)[go]
-        live = live[go & ~done]
-    # keep the polished value only if it did not wander off; NaN does not
-    keep = _modulus(zr - r_re, zi - r_im) <= 1e-2 * (1.0 + _modulus(r_re, r_im))
-    z = np.empty(len(order), dtype=complex)
-    z.real = np.where(keep, zr, r_re)
-    z.imag = np.where(keep, zi, r_im)
-    out: list = [None] * len(found)
-    for k, v in zip(order, z.tolist()):
-        out[k] = (v, found[k][1])
-    return out
-
-
-@np.errstate(all="ignore")
-def _check_residuals_planes(p: Polynomial, out: list[tuple[complex, int]]) -> None:
-    """_check_residuals at every root at once."""
-    z = np.array([r for r, _ in out], dtype=complex)
-    rr, ri = z.real, z.imag
-    vr, vi = _horner_planes(_coeff_table([(p,)]), rr, ri, (0, len(z)))
-    res = np.hypot(vr, vi)
-    a = np.hypot(rr, ri)
-    scale = np.zeros(len(z))
-    for c in reversed([abs(c) for c in p.coeffs]):
-        scale = scale * a + c
-    bound = ROOT_TOL * np.maximum(scale, 1e-300)
-    fail = (res > bound) & (np.array([m for _, m in out]) == 1)
-    k = int(np.argmax(fail))
-    _raise_first([(_overflows(vr, vi, res), OverflowError(_OVERFLOW)),
-                  (_overflows(rr, ri, a), OverflowError(_OVERFLOW)),
-                  (fail, _residual_error(float(res[k]), float(bound[k]), out[k][0], out))])
+            raise RootFindingError(f"root residual {res:.3g} above {bound:.3g} at {r:.6g}",
+                                   best=[r for r, _ in out])
 
 
 def poly_roots(p: Polynomial) -> list[tuple[complex, int]]:
     """All roots of p with multiplicities; multiplicities sum to deg(p).
 
-    Deterministic. Raises RootFindingError on non-convergence and ValueError
-    for degree < 1.
+    Deterministic. Raises RootFindingError on non-convergence, and
+    ValueError for a non-finite coefficient or degree < 1.
     """
+    if not all(cmath.isfinite(c) for c in p.coeffs):
+        raise ValueError("coefficients must be finite")
     work = p.trimmed(ZERO_TOL)
     if work.degree < 1:
         raise ValueError("root extraction needs degree >= 1")
@@ -713,15 +531,10 @@ def poly_roots(p: Polynomial) -> list[tuple[complex, int]]:
     while k0 < len(cs) - 1 and abs(cs[k0]) <= ZERO_TOL:
         k0 += 1
     cs = cs[k0:]
-    arrays = work.degree > _ARRAY_DEGREE
     found: list[tuple[complex, int]] = []
     if len(cs) > 1:
         approx = _aberth(np.asarray(cs, dtype=complex))
-        if arrays:
-            ests = _mult_estimates_planes(cs, approx)
-        else:
-            ests = _mult_estimates(cs, approx.tolist())
-        found.extend(_cluster(approx, ests))
+        found.extend(_cluster(approx, _mult_estimates(cs, approx.tolist())))
     if k0:
         found.append((0j, k0))
         found = _cluster([r for r, m in found for _ in range(m)])
@@ -733,15 +546,9 @@ def poly_roots(p: Polynomial) -> list[tuple[complex, int]]:
         while k < m:
             q, dq, k = dq, dq.deriv(), k + 1
         chain[m] = q, dq
-    if arrays:
-        out = _polish_planes(chain, found)
-    else:
-        out = [(_polish(*chain[m], r), m) for r, m in found]
+    out = [(_polish(*chain[m], r), m) for r, m in found]
     out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
-    if arrays:
-        _check_residuals_planes(p, out)
-    else:
-        _check_residuals(p, out)
+    _check_residuals(p, out)
     assert sum(m for _, m in out) == work.degree
     return out
 

@@ -15,7 +15,7 @@ import fatou.rays
 from fatou.catalog import by_name, paper_g
 from fatou.cli import build_parser, dispatch
 from fatou.ratmap import map_to_jsonable
-from fatou.sphere import SpherePoint
+from fatou.sphere import Polynomial, SpherePoint
 
 
 def _run(capsys, argv):
@@ -576,6 +576,90 @@ def test_verify_fails_on_image_phases_shifted_by_one(capsys, monkeypatch):
     assert code == 1
     line, = [x for x in out.splitlines() if "basin-dynamics" in x]
     assert line.startswith("FAIL basin-dynamics") and "phase-shift fraction 0.872" in line
+
+
+def test_verify_fails_on_a_preimage_landing_moved_by_1e_9(capsys, monkeypatch):
+    # a planted fault: the landing of R_1/6, a preimage of the landing of
+    # R_1/3, moved by 1e-9
+    import fatou.verify as verify_mod
+    real = verify_mod.trace_orbit
+
+    def moved(*args, **kw):
+        traces = real(*args, **kw)
+        t = fatou.rays.RayAngle(1, 6)
+        traces[t] = dataclasses.replace(traces[t], landing=traces[t].landing + 1e-9)
+        return traces
+    monkeypatch.setattr(verify_mod, "trace_orbit", moved)
+    code, out, _ = _run(capsys, ["verify", "--only", "preimages"])
+    assert code == 1
+    line, = [x for x in out.splitlines() if "boundary-preimages" in x]
+    assert line.startswith("FAIL boundary-preimages") and "image err 1.98e-09" in line
+
+
+def test_verify_fails_on_the_first_sign_flipped(capsys, monkeypatch):
+    # a planted fault: the first sign of the tower about omega = 0 flipped
+    import fatou.verify as verify_mod
+    real = verify_mod.sign_change_sequence
+
+    def flipped(f, curve, omega, **kw):
+        seq = real(f, curve, omega, **kw)
+        if omega != 0:
+            return seq
+        first = dataclasses.replace(seq.steps[0], sign=-seq.steps[0].sign)
+        return dataclasses.replace(seq, steps=(first,) + seq.steps[1:])
+    monkeypatch.setattr(verify_mod, "sign_change_sequence", flipped)
+    code, out, _ = _run(capsys, ["verify", "--only", "signs"])
+    assert code == 1
+    line, = [x for x in out.splitlines() if "sign-dichotomy" in x]
+    assert line.startswith("FAIL sign-dichotomy") and "omega=0: first sign 1" in line
+
+
+def test_verify_fails_on_a_catalog_coefficient_moved_by_1e_8(capsys, monkeypatch):
+    # a planted fault: the constant coefficient of pseudo_basilica(3)'s
+    # numerator moved by 1e-8
+    import fatou.verify as verify_mod
+    real = verify_mod.pseudo_basilica
+
+    def perturbed(d):
+        f = real(d)
+        if d != 3:
+            return f
+        cs = (f.num.coeffs[0] + 1e-8,) + tuple(f.num.coeffs[1:])
+        return dataclasses.replace(f, num=Polynomial(cs))
+    monkeypatch.setattr(verify_mod, "pseudo_basilica", perturbed)
+    code, out, _ = _run(capsys, ["verify", "--only", "catalog"])
+    assert code == 1
+    line, = [x for x in out.splitlines() if "catalog-identities" in x]
+    assert line.startswith("FAIL catalog-identities") and "cubic identity err 3.15e-08" in line
+
+
+def test_verify_fails_on_rabbit_roots_moved_by_2e_3(capsys, monkeypatch):
+    # a planted fault: every rabbit parameter moved by 2e-3
+    import fatou.verify as verify_mod
+    real = verify_mod.pseudo_rabbit_roots
+    monkeypatch.setattr(verify_mod, "pseudo_rabbit_roots",
+                        lambda d=3: [r + 2e-3 for r in real(d)])
+    code, out, _ = _run(capsys, ["verify", "--only", "rabbit"])
+    assert code == 1
+    line, = [x for x in out.splitlines() if "rabbit-parameter" in x]
+    assert line.startswith("FAIL rabbit-parameter") and "nearest to target 2.00e-03" in line
+
+
+def test_verify_fails_on_a_pinch_denominator_ratio_perturbed(capsys, monkeypatch):
+    # a planted fault: the z coefficient of the pinch denominator scaled by
+    # 1 + 1e-8, which moves the ratio to the constant off -1.5
+    import fatou.verify as verify_mod
+    real = verify_mod.solve_pinch_params
+
+    def perturbed():
+        sol = real()
+        c0, c1 = sol.denominator.coeffs
+        return dataclasses.replace(sol, denominator=Polynomial((c0, c1 * (1.0 + 1e-8))))
+    monkeypatch.setattr(verify_mod, "solve_pinch_params", perturbed)
+    code, out, _ = _run(capsys, ["verify", "--only", "pinch"])
+    assert code == 1
+    line, = [x for x in out.splitlines() if "pinch-solver" in x]
+    assert line.startswith("FAIL pinch-solver") and "denominator ratio err 1.50e-08" in line
 
 
 @pytest.mark.parametrize("name, radius", [("pseudo-basilica:7", 0.3934),

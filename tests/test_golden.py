@@ -56,7 +56,7 @@ TOWERS = (  # map, centre, omega, steps
     ("paper-degree4", 0.0, "inf", 4),
     ("paper-degree4", 0.0, "0.0,0.0", 3),
 )
-LONG_LIFTS = (  # a long base curve, and a tower of many subdivided steps
+LONG_LIFTS = (  # a long base curve of 1,000 segments, and an 8-step tower
     ["lift", "--map", "paper-g", "--center=-2,0", "--radius", "0.1", "--segments", "1000"],
     ["lift", "--map", "paper-g", "--center=-2,0", "--radius", "0.1", "--steps", "8",
      "--omega", "0,0"],
