@@ -228,7 +228,8 @@ def _rim_disc(f: RationalMap, path: list, end: complex | None = None,
     end = z if end is None else end
     rungs = _ladder(z)
     radii, highs = _walk(f, path, end, (rungs + _rounding(z, rungs)) * _UP)
-    bound = functools.reduce(operator.mul, highs)
+    with np.errstate(over="ignore"):  # an infinite bound is not usable below
+        bound = functools.reduce(operator.mul, highs)
     usable = np.flatnonzero(4.0 * bound <= RIM_MAX_POINTS)[::_RIM_STRIDE]
     unit = _rim_points(RIM_POINTS)
     tries = 0

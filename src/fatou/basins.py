@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 
 from ._bounds import _LocalBound, _ladder
-from .sphere import ParameterError, Polynomial, SpherePoint
+from .sphere import ParameterError, Polynomial, SpherePoint, point_key
 from .ratmap import RationalMap, hom_eval
 from .orbits import CriticalPortrait
 
@@ -121,14 +121,6 @@ def _center_coords(bounds: Bounds, width: int, height: int, row, col):
     y = ((bounds.ymax + bounds.ymin) / 2
          + ((height - 1 - 2 * row) * (bounds.ymax - bounds.ymin)) / (2 * height))
     return x, y
-
-
-def point_key(p: SpherePoint):
-    """Canonical order on the sphere: infinity first, then by (re, im)."""
-    if p.is_infinity:
-        return (0, 0.0, 0.0)
-    z = p.to_complex()
-    return (1, z.real, z.imag)
 
 
 def superattracting_cycles(portrait: CriticalPortrait) -> list[tuple]:

@@ -10,26 +10,39 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import importlib
 import json
 import os
 import sys
 
 from . import _jsonio
-from . import basins as _basins
-from . import rays as _rays
 from .catalog import CATALOG_NAMES, by_name
-from .lifting import circle, lift_curve, sign_change_sequence
-from .orbits import critical_portrait, periodic_points
 from .ratmap import RationalMap, map_from_jsonable, map_to_jsonable
-from .rays import DEFAULT_DEPTH, DEFAULT_R0, RayAngle
-from .sphere import ParameterError, SpherePoint, as_sphere
-from .verify import groups as verify_groups
-from .verify import run_checks
+from .sphere import ParameterError, SpherePoint, as_sphere, point_key
 
 SCHEMA = 1
 
+# Parsing and _load_map need only the modules above; each command imports
+# the ones it runs when it runs, since start-up is most of a command's wall
+# time. These four functions stay module attributes all the same, because
+# perfbench/tracer.py wraps them here by name: each is imported on its first
+# access (PEP 562) and then kept as a global, and the commands call them
+# through _module so that a wrapper sees every call once.
+_LAZY = {"critical_portrait": "orbits", "periodic_points": "orbits",
+         "lift_curve": "lifting", "sign_change_sequence": "lifting"}
+_module = sys.modules[__name__]
 
-def _angle_type(text: str) -> RayAngle:
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
+
+def _angle_type(text: str):
+    from .rays import RayAngle
     try:
         return RayAngle.parse(text)
     except (ValueError, ZeroDivisionError):
@@ -55,15 +68,16 @@ def _point_type(text: str):
     return z
 
 
-def _bounds_type(text: str) -> _basins.Bounds:
+def _bounds_type(text: str):
     # argparse prefixes these messages with "argument --bounds: "
+    from .basins import Bounds
     try:
         xmin, xmax, ymin, ymax = (float(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expects four numbers 'xmin,xmax,ymin,ymax', got {text!r}")
     try:
-        return _basins.Bounds(xmin, xmax, ymin, ymax)
+        return Bounds(xmin, xmax, ymin, ymax)
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e))
 
@@ -102,9 +116,9 @@ def _emit(report: dict):
 
 def cmd_portrait(args) -> int:
     f = _load_map(args.map)
-    port = critical_portrait(f)
+    port = _module.critical_portrait(f)
     order = sorted(range(len(port.critical_points)),
-                   key=lambda i: _basins.point_key(port.critical_points[i].point))
+                   key=lambda i: point_key(port.critical_points[i].point))
     crit = []
     for i in order:
         c = port.critical_points[i]
@@ -128,10 +142,10 @@ def cmd_portrait(args) -> int:
         "degree": f.degree,
         "critical_points": crit,
         "postcritical": [_jsonio.sphere_jsonable(p)
-                         for p in sorted(port.postcritical, key=_basins.point_key)],
+                         for p in sorted(port.postcritical, key=point_key)],
         "postcritical_in_critical_cycles": [
             _jsonio.sphere_jsonable(p)
-            for p in sorted(port.q_subset, key=_basins.point_key)],
+            for p in sorted(port.q_subset, key=point_key)],
         "critically_finite": port.critically_finite,
         "hyperbolic": port.hyperbolic,
         "all_postcritical_periodic": port.all_postcritical_periodic,
@@ -142,8 +156,8 @@ def cmd_portrait(args) -> int:
 
 def cmd_periodic(args) -> int:
     f = _load_map(args.map)
-    pts = periodic_points(f, args.period)
-    pts = sorted(pts, key=lambda q: _basins.point_key(q.point))
+    pts = _module.periodic_points(f, args.period)
+    pts = sorted(pts, key=lambda q: point_key(q.point))
     report = {
         "schema": SCHEMA,
         "map": args.map,
@@ -160,9 +174,12 @@ def cmd_periodic(args) -> int:
 
 
 def cmd_ray(args) -> int:
+    from . import rays as _rays
     f = _load_map(args.map)
+    depth = _rays.DEFAULT_DEPTH if args.depth is None else args.depth
+    r0 = _rays.DEFAULT_R0 if args.r0 is None else args.r0
     angles = list(dict.fromkeys(args.angle))
-    traces = _rays.trace_orbit(f, args.basin, angles, depth=args.depth, r0=args.r0)
+    traces = _rays.trace_orbit(f, args.basin, angles, depth=depth, r0=r0)
     rays = []
     for t in angles:
         tr = traces[t]
@@ -184,8 +201,8 @@ def cmd_ray(args) -> int:
         "schema": SCHEMA,
         "map": args.map,
         "basin": _jsonio.sphere_jsonable(as_sphere(args.basin)),
-        "depth": args.depth,
-        "r0": args.r0,
+        "depth": depth,
+        "r0": r0,
         "rays": rays,
     }
     _emit(report)
@@ -195,6 +212,7 @@ def cmd_ray(args) -> int:
 def cmd_lift(args) -> int:
     if args.steps < 0:  # 0 asks for a single lift
         raise ParameterError("steps", "must be a non-negative integer")
+    from .lifting import circle
     f = _load_map(args.map)
     base = circle(args.center, args.radius, args.segments)
     report = {
@@ -205,7 +223,7 @@ def cmd_lift(args) -> int:
         "omega": _jsonio.sphere_jsonable(as_sphere(args.omega)),
     }
     if args.steps == 0:
-        ls = lift_curve(f, base, args.omega, eps=args.eps)
+        ls = _module.lift_curve(f, base, args.omega, eps=args.eps)
         report["total_degree"] = ls.total_degree
         report["monodromy"] = list(ls.monodromy)
         report["lifts"] = [{
@@ -215,7 +233,7 @@ def cmd_lift(args) -> int:
             "vertices": [_jsonio.complex_pair(v) for v in l.curve.vertices],
         } for l in ls.lifts]
     else:
-        seq = sign_change_sequence(f, base, args.omega, n=args.steps, eps=args.eps)
+        seq = _module.sign_change_sequence(f, base, args.omega, n=args.steps, eps=args.eps)
         report["base_sign"] = seq.base_sign
         report["signs"] = list(seq.signs)
         report["sign_changes"] = seq.change_count
@@ -242,10 +260,13 @@ def cmd_render(args) -> int:
         raise ParameterError("out", f"{args.out!r} is a directory")
     if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
         raise ParameterError("out", f"directory {out_dir!r} does not exist or is not writable")
+    from . import basins as _basins
     f = _load_map(args.map)
-    port = critical_portrait(f)
+    port = _module.critical_portrait(f)
+    trap_radius = (_basins.DEFAULT_TRAP_RADIUS if args.trap_radius is None
+                   else args.trap_radius)
     grid = _basins.classify_grid(f, port, args.bounds, args.resolution,
-                                 trap_radius=args.trap_radius,
+                                 trap_radius=trap_radius,
                                  max_iter=args.max_iter)
     labeling = _basins.label_components(grid)
     ppm = _basins.render_ppm(grid)
@@ -269,6 +290,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_checks
     results = run_checks(only=args.only)
     width = max(len(r.name) for r in results)
     for r in results:
@@ -311,10 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exact fraction a/b; repeatable")
     p.add_argument("--basin", type=_point_type, default=SpherePoint.infinity(),
                    help="superattracting fixed point ('inf' or 're,im')")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH,
+    p.add_argument("--depth", type=int,
                    help="maximum number of potential levels; tracing stops once "
                         "every landing is certified")
-    p.add_argument("--r0", type=float, default=DEFAULT_R0)
+    p.add_argument("--r0", type=float)
     p.add_argument("--samples", action="store_true",
                    help="include the full sample chain in the report")
     p.set_defaults(func=cmd_ray)
@@ -340,15 +362,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_map(p)
     p.add_argument("--out", required=True, help="output PPM path")
     p.add_argument("--resolution", type=_resolution_type, default=(400, 400))
-    p.add_argument("--bounds", type=_bounds_type,
-                   default=_basins.Bounds(-2.8, 2.8, -2.1, 2.1))
-    p.add_argument("--trap-radius", type=float, default=_basins.DEFAULT_TRAP_RADIUS)
+    p.add_argument("--bounds", type=_bounds_type, default="-2.8,2.8,-2.1,2.1")
+    p.add_argument("--trap-radius", type=float)
     p.add_argument("--max-iter", type=int, default=200)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("verify", help="run the built-in numeric fact checks")
-    p.add_argument("--only", choices=verify_groups(), default=None,
-                   help="run a single check group")
+    p.add_argument("--only", help="run a single check group; an unknown name lists them")
     p.set_defaults(func=cmd_verify)
 
     return parser

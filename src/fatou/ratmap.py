@@ -126,10 +126,20 @@ def normalize(raw_num: Polynomial, raw_den: Polynomial) -> RationalMap:
         # rank test is suspicious; root matching settles it either way
         num, den = _cancel_common_roots(num, den)
     # scale jointly so the largest coefficient has modulus near 1; powers of
-    # two keep binary-exact coefficients exact
-    scale = 2.0 ** round(math.log2(max(num.max_abs_coeff(), den.max_abs_coeff())))
-    num = num.scale(1.0 / scale)
-    den = den.scale(1.0 / scale)
+    # two keep binary-exact coefficients exact, unless they leave the range
+    # of floats
+    exponent = round(math.log2(max(num.max_abs_coeff(), den.max_abs_coeff())))
+    try:
+        factor = math.ldexp(1.0, -exponent)
+    except OverflowError:
+        factor = math.inf
+    n = len(num.coeffs)
+    coeffs = num.coeffs + den.coeffs
+    scaled = [factor * c for c in coeffs]
+    if any(not cmath.isfinite(s) or (s == 0 and c != 0) for c, s in zip(coeffs, scaled)):
+        raise ValueError("coefficients span too many powers of two: scaling the "
+                         "largest to modulus 1 takes another to 0 or to infinity")
+    num, den = Polynomial(tuple(scaled[:n])), Polynomial(tuple(scaled[n:]))
     deg = max(num.degree, den.degree)
     if deg < 2:
         raise ValueError(f"map has degree {deg} after cancellation; need >= 2")

@@ -119,6 +119,14 @@ def chordal(a, b) -> float:
     return as_sphere(a).chordal(as_sphere(b))
 
 
+def point_key(p: SpherePoint):
+    """Canonical order on the sphere: infinity first, then by (re, im)."""
+    if p.is_infinity:
+        return (0, 0.0, 0.0)
+    z = p.to_complex()
+    return (1, z.real, z.imag)
+
+
 # ---------------------------------------------------------------------------
 # polynomials
 

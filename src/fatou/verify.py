@@ -17,10 +17,10 @@ from . import basins as _basins
 from .catalog import (CATALOG_NAMES, by_name, paper_g, pseudo_basilica,
                       pseudo_rabbit_roots, solve_pinch_params)
 from .lifting import LiftError, circle, lift_curve, sign_change_sequence
-from .orbits import critical_portrait, periodic_points
+from .orbits import critical_portrait, orbit_derivative, periodic_points
 from .ratmap import RationalMap, critical_points, eval_sphere, normalize
 from .rays import RayAngle, trace_orbit, separation_test
-from .sphere import SpherePoint, as_sphere, chordal, poly
+from .sphere import ParameterError, SpherePoint, as_sphere, chordal, poly
 
 
 @dataclass(frozen=True)
@@ -100,10 +100,17 @@ def check_periodic(ctx: Context):
     max_im = max(abs(z.imag) for z in finite)
     want = [0.0, -2.0, 2.0]
     incl = max(min(abs(z - w) for z in finite) for w in want)
-    ok = total == 10 and inf_count == 1 and max_im < 1e-8 and incl < 1e-9
+    # the Newton step of g^2(z) - z, relative to 1 + |z|: about the distance
+    # from each point to the true one
+    newton = 0.0
+    for z in finite:
+        w, dw = orbit_derivative(ctx.g, z, 2)
+        newton = max(newton, abs(w - z) / abs(dw - 1.0) / (1.0 + abs(z)))
+    ok = (total == 10 and inf_count == 1 and max_im < 1e-8 and incl < 1e-9
+          and newton < 1e-9)
     measured = (f"count {total}, at-infinity {inf_count}, max|Im| {max_im:.2e}, "
-                f"{{0,-2,2}} err {incl:.2e}")
-    return ok, measured, "count 10 exactly, |Im| 1e-8, inclusion 1e-9"
+                f"{{0,-2,2}} err {incl:.2e}, Newton distance {newton:.2e}")
+    return ok, measured, "count 10 exactly, |Im| 1e-8, inclusion 1e-9, Newton distance 1e-9"
 
 
 def check_rays(ctx: Context):
@@ -364,7 +371,8 @@ def groups() -> tuple:
 
 def run_checks(only: Optional[str] = None) -> list[CheckResult]:
     if only is not None and only not in groups():
-        raise ValueError(f"unknown check group {only!r}; known: {', '.join(groups())}")
+        raise ParameterError("only", f"unknown check group {only!r}; "
+                             f"known: {', '.join(groups())}")
     ctx = Context()
     results = []
     for name, group, fn in _REGISTRY:

@@ -224,6 +224,45 @@ def test_bad_map_files_are_usage_errors(capsys, tmp_path, text, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["ray", "--angle", "0"],
+    ["portrait"],
+    ["periodic", "--period", "2"],
+    ["lift", "--center=0,0", "--radius", "0.5"],
+    ["render", "--resolution", "8x8", "--out", "out.ppm"],
+], ids=lambda argv: argv[0])
+def test_a_map_whose_denominator_scales_to_zero_is_a_usage_error(
+        capsys, tmp_path, monkeypatch, argv):
+    # scaling 1e300 to modulus 1 takes the denominator 1e-300 to 0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "range.json").write_text(
+        '{"num": [[0,0],[0,0],[1e300,0]], "den": [[1e-300,0]]}')
+    code, out, err = _run(capsys, argv[:1] + ["--map", "range.json"] + argv[1:])
+    assert (code, out) == (2, "")
+    assert "Traceback" not in err
+    assert err.startswith("usage error: --map: ") and "to 0 or to infinity" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["range.json"]
+
+
+def test_a_ray_disc_whose_derivative_bound_overflows_warns_nothing(capsys, tmp_path, monkeypatch):
+    # on z^3 about its basin at 0 the walk's derivative bounds multiply past
+    # the float range; that bound is refused, and the product may not warn
+    # (the suite turns a RuntimeWarning into an error)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cube.json").write_text('{"num": [[0,0],[0,0],[0,0],[1,0]], "den": [[1,0]]}')
+    code, out, err = _run(capsys, ["ray", "--map", "cube.json", "--basin", "0,0",
+                                   "--angle", "1/7", "--angle", "1/2"])
+    assert (code, err) == (0, "")
+    assert out == (
+        '{"schema": 1, "map": "cube.json", "basin": [0.0, 0.0], "depth": 96, "r0": 100.0, '
+        '"rays": [{"angle": "1/7", "landed": true, "landing": [0.6234898018587335, '
+        '-0.7818314824680298], "certified": true, "multiplier": 728.9999999999754, '
+        '"disc_radius": 0.0013906571056709711, "residual": 4.743320116959011e-17, '
+        '"potential_sublevels": 4}, {"angle": "1/2", "landed": true, "landing": [-1.0, 0.0], '
+        '"certified": true, "multiplier": 3.0, "disc_radius": 0.45386267656367346, '
+        '"residual": 0.0, "potential_sublevels": 4}]}\n')
+
+
 def test_render_writes_ppm(capsys, tmp_path):
     out_path = tmp_path / "basins.ppm"
     args = ["render", "--map", "paper-g", "--resolution", "80x60",
@@ -512,6 +551,36 @@ def test_verify_fails_on_a_landing_moved_by_1e_9(capsys, monkeypatch, angle, mea
     assert line.startswith("FAIL ray-landings") and measured in line
 
 
+def _periodic_points_changed(monkeypatch, change):
+    import fatou.verify as verify_mod
+    real = verify_mod.periodic_points
+    monkeypatch.setattr(verify_mod, "periodic_points", lambda *a, **kw: change(real(*a, **kw)))
+
+
+def _moved(pts, target, by):
+    near = min(pts, key=lambda q: q.point.chordal(SpherePoint.of(target)))
+    return [dataclasses.replace(q, point=SpherePoint.of(q.point.to_complex() + by))
+            if q is near else q for q in pts]
+
+
+@pytest.mark.parametrize("change, measured", [
+    (lambda pts: [q for q in pts
+                  if q.point.chordal(SpherePoint.of(0.7807764064044151)) > 1e-9],
+     "count 9"),
+    (lambda pts: _moved(pts, 2.0, 1e-8), "{0,-2,2} err 1.00e-08"),
+    (lambda pts: _moved(pts, -2.172001619, 1e-8), "Newton distance 3.15e-09"),
+], ids=["point-dropped", "two-moved-by-1e-8", "period-two-point-moved-by-1e-8"])
+def test_verify_fails_on_a_periodic_point_dropped_or_moved(capsys, monkeypatch, change, measured):
+    # planted faults: one period-2 point of paper-g dropped, the fixed point 2
+    # moved by 1e-8, and the period-2 point -2.172002 moved by 1e-8, which the
+    # count and the inclusion of {0, -2, 2} cannot see
+    _periodic_points_changed(monkeypatch, change)
+    code, out, _ = _run(capsys, ["verify", "--only", "periodic"])
+    assert code == 1
+    line, = [x for x in out.splitlines() if "periodic-points" in x]
+    assert line.startswith("FAIL periodic-points") and measured in line
+
+
 def test_verify_fails_on_a_flipped_separation(capsys, monkeypatch):
     # a planted fault: the separation test answers the opposite
     import fatou.verify as verify_mod
@@ -680,3 +749,57 @@ def test_ray_render_and_lift_at_the_family_caps(name, radius, tmp_path):
     assert ray["certified"] and round(ray["disc_radius"], 4) == radius
     assert run("render", "--resolution", "80x60", "--out", "out.ppm")["unresolved_cells"] == 0
     assert run("lift", "--center=0.0,0", "--radius", "0.1")["total_degree"] == by_name(name).degree
+
+
+_ENTRY_MODULES = ["fatou", "fatou._jsonio", "fatou.catalog", "fatou.cli", "fatou.ratmap",
+                  "fatou.sphere"]
+
+
+@pytest.mark.parametrize("argv, more", [
+    (None, []),
+    (["catalog"], []),
+    (["portrait", "--map", "paper-g"], ["fatou.orbits"]),
+    (["periodic", "--map", "paper-g", "--period", "2"], ["fatou.orbits"]),
+    (["lift", "--map", "paper-g", "--center=-2,0", "--radius", "0.1"],
+     ["fatou._geom", "fatou.lifting"]),
+    (["render", "--map", "paper-g", "--resolution", "16x12", "--out", "out.ppm"],
+     ["fatou._bounds", "fatou.basins", "fatou.orbits"]),
+    (["ray", "--map", "paper-g", "--angle", "1/3"],
+     ["decimal", "fatou._bounds", "fatou._geom", "fatou.orbits", "fatou.rays", "fractions"]),
+], ids=["import", "catalog", "portrait", "periodic", "lift", "render", "ray"])
+def test_each_command_loads_only_its_own_modules(argv, more, tmp_path):
+    # start-up is most of a command's wall time: importing fatou.cli loads what
+    # parsing and map loading need, and each command what it runs
+    code = ("import contextlib, io, sys\nimport fatou.cli\n"
+            f"argv = {argv!r}\n"
+            "if argv is not None:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert fatou.cli.dispatch(argv) == 0\n"
+            "print(*sorted(m for m in sys.modules\n"
+            "              if m.startswith('fatou') or m in ('decimal', 'fractions')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == sorted(_ENTRY_MODULES + more)
+
+
+def test_an_unknown_verify_group_is_a_usage_error_before_any_check(capsys, monkeypatch):
+    import fatou.verify as verify_mod
+
+    def no_checks():
+        raise AssertionError("a check ran for an unknown group")
+    monkeypatch.setattr(verify_mod, "Context", no_checks)
+    code, out, err = _run(capsys, ["verify", "--only", "bogus"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: --only: unknown check group 'bogus'; known: portrait, ")
+
+
+def test_commands_fill_in_the_library_defaults(capsys, tmp_path):
+    code, out, _ = _run(capsys, ["render", "--map", "paper-g", "--resolution", "8x6",
+                                 "--out", str(tmp_path / "out.ppm")])
+    assert code == 0
+    assert json.loads(out)["bounds"] == [-2.8, 2.8, -2.1, 2.1]
+    code, out, _ = _run(capsys, ["ray", "--map", "paper-g", "--angle", "1/3"])
+    doc = json.loads(out)
+    assert (doc["depth"], doc["r0"]) == (fatou.rays.DEFAULT_DEPTH, fatou.rays.DEFAULT_R0)

@@ -65,6 +65,22 @@ def test_normalize_says_why_the_degree_is_too_low(num, den, message):
         normalize(poly(*num), poly(*den))
 
 
+def test_normalize_refuses_a_scaling_that_loses_a_coefficient():
+    # the joint power of two that takes 1e300 to modulus 1 takes 1e-300 to 0
+    with pytest.raises(ValueError, match="to 0 or to infinity"):
+        normalize(poly(0.0, 0.0, 1e300), poly(1e-300))
+    # all coefficients below the normal range: the power of two is not a float
+    with pytest.raises(ValueError, match="to 0 or to infinity"):
+        normalize(poly(0.0, 0.0, 1e-320), poly(1e-320))
+
+
+def test_normalize_scales_coefficients_at_the_top_of_the_float_range():
+    # the largest rounds to 2^1024, which is not a float; its inverse is
+    f = normalize(poly(0.0, 0.0, 1.7e308), poly(2.0 ** 1023))
+    assert f.num.coeffs[-1] == 1.7e308 * 2.0 ** -1024
+    assert f.den.coeffs == (0.5,)
+
+
 def test_eval_special_points():
     g = paper_g()
     assert eval_sphere(g, as_sphere(0.0)).to_complex() == pytest.approx(-2.0)
