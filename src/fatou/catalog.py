@@ -178,23 +178,20 @@ def paper_degree4() -> RationalMap:
     return pseudo_basilica(4)
 
 
-CATALOG_NAMES = (
-    "paper-g",
-    "paper-degree4",
-    "pseudo-basilica:2",
-    "pseudo-basilica:3",
-    "pseudo-basilica:4",
-    "pseudo-rabbit:3:0",
-)
+# Each distinct map once, under the paper's name where it has one.
+CATALOG_NAMES = ("paper-g", "paper-degree4", "pseudo-basilica:2", "pseudo-rabbit:3:0")
+# Family selectors that name a catalog map: the paper's two maps are the
+# pseudo-basilica members of degrees 3 and 4, coefficients bit for bit.
+ALIASES = {"pseudo-basilica:3": "paper-g", "pseudo-basilica:4": "paper-degree4"}
+# Every selector `fatou catalog` lists: the paper's names, then the family
+# selectors in order, the aliases among them.
+SELECTORS = CATALOG_NAMES[:2] + tuple(sorted(CATALOG_NAMES[2:] + tuple(ALIASES)))
+_FAMILY_SELECTORS = {name: alias for alias, name in ALIASES.items()}
 
 
 def by_name(name: str) -> RationalMap:
     """Resolve a catalog selector; raises KeyError on unknown names."""
-    if name == "paper-g":
-        return paper_g()
-    if name == "paper-degree4":
-        return paper_degree4()
-    parts = name.split(":")
+    parts = _FAMILY_SELECTORS.get(name, name).split(":")
     try:
         if parts[0] == "pseudo-basilica" and len(parts) == 2:
             return pseudo_basilica(int(parts[1]))

@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import _jsonio
-from .catalog import CATALOG_NAMES, by_name
+from .catalog import ALIASES, CATALOG_NAMES, SELECTORS, by_name
 from .ratmap import RationalMap, map_from_jsonable, map_to_jsonable
 from .sphere import ParameterError, SpherePoint, as_sphere, point_key
 
@@ -102,8 +102,9 @@ def _load_map(selector: str) -> RationalMap:
                 return map_from_jsonable(json.load(fh))
         except (OSError, ValueError, RecursionError) as exc:
             raise ParameterError("map", f"map file {selector!r}: {exc}") from None
+    aliases = ", ".join(f"{alias} = {name}" for alias, name in ALIASES.items())
     raise ParameterError("map", f"not a file, and {reason}; "
-                         f"catalog: {', '.join(CATALOG_NAMES)}")
+                         f"catalog: {', '.join(CATALOG_NAMES)} (aliases: {aliases})")
 
 
 def _emit(report: dict):
@@ -244,9 +245,12 @@ def cmd_lift(args) -> int:
 
 def cmd_catalog(args) -> int:
     maps = []
-    for name in CATALOG_NAMES:
+    for name in SELECTORS:
         f = by_name(name)
-        entry = {"name": name, "degree": f.degree}
+        entry = {"name": name}
+        if name in ALIASES:
+            entry["alias_of"] = ALIASES[name]
+        entry["degree"] = f.degree
         if args.coeffs:
             entry.update(map_to_jsonable(f))
         maps.append(entry)
@@ -255,9 +259,10 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_render(args) -> int:
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    if os.path.isdir(args.out):
-        raise ParameterError("out", f"{args.out!r} is a directory")
+    path = os.path.abspath(args.out)  # '' names the working directory
+    if os.path.isdir(path):
+        raise ParameterError("out", f"{args.out!r} names a directory")
+    out_dir = os.path.dirname(path)
     if not (os.path.isdir(out_dir) and os.access(out_dir, os.W_OK)):
         raise ParameterError("out", f"directory {out_dir!r} does not exist or is not writable")
     from . import basins as _basins

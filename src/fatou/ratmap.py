@@ -127,18 +127,19 @@ def normalize(raw_num: Polynomial, raw_den: Polynomial) -> RationalMap:
         num, den = _cancel_common_roots(num, den)
     # scale jointly so the largest coefficient has modulus near 1; powers of
     # two keep binary-exact coefficients exact, unless they leave the range
-    # of floats
+    # of floats. When every coefficient lies below the normal range, 2^-exponent
+    # is not a float; then the scaling goes in two powers of two, both up and
+    # so both exact.
     exponent = round(math.log2(max(num.max_abs_coeff(), den.max_abs_coeff())))
-    try:
-        factor = math.ldexp(1.0, -exponent)
-    except OverflowError:
-        factor = math.inf
+    steps = (exponent,) if exponent > -1024 else (exponent // 2, exponent - exponent // 2)
     n = len(num.coeffs)
-    coeffs = num.coeffs + den.coeffs
-    scaled = [factor * c for c in coeffs]
-    if any(not cmath.isfinite(s) or (s == 0 and c != 0) for c, s in zip(coeffs, scaled)):
+    coeffs = scaled = num.coeffs + den.coeffs
+    for e in steps:
+        factor = math.ldexp(1.0, -e)
+        scaled = [factor * c for c in scaled]
+    if any(s == 0 and c != 0 for c, s in zip(coeffs, scaled)):
         raise ValueError("coefficients span too many powers of two: scaling the "
-                         "largest to modulus 1 takes another to 0 or to infinity")
+                         "largest to modulus 1 takes another to 0")
     num, den = Polynomial(tuple(scaled[:n])), Polynomial(tuple(scaled[n:]))
     deg = max(num.degree, den.degree)
     if deg < 2:

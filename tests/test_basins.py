@@ -26,7 +26,7 @@ from fatou.basins import (
     render_ppm,
     superattracting_cycles,
 )
-from fatou.catalog import CATALOG_NAMES, by_name, paper_g
+from fatou.catalog import CATALOG_NAMES, SELECTORS, by_name, paper_g
 from fatou.orbits import critical_portrait
 from fatou.ratmap import Polynomial, RationalMap, eval_sphere, normalize
 from fatou.sphere import MoebiusTransform, SpherePoint, as_sphere
@@ -556,7 +556,7 @@ def test_labels_match_bfs_on_random_three_key_grids(shape):
             _assert_labels_match_bfs(_grid(keys[k, 0], keys[k, 1]))
 
 
-@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("name", SELECTORS)
 def test_labels_match_bfs_and_scipy_on_catalog_maps(name):
     f = by_name(name)
     grid = classify_grid(f, critical_portrait(f), Bounds(-2.8, 2.8, -2.1, 2.1), (200, 150))
@@ -653,7 +653,7 @@ def _assert_grid_matches_reference(f, bounds, resolution, trap_radius, max_iter=
     return grid
 
 
-@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("name", SELECTORS)
 @pytest.mark.parametrize("trap_radius", [1e-6, 1e-3, 0.2])
 def test_band_prefilter_keeps_every_trapping_decision(name, trap_radius):
     _assert_grid_matches_reference(by_name(name), WIDE, (61, 47), trap_radius)
@@ -692,7 +692,7 @@ def _quadratic(c: complex) -> RationalMap:
 
 
 MIRRORED_MAPS = dict(
-    {name: (lambda name=name: by_name(name)) for name in CATALOG_NAMES},
+    {name: (lambda name=name: by_name(name)) for name in SELECTORS},
     basilica=lambda: _quadratic(-1.0),
     airplane=lambda: _quadratic(-1.7548776662466927),  # 0 has period 3
     no_infinity=lambda: normalize(Polynomial((0.0, 0.0, 0.0, 1.0)),
@@ -804,9 +804,9 @@ def _in_disc(disc, x: SpherePoint) -> bool:
     return az2 / (az2 + aw2) >= disc.rho2_min
 
 
-@pytest.mark.parametrize("name", CATALOG_NAMES + ("rotated",))
+@pytest.mark.parametrize("name", SELECTORS + ("rotated",))
 def test_escape_disc_maps_into_itself_with_the_stated_growth(name):
-    f = by_name(name) if name in CATALOG_NAMES else _conjugates()[name]
+    f = by_name(name) if name in SELECTORS else _conjugates()[name]
     cycles = superattracting_cycles(critical_portrait(f))
     # infinity is a superattracting fixed point of every catalog map and of
     # the rotated conjugate, and its disc is certified

@@ -4,8 +4,10 @@ import pytest
 import fatou.catalog
 
 from fatou.catalog import (
+    ALIASES,
     CATALOG_NAMES,
     FAMILY_MAX_DEGREE,
+    SELECTORS,
     by_name,
     hom_compose,
     paper_degree4,
@@ -42,9 +44,31 @@ def test_names_resolve_with_expected_degrees():
         "pseudo-basilica:4": 4,
         "pseudo-rabbit:3:0": 3,
     }
-    assert set(CATALOG_NAMES) == set(degrees)
-    for name in CATALOG_NAMES:
+    assert set(SELECTORS) == set(degrees) == set(CATALOG_NAMES) | set(ALIASES)
+    for name in SELECTORS:
         assert by_name(name).degree == degrees[name]
+
+
+def _coefficients(name):
+    """The map's coefficients as bytes, so equal means equal bit for bit."""
+    f = by_name(name)
+    return tuple(np.array(p.coeffs, dtype=complex).tobytes() for p in (f.num, f.den))
+
+
+def test_no_two_catalog_names_are_one_map():
+    # a map the catalog lists twice would run twice in every consumer of
+    # CATALOG_NAMES; a second name for a map belongs in ALIASES
+    maps = {}
+    for name in CATALOG_NAMES:
+        maps.setdefault(_coefficients(name), []).append(name)
+    assert [names for names in maps.values() if len(names) > 1] == []
+
+
+def test_each_alias_is_its_map_bit_for_bit():
+    assert set(ALIASES.values()) <= set(CATALOG_NAMES)
+    assert not set(ALIASES) & set(CATALOG_NAMES)
+    for alias, name in ALIASES.items():
+        assert _coefficients(alias) == _coefficients(name), alias
 
 
 def test_by_name_unknown():

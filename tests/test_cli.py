@@ -12,7 +12,7 @@ import pytest
 import fatou.basins
 import fatou.catalog
 import fatou.rays
-from fatou.catalog import by_name, paper_g
+from fatou.catalog import ALIASES, SELECTORS, by_name, paper_g
 from fatou.cli import build_parser, dispatch
 from fatou.ratmap import map_to_jsonable
 from fatou.sphere import Polynomial, SpherePoint
@@ -186,6 +186,21 @@ def test_catalog_listing(capsys):
     assert all("num" in m and "den" in m for m in doc["maps"])
     g = next(m for m in doc["maps"] if m["name"] == "paper-g")
     assert len(g["num"]) == 4 and len(g["den"]) == 2
+    # a row for every selector; an alias row names its map and prints its
+    # coefficients
+    rows = {m.pop("name"): m for m in doc["maps"]}
+    assert list(rows) == list(SELECTORS)
+    assert {name: m.pop("alias_of") for name, m in rows.items() if "alias_of" in m} == ALIASES
+    assert all(rows[alias] == rows[name] for alias, name in ALIASES.items())
+
+
+def test_an_unknown_map_lists_the_catalog_and_its_aliases(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(capsys, ["portrait", "--map", "paper-h"])
+    assert (code, out) == (2, "")
+    assert err == ("usage error: --map: not a file, and unknown catalog map 'paper-h'; "
+                   "catalog: paper-g, paper-degree4, pseudo-basilica:2, pseudo-rabbit:3:0 "
+                   "(aliases: pseudo-basilica:3 = paper-g, pseudo-basilica:4 = paper-degree4)\n")
 
 
 def test_map_loading_from_json_file(capsys, tmp_path):
@@ -240,7 +255,7 @@ def test_a_map_whose_denominator_scales_to_zero_is_a_usage_error(
     code, out, err = _run(capsys, argv[:1] + ["--map", "range.json"] + argv[1:])
     assert (code, out) == (2, "")
     assert "Traceback" not in err
-    assert err.startswith("usage error: --map: ") and "to 0 or to infinity" in err
+    assert err.startswith("usage error: --map: ") and "takes another to 0" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["range.json"]
 
 
@@ -285,7 +300,7 @@ def _no_classification(*args, **kwargs):
     raise AssertionError("render classified a grid it should have refused")
 
 
-@pytest.mark.parametrize("out_arg", ["missing-dir/x.ppm", "."])
+@pytest.mark.parametrize("out_arg", ["missing-dir/x.ppm", ".", pytest.param("", id="empty")])
 def test_render_refuses_an_unwritable_out_before_classifying(
         capsys, tmp_path, monkeypatch, out_arg):
     monkeypatch.chdir(tmp_path)

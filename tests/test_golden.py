@@ -47,7 +47,6 @@ RAYS = (
     ("paper-degree4", ("1/3", "2/3"), False),
     ("pseudo-basilica:2", ("1/7", "2/7", "4/7"), False),
     ("pseudo-basilica:3", ("1/3", "2/3"), False),
-    ("pseudo-basilica:4", ("1/3", "2/3"), False),
     ("pseudo-rabbit:3:0", ("1/3", "2/3"), False),
 )
 TOWERS = (  # map, centre, omega, steps

@@ -7,7 +7,7 @@ import pytest
 
 import fatou._geom
 import fatou.lifting
-from fatou.catalog import by_name, paper_g
+from fatou.catalog import SELECTORS, by_name, paper_g
 from fatou.lifting import (
     MAX_SUBDIVISION,
     Lift,
@@ -523,9 +523,7 @@ def _assert_lift_matches_edge_by_edge(f, curve, omega=1e6):
     return ls
 
 
-@pytest.mark.parametrize("name", ["paper-g", "paper-degree4", "pseudo-basilica:2",
-                                  "pseudo-basilica:3", "pseudo-basilica:4",
-                                  "pseudo-rabbit:3:0"])
+@pytest.mark.parametrize("name", SELECTORS)
 def test_all_edge_matching_makes_the_edge_by_edge_decisions(name):
     f = by_name(name)
     for c in (0.0, 1.0 - f.degree):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fatou.orbits
-from fatou.catalog import CATALOG_NAMES, by_name, paper_g, pseudo_basilica
+from fatou.catalog import SELECTORS, by_name, paper_g, pseudo_basilica
 from fatou.orbits import (
     critical_portrait,
     cycle_multiplier,
@@ -251,7 +251,7 @@ def _random_map(seed: int, degree: int):
     return normalize(Polynomial(tuple(num)), Polynomial(tuple(den)))
 
 
-@pytest.mark.parametrize("f", [pytest.param(by_name(name), id=name) for name in CATALOG_NAMES]
+@pytest.mark.parametrize("f", [pytest.param(by_name(name), id=name) for name in SELECTORS]
                          + [pytest.param(_chebyshev(), id="chebyshev")]
                          + [pytest.param(_random_map(seed, d), id=f"random {d} seed {seed}")
                             for seed, d in ((1, 3), (2, 5), (3, 8))])
@@ -274,7 +274,7 @@ def _window_walk(f, start, max_iter: int) -> tuple[list, int]:
     return orbit, 0
 
 
-@pytest.mark.parametrize("f", [pytest.param(by_name(name), id=name) for name in CATALOG_NAMES]
+@pytest.mark.parametrize("f", [pytest.param(by_name(name), id=name) for name in SELECTORS]
                          + [pytest.param(_random_map(seed, d), id=f"random {d} seed {seed}")
                             for seed, d in ((1, 3), (2, 5), (3, 8))])
 def test_walk_cells_find_the_window_loops_revisit(f):
@@ -364,7 +364,7 @@ def test_random_conjugation_preserves_multiplier():
             assert abs(lam - ref) <= 1e-9 * abs(ref)
 
 
-@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("name", SELECTORS)
 def test_orbit_derivative_is_the_affine_chain_rule(name):
     # f^n(z) and (f^n)'(z) against num/den and their derivatives, step by step
     f = by_name(name)

@@ -9,7 +9,7 @@ import pytest
 import fatou._bounds
 import fatou.rays
 from fatou.basins import escape_disc, superattracting_cycles
-from fatou.catalog import CATALOG_NAMES, by_name, paper_g
+from fatou.catalog import SELECTORS, by_name, paper_g
 from fatou.orbits import critical_portrait
 from fatou.ratmap import Polynomial, eval_sphere, nearest, normalize
 from fatou.rays import (
@@ -201,6 +201,40 @@ def test_trace_validation_errors():
     for depth in (0, MAX_DEPTH + 1):
         with pytest.raises(ValueError, match="depth"):
             trace_orbit(paper_g(), SpherePoint.infinity(), ["1/3"], depth=depth)
+
+
+def test_an_ambiguous_continuation_retraces_at_twice_the_sublevels(monkeypatch):
+    # trace_orbit retraces the whole orbit at doubled sublevels while a
+    # continuation is ambiguous; here the two coarsest subdivisions are
+    # planted ambiguous
+    real, tried = fatou.rays._trace_at_infinity, []
+
+    def ambiguous_below_16(f, m, orbit, potentials, sublevels):
+        tried.append((sublevels, len(potentials)))
+        if sublevels < 16:
+            raise fatou.rays._Ambiguous("planted")
+        return real(f, m, orbit, potentials, sublevels)
+    monkeypatch.setattr(fatou.rays, "_trace_at_infinity", ambiguous_below_16)
+    traces = trace_orbit(paper_g(), SpherePoint.infinity(), ["1/3", "2/3"], depth=12)
+    assert tried == [(4, 49), (8, 97), (16, 193)]
+    assert [tr.sublevels for tr in traces.values()] == [16, 16]
+    assert all(tr.certified and abs(tr.landing - BETA_LIKE) < 1e-9 for tr in traces.values())
+
+
+def test_a_continuation_ambiguous_at_the_finest_subdivision_is_an_error(monkeypatch):
+    # from r0 = 1e12 the first fiber targets of paper-g trim to the pole and
+    # infinity twice (see the README), so R_1/3 is ambiguous at every
+    # subdivision; MAX_R0 stops short of that, and is lifted here to reach it
+    monkeypatch.setattr(fatou.rays, "MAX_R0", 1e12)
+    real, tried = fatou.rays._trace_at_infinity, []
+
+    def spy(f, m, orbit, potentials, sublevels):
+        tried.append(sublevels)
+        return real(f, m, orbit, potentials, sublevels)
+    monkeypatch.setattr(fatou.rays, "_trace_at_infinity", spy)
+    with pytest.raises(RayTraceError, match="ambiguous at the finest subdivision"):
+        trace_orbit(paper_g(), SpherePoint.infinity(), ["1/3", "2/3"], r0=1e12)
+    assert tried == [4, 8, 16, 32, 64] and tried[-1] == fatou.rays._MAX_SUBLEVELS
 
 
 def test_separation_parity():
@@ -586,10 +620,12 @@ def test_certified_orbits_stop_within_20_fiber_solves(monkeypatch):
 def test_one_cycle_disc_per_landing_in_a_benchmark_round(monkeypatch):
     # R_1/3 and R_2/3 of the two-cycle family land on one fixed point, and
     # their Newton roots differ by about 1e-48 in the imaginary part: both
-    # get their disc about the same real centre, proved once. The seven
-    # orbits of a round have 11 distinct landings (16 runs when each angle
-    # proved its own disc); on the rabbit, R_2/3 lands at the conjugate of
-    # R_1/3's landing, whose disc's conjugate is proved with it: 10 runs
+    # get their disc about the same real centre, proved once. The six orbits
+    # of the golden ray list (a benchmark round less its pseudo-basilica:4
+    # orbit, which repeats paper-degree4's) have 10 distinct landings (14
+    # runs when each angle proved its own disc); on the rabbit, R_2/3 lands
+    # at the conjugate of R_1/3's landing, whose disc's conjugate is proved
+    # with it: 9 runs
     runs = []
     real = fatou.rays._cycle_disc
 
@@ -603,8 +639,8 @@ def test_one_cycle_disc_per_landing_in_a_benchmark_round(monkeypatch):
         traces = trace_orbit(f, SpherePoint.infinity(), angles)
         periods = fatou.rays._periods(list(traces), 2)
         found += [(f, tr, periods[t]) for t, tr in traces.items() if periods[t]]
-    assert len(runs) == 10
-    assert len(found) == 16
+    assert len(runs) == 9
+    assert len(found) == 14
     # each served root reports the radius its own disc would have had
     for f, tr, k in found:
         assert tr.certified and tr.disc_radius == real(f, tr.landing, k)[0]
@@ -679,7 +715,7 @@ def test_landing_discs_against_an_mpmath_oracle(name, angles):
                 assert abs(turns / (2 * mp.pi) - 1) < 1e-9, (t, float(turns))
 
 
-@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("name", SELECTORS)
 @pytest.mark.parametrize("trap_radius", [1e-6, 1e-3, 0.2])
 def test_escape_discs_against_an_mpmath_oracle(name, trap_radius):
     # at points of the escape disc |z| >= R, in 50 digits and the chart
@@ -787,9 +823,10 @@ def test_the_walk_around_the_two_cycle_of_paper_g_halves_its_discs(cycle, rung):
 
 
 def test_a_rays_round_walks_each_step_of_each_disc_once(monkeypatch):
-    # every _LocalBound of the orbits of the rays workload is one step of a
-    # disc's walk in _rim_disc: _rim reads that walk and does not walk again.
-    # 18 per round, as many as before the walks were merged
+    # every _LocalBound of the golden ray orbits (the rays workload's, less
+    # the pseudo-basilica:4 orbit that repeats paper-degree4's) is one step of
+    # a disc's walk in _rim_disc: _rim reads that walk and does not walk
+    # again. 17 of them: the workload's 18 less the pseudo-basilica:4 one
     built, steps = [], []
 
     class Counted(fatou._bounds._LocalBound):
@@ -805,7 +842,7 @@ def test_a_rays_round_walks_each_step_of_each_disc_once(monkeypatch):
     monkeypatch.setattr(fatou.rays, "_rim_disc", rim_disc)
     for name, angles, _ in RAYS:
         trace_orbit(by_name(name), SpherePoint.infinity(), list(angles))
-    assert len(built) == sum(steps) <= 18
+    assert len(built) == sum(steps) <= 17
 
 
 def test_cycle_discs_take_the_least_period():
