@@ -35,14 +35,14 @@ DEFAULT_TRAP_RADIUS = 1e-6
 # temporaries are a few MB whatever the resolution
 TILE_CELLS = 16384
 # Bytes per cell that render keeps at its peak: the grid's cycle_id, phase and
-# steps (8) and the int32 labels (4). label_components works on row runs: its
-# masks are a byte per cell, and it keeps an int32 first cell, parent, label
-# and length per run, with an int64 copy of the first cells while they are
-# found. With the grid, tracemalloc measures 12 on a one-key 800x600 grid
+# steps (8), the int32 labels (4) and render_ppm's 15: the int32 basin_key,
+# turned into palette rows in place, the image and its bytes. classify_grid
+# adds fixed-size tiles to the grid's 8. label_components holds the key and
+# byte masks while it finds the row runs, then an int32 first cell, parent,
+# label and length per run, with an int64 copy of the first cells while they
+# are found. With the grid, tracemalloc measures 15 on a one-key 800x600 grid
 # (a run per row) and 32 on an 800x600 checkerboard (a run and a component
-# per cell). classify_grid adds fixed-size tiles to the grid's 8, and
-# render_ppm 15 to the grid and the labels: an int32 palette code, the image
-# and its bytes. The labeling keeps an int32 root and count per component;
+# per cell). The labeling keeps an int32 root and count per component;
 # Component records are built only when asked for.
 BYTES_PER_CELL = 64
 MAX_GRID_BYTES = 2 ** 31  # for the arrays of one grid
@@ -121,6 +121,22 @@ def _center_coords(bounds: Bounds, width: int, height: int, row, col):
     y = ((bounds.ymax + bounds.ymin) / 2
          + ((height - 1 - 2 * row) * (bounds.ymax - bounds.ymin)) / (2 * height))
     return x, y
+
+
+# A map of degree d has at most 2d - 2 superattracting cycles (each holds a
+# critical point), of period at most orbits.CYCLE_WINDOW (64), so a basin key
+# is below (2d - 2) * 64: int32 holds it for every degree below 2**24.
+def basin_key(grid: BasinGrid, cells=slice(None)) -> np.ndarray:
+    """The int32 key cycle_id * P + phase, P = _key_period(grid), of the flat
+    cells (all by default), negative on exactly the unresolved ones. Labels,
+    colours and the render report read it; divmod(key, P) decodes it."""
+    key = np.multiply(grid.cycle_id.ravel()[cells], _key_period(grid), dtype=np.int32)
+    key += grid.phase.ravel()[cells]
+    return key
+
+
+def _key_period(grid: BasinGrid) -> int:
+    return max(len(c) for c in grid.cycles)  # the longest cycle's period
 
 
 def superattracting_cycles(portrait: CriticalPortrait) -> list[tuple]:
@@ -450,8 +466,8 @@ class ComponentLabeling:
 
     def component(self, label: int) -> Component:
         root = int(self.roots[label])
-        return Component(label, int(self.grid.cycle_id.flat[root]),
-                         int(self.grid.phase.flat[root]),
+        cycle_id, phase = divmod(int(basin_key(self.grid, root)), _key_period(self.grid))
+        return Component(label, cycle_id, phase,
                          self.grid.cell_center(*divmod(root, self.grid.width)),
                          int(self.counts[label]))
 
@@ -461,12 +477,12 @@ class ComponentLabeling:
 
 
 def label_components(grid: BasinGrid) -> ComponentLabeling:
-    """4-connected components of constant (cycle_id, phase), numbered in
-    row-major order of their first cell, so numbering is deterministic.
+    """4-connected components of one basin_key, numbered in row-major order
+    of their first cell, so numbering is deterministic.
 
     Union-find over row runs (He, Chao & Suzuki, IEEE TIP 17(5), 2008): each
     row splits into maximal runs of one key, numbered in row-major order of
-    their first cell, and an unresolved cell is a run of its own. Two
+    their first cell; runs of unresolved cells get no edge and no label. Two
     vertically adjacent runs of one key are joined by a single edge, at the
     column where their overlap begins, which is where one of them starts.
     Every round hooks the larger root of each edge to the smaller
@@ -476,19 +492,19 @@ def label_components(grid: BasinGrid) -> ComponentLabeling:
     per run, then spread over the run's cells.
     """
     h, w = grid.height, grid.width
-    cid, ph = grid.cycle_id, grid.phase
-    # a run starts at column 0 and after an unresolved cell or a key change
-    start = np.ones((h, w), dtype=bool)
-    np.not_equal(cid[:, :-1], cid[:, 1:], out=start[:, 1:])
-    start[:, 1:] |= ph[:, :-1] != ph[:, 1:]
-    start[:, 1:] |= cid[:, :-1] < 0
+    key = basin_key(grid)  # flat, so rows compare as one contiguous array
+    # a run starts at column 0 and where the key changes
+    start = np.empty(h * w, dtype=bool)
+    np.not_equal(key[:-1], key[1:], out=start[1:])
+    start.reshape(h, w)[:, 0] = True
     first = np.flatnonzero(start).astype(np.int32)  # first cell of each run
     n_runs = first.size
-    down = cid[:-1] == cid[1:]
-    down &= ph[:-1] == ph[1:]
-    down &= cid[:-1] >= 0
-    down &= start[:-1] | start[1:]
+    down = key[:-w] == key[w:]
+    down &= key[:-w] >= 0
+    down &= start[:-w] | start[w:]
     del start
+    resolved = key[first] >= 0
+    del key
     top = np.flatnonzero(down).astype(np.int32)  # upper cell of each edge
     del down
     a = (np.searchsorted(first, top, side="right") - 1).astype(np.int32)
@@ -511,7 +527,6 @@ def label_components(grid: BasinGrid) -> ComponentLabeling:
         b = b[apart]
         a, b = np.minimum(a, b), np.maximum(a, b)
 
-    resolved = cid.ravel()[first] >= 0
     root = parent == np.arange(n_runs, dtype=np.int32)
     root &= resolved
     roots = first[root]
@@ -544,30 +559,23 @@ def component_of(labeling: ComponentLabeling, point: complex) -> Component:
 
 def default_palette(grid: BasinGrid) -> dict:
     """Deterministic color per (cycle_id, phase); golden-angle hue walk."""
-    palette = {}
-    i = 0
-    for ci, cyc in enumerate(grid.cycles):
-        for pi in range(len(cyc)):
-            hue = (0.13 + 0.61803398875 * i) % 1.0
-            r, g, b = colorsys.hsv_to_rgb(hue, 0.58, 0.96)
-            palette[(ci, pi)] = (round(r * 255), round(g * 255), round(b * 255))
-            i += 1
-    return palette
+    pairs = [(ci, pi) for ci, cyc in enumerate(grid.cycles) for pi in range(len(cyc))]
+    return {pair: tuple(round(c * 255) for c in
+                        colorsys.hsv_to_rgb((0.13 + 0.61803398875 * i) % 1.0, 0.58, 0.96))
+            for i, pair in enumerate(pairs)}
 
 
 def render_ppm(grid: BasinGrid) -> bytes:
-    """Binary PPM (P6) image of the grid in default_palette; unresolved cells
-    are black. Byte-for-byte deterministic for a given grid.
+    """Binary PPM (P6) image of the grid in default_palette, by basin_key;
+    unresolved cells are black. Byte-for-byte deterministic for a given grid.
     """
-    max_phase = max(len(c) for c in grid.cycles)
-    lut = np.zeros(((len(grid.cycles) + 1) * max_phase, 3), dtype=np.uint8)
-    for (ci, pi), rgb in default_palette(grid).items():
-        lut[(ci + 1) * max_phase + pi] = rgb
-    # unresolved cells (cycle_id and phase -1) get code 0, black
-    code = grid.cycle_id.astype(np.int32)
+    period, palette, black = _key_period(grid), default_palette(grid), (0, 0, 0)
+    # row k + 1 holds the colour of key k, and row 0 is black
+    lut = np.array([black] + [palette.get(divmod(k, period), black)
+                              for k in range(len(grid.cycles) * period)], dtype=np.uint8)
+    code = basin_key(grid)
     code += 1
-    code *= max_phase
-    code += np.maximum(grid.phase, 0)
-    img = np.take(lut, code, axis=0)  # a row gather, faster than lut[code]
+    # a row gather, faster than lut[code]; unresolved cells clip to row 0
+    img = np.take(lut, code, axis=0, mode="clip")
     header = f"P6\n{grid.width} {grid.height}\n255\n".encode("ascii")
     return header + img.tobytes()

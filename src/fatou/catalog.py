@@ -173,15 +173,11 @@ def paper_g() -> RationalMap:
     return pseudo_basilica(3)
 
 
-def paper_degree4() -> RationalMap:
-    """3 (z - 1)^3 (z + 3) / (3 - 8 z + 6 z^2), the degree-4 sibling."""
-    return pseudo_basilica(4)
-
-
 # Each distinct map once, under the paper's name where it has one.
 CATALOG_NAMES = ("paper-g", "paper-degree4", "pseudo-basilica:2", "pseudo-rabbit:3:0")
 # Family selectors that name a catalog map: the paper's two maps are the
 # pseudo-basilica members of degrees 3 and 4, coefficients bit for bit.
+# paper-degree4, the degree-4 sibling, is 3 (z - 1)^3 (z + 3) / (3 - 8 z + 6 z^2).
 ALIASES = {"pseudo-basilica:3": "paper-g", "pseudo-basilica:4": "paper-degree4"}
 # Every selector `fatou catalog` lists: the paper's names, then the family
 # selectors in order, the aliases among them.

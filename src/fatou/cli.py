@@ -268,17 +268,14 @@ def cmd_render(args) -> int:
     from . import basins as _basins
     f = _load_map(args.map)
     port = _module.critical_portrait(f)
-    trap_radius = (_basins.DEFAULT_TRAP_RADIUS if args.trap_radius is None
-                   else args.trap_radius)
+    trap_radius = _basins.DEFAULT_TRAP_RADIUS if args.trap_radius is None else args.trap_radius
     grid = _basins.classify_grid(f, port, args.bounds, args.resolution,
-                                 trap_radius=trap_radius,
-                                 max_iter=args.max_iter)
+                                 trap_radius=trap_radius, max_iter=args.max_iter)
     labeling = _basins.label_components(grid)
     ppm = _basins.render_ppm(grid)
     with open(args.out, "wb") as fh:
         fh.write(ppm)
-    unresolved = int((grid.cycle_id < 0).sum())
-    report = {
+    _emit({
         "schema": SCHEMA,
         "map": args.map,
         "resolution": [grid.width, grid.height],
@@ -287,10 +284,9 @@ def cmd_render(args) -> int:
         "cycles": [[_jsonio.sphere_jsonable(p) for p in cyc]
                    for cyc in grid.cycles],
         "components": labeling.roots.size,
-        "unresolved_cells": unresolved,
+        "unresolved_cells": int((_basins.basin_key(grid) < 0).sum()),
         "out": args.out,
-    }
-    _emit(report)
+    })
     return 0
 
 

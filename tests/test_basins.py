@@ -556,10 +556,10 @@ def test_labels_match_bfs_on_random_three_key_grids(shape):
             _assert_labels_match_bfs(_grid(keys[k, 0], keys[k, 1]))
 
 
-@pytest.mark.parametrize("name", SELECTORS)
+@pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_labels_match_bfs_and_scipy_on_catalog_maps(name):
     f = by_name(name)
-    grid = classify_grid(f, critical_portrait(f), Bounds(-2.8, 2.8, -2.1, 2.1), (200, 150))
+    grid = classify_grid(f, critical_portrait(f), WIDE, (200, 150))
     _assert_labels_match_bfs(grid)
     ndimage = pytest.importorskip("scipy.ndimage")
     comps = label_components(grid).components
@@ -568,6 +568,27 @@ def test_labels_match_bfs_and_scipy_on_catalog_maps(name):
             mask = (grid.cycle_id == ci) & (grid.phase == pi)
             want = ndimage.label(mask)[1]  # 4-connected by default
             assert sum(c.cycle_id == ci and c.phase == pi for c in comps) == want
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_labels_and_colours_come_from_one_key(name):
+    # label_components and render_ppm read one per-cell key: no label spans
+    # two colours, two 4-adjacent resolved cells of one colour share a
+    # label, and exactly the unlabeled cells are black
+    f = by_name(name)
+    grid = classify_grid(f, critical_portrait(f), WIDE, (200, 150))
+    labels = label_components(grid).labels
+    pixels = np.frombuffer(render_ppm(grid)[-200 * 150 * 3:], dtype=np.uint8)
+    colour = (pixels.reshape(150, 200, 3).astype(np.int32) << [16, 8, 0]).sum(axis=2)
+    labeled = labels >= 0
+    assert np.array_equal(~labeled, colour == 0)
+    label_colour = np.zeros(labels.max() + 1, dtype=np.int32)
+    label_colour[labels[labeled]] = colour[labeled]
+    assert np.array_equal(label_colour[labels[labeled]], colour[labeled])
+    for a, b in ((np.s_[:, :-1], np.s_[:, 1:]), (np.s_[:-1], np.s_[1:])):
+        pair = labeled[a] & labeled[b] & (colour[a] == colour[b])
+        assert pair.any()
+        assert np.array_equal(labels[a][pair], labels[b][pair])
 
 
 # --- the trap test against the exact loop it replaced ------------------------

@@ -10,7 +10,6 @@ from fatou.catalog import (
     SELECTORS,
     by_name,
     hom_compose,
-    paper_degree4,
     paper_g,
     pseudo_basilica,
     pseudo_rabbit_condition,
@@ -103,7 +102,7 @@ def test_paper_degree4_matches_displayed_formula():
     shown = normalize(Polynomial((-9.0, 24.0, -18.0, 0.0, 3.0)),
                       Polynomial((3.0, -8.0, 6.0)))
     rng = np.random.default_rng(872)
-    assert _cross_identity_error(paper_degree4(), shown, rng) < 1e-12
+    assert _cross_identity_error(by_name("paper-degree4"), shown, rng) < 1e-12
 
 
 def test_family_two_cycle_through_zero():
